@@ -10,7 +10,7 @@ console script exposes the same pipeline on the command line.
 """
 
 from .classify import (ClassificationReport, PredicateResult, chen_residual,
-                       classify_surface, integrate_profile_ode, max_h_norm,
+                       classify_surface, integrate_profile_ode,
                        minimal_aminov_profile, minimal_translation_family,
                        minimality_residual, pseudo_umbilical_residual,
                        report_to_json, wintgen_deficit)
@@ -39,7 +39,7 @@ __all__ = [
     "evaluate_discrete", "eval_patch", "export_csv", "first_form",
     "ingest_csv", "ingest_samples", "integrate_profile_ode", "invariants_at",
     "make_aminov", "make_explicit", "make_gradient", "make_translation",
-    "max_h_norm", "minimal_aminov_profile", "minimal_translation_family",
+    "minimal_aminov_profile", "minimal_translation_family",
     "minimality_residual", "normal_frame", "patch_from_json", "patch_to_json",
     "point_data", "pretty", "pseudo_umbilical_residual", "report_to_json",
     "sample_grid", "sample_values", "second_form",

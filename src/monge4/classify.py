@@ -18,13 +18,11 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import jet
 from .expr import Profile, compile_profile
 from .forms import SecondForm
 from .invariants import (ConsistencyError, InvariantSet, point_data,
-                         relative_gap)
+                         relative_gap, require_finite)
 from .patch import MongePatch, eval_patch, make_translation, profile_at
 
 MINIMAL_TOL = 1e-8
@@ -35,18 +33,10 @@ PREDICATES = ("minimal", "chen", "wintgen_ideal", "pseudo_umbilical",
               "flat", "k_plus_kn_zero")
 
 
-@dataclass(frozen=True, eq=False)
-class ShapeOperatorPair:
-    """Shape operators along N1, N2 in the orthonormal tangent frame."""
-
-    A1: np.ndarray
-    A2: np.ndarray
-
-
-def shape_operators(sf: SecondForm) -> ShapeOperatorPair:
-    a1 = np.array([[sf.h1[0], sf.h1[1]], [sf.h1[1], sf.h1[2]]])
-    a2 = np.array([[sf.h2[0], sf.h2[1]], [sf.h2[1], sf.h2[2]]])
-    return ShapeOperatorPair(a1, a2)
+def _combine(s1: float, h1: tuple, s2: float, h2: tuple) -> tuple:
+    """(11, 12, 22) entries of the shape operator s1 A1 + s2 A2."""
+    return (s1 * h1[0] + s2 * h2[0], s1 * h1[1] + s2 * h2[1],
+            s1 * h1[2] + s2 * h2[2])
 
 
 def _mean_components(sf: SecondForm):
@@ -66,11 +56,11 @@ def chen_residual(sf: SecondForm, minimal_tol: float = MINIMAL_TOL) -> float:
                  * (H2 ** 2 - H1 ** 2))
 
     # independent route: rotate the normal frame to point along H and
-    # read off the off-diagonal trace obstruction
-    ops = shape_operators(sf)
-    t1 = (H1 * ops.A1 + H2 * ops.A2) / hnorm
-    t2 = (H2 * ops.A1 - H1 * ops.A2) / hnorm
-    traced = float(np.trace(t1 @ t2)) * hnorm ** 2
+    # read off the trace obstruction <H1 A1 + H2 A2, H2 A1 - H1 A2>
+    along = _combine(H1, h1, H2, h2)
+    across = _combine(H2, h1, -H1, h2)
+    traced = (along[0] * across[0] + 2.0 * along[1] * across[1]
+              + along[2] * across[2])
     if relative_gap(expansion, traced) > 1e-10:
         raise ConsistencyError(
             f"chen residual paths disagree: {expansion!r} vs {traced!r}")
@@ -103,18 +93,30 @@ def pseudo_umbilical_residual(sf: SecondForm, minimal_tol: float = MINIMAL_TOL) 
     H1, H2 = _mean_components(sf)
     if math.hypot(H1, H2) < minimal_tol:
         return 0.0
-    ops = shape_operators(sf)
-    ah = H1 * ops.A1 + H2 * ops.A2
-    off = abs(ah[0, 1])
-    diag = abs(ah[0, 0] - ah[1, 1])
-    return float(max(off, diag)) / (1.0 + float(np.linalg.norm(ah)))
+    a, b, c = _combine(H1, sf.h1, H2, sf.h2)
+    norm = math.sqrt(a * a + 2.0 * b * b + c * c)  # Frobenius norm of A_H
+    return max(abs(b), abs(a - c)) / (1.0 + norm)
 
 
 def first_normal_rank(sf: SecondForm, tol: float = RANK_TOL) -> int:
-    """Numerical rank of the span of the second fundamental form."""
-    m = np.array([list(sf.h1), list(sf.h2)])
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(sv > tol * sv[0])) if sv[0] > 0.0 else 0
+    """Numerical rank of the span of the second fundamental form.
+
+    The singular values of the 2x3 matrix with rows h1, h2 satisfy
+    s0^2 + s1^2 = |h1|^2 + |h2|^2 and s0 s1 = |h1 x h2|.  The rows are
+    first scaled to a largest entry of 1, so no square under- or
+    overflows.
+    """
+    m = max(map(abs, sf.h1 + sf.h2))
+    if m == 0.0:
+        return 0
+    (a, b, c), (d, e, f) = ([x / m for x in sf.h1], [x / m for x in sf.h2])
+    n1 = a * a + b * b + c * c
+    n2 = d * d + e * e + f * f
+    dot = a * d + b * e + c * f
+    s0 = math.sqrt(0.5 * (n1 + n2 + math.hypot(n1 - n2, 2.0 * dot)))
+    x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
+    s1 = math.sqrt(x * x + y * y + z * z) / s0
+    return (s0 > tol * s0) + (s1 > tol * s0)
 
 
 def minimality_residual(r: jet.Jet1) -> float:
@@ -238,20 +240,6 @@ def minimal_translation_family(c3: float, c4: float, e3: float, e4: float,
                             domain=(-ulim, ulim, -vlim, vlim))
 
 
-def _iter_points(grid_spec):
-    for point in grid_spec.points():
-        yield point[-2], point[-1]
-
-
-def max_h_norm(patch: MongePatch, grid_spec) -> float:
-    """Largest ||H|| over the grid; the minimality measurement."""
-    worst = 0.0
-    for u, v in _iter_points(grid_spec):
-        pd = point_data(eval_patch(patch, u, v))
-        worst = max(worst, pd.inv.Hnorm)
-    return worst
-
-
 @dataclass(frozen=True)
 class PredicateResult:
     max_residual: float
@@ -270,16 +258,23 @@ class ClassificationReport:
     aminov_channels: dict | None = None
 
 
-def _point_residuals(pd) -> dict:
+def _point_residuals(pd) -> tuple:
+    """Normalizing scale and predicate residuals at one point."""
     inv = pd.inv
-    return {
-        "minimal": inv.Hnorm,
-        "chen": abs(chen_residual(pd.second)),
-        "wintgen_ideal": abs(wintgen_deficit(inv)),
-        "pseudo_umbilical": pseudo_umbilical_residual(pd.second),
-        "flat": max(abs(inv.K), abs(inv.KN)),
-        "k_plus_kn_zero": abs(inv.K + inv.KN),
-    }
+    try:
+        scale = 1.0 + max(abs(inv.K), abs(inv.KN), inv.Hnorm ** 2)
+        residuals = {
+            "minimal": inv.Hnorm,
+            "chen": abs(chen_residual(pd.second)),
+            "wintgen_ideal": abs(wintgen_deficit(inv)),
+            "pseudo_umbilical": pseudo_umbilical_residual(pd.second),
+            "flat": max(abs(inv.K), abs(inv.KN)),
+            "k_plus_kn_zero": abs(inv.K + inv.KN),
+        }
+    except OverflowError:
+        raise jet.DomainError("predicate residuals overflowed") from None
+    require_finite("predicate residuals", (scale, *residuals.values()))
+    return scale, residuals
 
 
 def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> ClassificationReport:
@@ -298,21 +293,20 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
     aminov_kkn = 0.0
     aminov_wintgen = 0.0
 
-    for u, v in _iter_points(grid_spec):
+    for *_, u, v in grid_spec.points():
         try:
             pd = point_data(eval_patch(patch, u, v))
+            scale, residuals = _point_residuals(pd)
         except jet.DomainError:
             failed += 1
             continue
-        inv = pd.inv
-        scale = 1.0 + max(abs(inv.K), abs(inv.KN), inv.Hnorm ** 2)
-        for name, value in _point_residuals(pd).items():
+        for name, value in residuals.items():
             raw[name] = max(raw[name], value)
             normalized[name] = max(normalized[name], value / scale)
         rank = max(rank, first_normal_rank(pd.second))
-        if inv.Hnorm / scale >= tol:
+        if residuals["minimal"] / scale >= tol:
             minimal_everywhere = False
-        if pseudo_umbilical_residual(pd.second) / scale >= tol:
+        if residuals["pseudo_umbilical"] / scale >= tol:
             pseudo_everywhere = False
         if patch.family == "aminov":
             r = profile_at(patch, u)
@@ -343,11 +337,10 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
 
 
 def describe_grid(grid_spec) -> str:
-    for attrs in (("u0", "u1", "v0", "v1", "nu", "nv"),):
-        if all(hasattr(grid_spec, name) for name in attrs):
-            g = grid_spec
-            return (f"[{g.u0}, {g.u1}] x [{g.v0}, {g.v1}], {g.nu} x {g.nv}")
-    return repr(grid_spec)
+    g = grid_spec
+    if all(hasattr(g, name) for name in ("u0", "u1", "v0", "v1", "nu", "nv")):
+        return f"[{g.u0}, {g.u1}] x [{g.v0}, {g.v1}], {g.nu} x {g.nv}"
+    return repr(g)
 
 
 def report_to_json(report: ClassificationReport) -> str:
@@ -366,11 +359,10 @@ def report_to_json(report: ClassificationReport) -> str:
 
 
 __all__ = [
-    "ClassificationReport", "PredicateResult", "ShapeOperatorPair",
-    "aminov_wintgen_residual", "chen_residual", "classify_surface",
-    "describe_grid", "first_normal_rank", "integrate_profile_ode",
-    "k_plus_kn_residual", "max_h_norm", "minimal_aminov_profile",
+    "ClassificationReport", "PredicateResult", "aminov_wintgen_residual",
+    "chen_residual", "classify_surface", "describe_grid", "first_normal_rank",
+    "integrate_profile_ode", "k_plus_kn_residual", "minimal_aminov_profile",
     "minimal_translation_family", "minimality_residual",
     "pseudo_umbilical_residual", "report_to_json", "same_sign_aminov_profile",
-    "shape_operators", "wintgen_deficit",
+    "wintgen_deficit",
 ]

@@ -15,15 +15,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from . import jet
 from .classify import (PREDICATES, classify_surface, integrate_profile_ode,
                        minimal_aminov_profile, minimality_residual,
                        report_to_json)
 from .expr import ExprError, profile_eval
-from .grid import (RESULT_HEADER, GridSpec, evaluate_discrete, export_csv,
-                   ingest_samples, read_samples_csv, sample_grid)
+from .grid import (RESULT_HEADER, GridSpec, csv_text, evaluate_discrete,
+                   export_csv, ingest_samples, read_samples_csv, sample_grid,
+                   write_text)
 from .invariants import ConsistencyError, invariants_at
 from .patch import (FAMILIES, make_aminov, make_explicit, make_gradient,
                     make_translation, patch_from_json)
@@ -120,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "grid and write the result table.")
     _add_surface_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for sampling (default: %(default)s)")
     _add_output_flags(p, "csv")
     p.set_defaults(handler=cmd_grid)
 
@@ -233,11 +231,7 @@ def _grid_spec(args) -> GridSpec:
 
 
 def _emit(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+    write_text(sys.stdout if out is None else out, text)
 
 
 def _note(message: str, out) -> None:
@@ -246,25 +240,11 @@ def _note(message: str, out) -> None:
     print(message, file=stream)
 
 
-def _json_float(x):
-    return x if math.isfinite(x) else None
-
-
-def _render_rows(header, rows, fmt):
-    """Render a float table (last column may be a string flag)."""
-    if fmt == "json":
-        doc = []
-        for row in rows:
-            item = {}
-            for name, cell in zip(header, row):
-                item[name] = cell if isinstance(cell, str) else _json_float(cell)
-            doc.append(item)
-        return json.dumps(doc, indent=2) + "\n"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else repr(cell)
-                              for cell in row))
-    return "\n".join(lines) + "\n"
+def _json_rows(header, rows) -> str:
+    """Render a float table (last column may be a string flag) as JSON."""
+    doc = [{name: cell if isinstance(cell, str) or math.isfinite(cell) else None
+            for name, cell in zip(header, row)} for row in rows]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def cmd_eval(args) -> int:
@@ -275,8 +255,8 @@ def cmd_eval(args) -> int:
     if args.format == "json":
         text = json.dumps(dict(values), indent=2) + "\n"
     elif args.format == "csv":
-        text = (",".join(name for name, _ in values) + "\n"
-                + ",".join(repr(val) for _, val in values) + "\n")
+        text = csv_text([name for name, _ in values],
+                        [[val for _, val in values]])
     else:
         text = "".join(f"{name} = {val!r}\n" for name, val in values)
     _emit(text, args.out)
@@ -286,7 +266,7 @@ def cmd_eval(args) -> int:
 def cmd_grid(args) -> int:
     patch = _build_patch(args)
     spec = _grid_spec(args)
-    result = sample_grid(patch, spec, workers=args.workers)
+    result = sample_grid(patch, spec)
     _emit_grid_result(result, args)
     flagged = sum(1 for r in result.rows if r.flag)
     _note(f"sampled {len(result.rows)} nodes ({flagged} flagged)", args.out)
@@ -295,15 +275,12 @@ def cmd_grid(args) -> int:
 
 def _emit_grid_result(result, args) -> None:
     if args.format == "csv":
-        if args.out is None:
-            export_csv(result, sys.stdout)
-        else:
-            export_csv(result, args.out)
+        export_csv(result, sys.stdout if args.out is None else args.out)
         return
     if args.format == "json":
-        rows = [tuple(asdict(r)[name] for name in RESULT_HEADER)
-                for r in result.rows]
-        _emit(_render_rows(RESULT_HEADER, rows, "json"), args.out)
+        rows = ([getattr(r, name) for name in RESULT_HEADER]
+                for r in result.rows)
+        _emit(_json_rows(RESULT_HEADER, rows), args.out)
         return
     clean = [r for r in result.rows if not r.flag]
     flagged = len(result.rows) - len(clean)
@@ -341,12 +318,10 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         text = report_to_json(report) + "\n"
     elif args.format == "csv":
-        lines = ["predicate,verdict,max_residual,normalized_residual"]
-        for name in PREDICATES:
-            pr = report.predicates[name]
-            lines.append(f"{name},{pr.verdict},{pr.max_residual!r},"
-                         f"{pr.normalized_residual!r}")
-        text = "\n".join(lines) + "\n"
+        text = csv_text(
+            ("predicate", "verdict", "max_residual", "normalized_residual"),
+            [(name, pr.verdict, pr.max_residual, pr.normalized_residual)
+             for name, pr in report.predicates.items()])
     else:
         lines = []
         for name in PREDICATES:
@@ -371,11 +346,9 @@ def cmd_verify(args) -> int:
                for r in results]
         text = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["check,status,detail"]
-        for r in results:
-            detail = '"%s"' % r.detail.replace('"', '""')
-            lines.append(f"{r.name},{'pass' if r.ok else 'fail'},{detail}")
-        text = "\n".join(lines) + "\n"
+        text = csv_text(
+            ("check", "status", "detail"),
+            [(r.name, "pass" if r.ok else "fail", r.detail) for r in results])
     else:
         width = max(len(r.name) for r in results)
         lines = [f"{'PASS' if r.ok else 'FAIL'}  {r.name.ljust(width)}  "
@@ -410,14 +383,14 @@ def cmd_ode(args) -> int:
             raise ValueError("numerical integration needs both --r0 "
                              "and --r0p")
         rows = integrate_profile_ode(args.r0, args.r0p, (lo, hi), args.steps)
-    if args.format == "text":
-        worst = max(abs(row[3]) for row in rows)
-        text = (f"nodes: {len(rows)}\n"
-                f"max |residual|: {worst!r}\n")
-    else:
-        text = _render_rows(ODE_HEADER, rows, args.format)
-    _emit(text, args.out)
     worst = max(abs(row[3]) for row in rows)
+    if args.format == "text":
+        text = f"nodes: {len(rows)}\nmax |residual|: {worst!r}\n"
+    elif args.format == "csv":
+        text = csv_text(ODE_HEADER, rows)
+    else:
+        text = _json_rows(ODE_HEADER, rows)
+    _emit(text, args.out)
     _note(f"{len(rows)} nodes, max |residual| = {worst!r}", args.out)
     return EXIT_OK
 

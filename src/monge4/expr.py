@@ -44,6 +44,8 @@ _SIMPLE = {"(": "lparen", ")": "rparen", ",": "comma"}
 
 FUNCTIONS = frozenset(jet.UNARY_NAMES - {"neg"})
 CONSTANTS = {"pi": math.pi, "e": math.e}
+# bound on parser nesting and AST height; parsing and evaluation recurse
+MAX_DEPTH = 100
 
 
 def tokenize(text: str) -> list[Token]:
@@ -113,6 +115,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -140,6 +143,11 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             self.fail(f"unexpected {tok.text!r}, expected end of expression", tok)
+        level = [node]
+        for _ in range(MAX_DEPTH):
+            level = [child for n in level for child in _children(n)]
+        if level:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
         return node
 
     def expr(self):
@@ -165,11 +173,18 @@ class _Parser:
                 return node
 
     def factor(self):
+        # every recursive path of the grammar passes through factor
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
         tok = self.peek()
         if tok is not None and tok.kind == "operator" and tok.text == "-":
             self.next()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -215,16 +230,21 @@ def parse(tokens: list[Token]):
     return _Parser(tokens).parse()
 
 
+def _children(node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.child,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
 def _walk_vars(node):
     if isinstance(node, Var):
         yield node
-    elif isinstance(node, Neg):
-        yield from _walk_vars(node.child)
-    elif isinstance(node, BinOp):
-        yield from _walk_vars(node.left)
-        yield from _walk_vars(node.right)
-    elif isinstance(node, Call):
-        yield from _walk_vars(node.arg)
+    for child in _children(node):
+        yield from _walk_vars(child)
 
 
 def compile_expr(text: str, variables=("u", "v")):

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import jet
 from .classify import chen_residual, wintgen_deficit
-from .invariants import point_data
+from .invariants import point_data, require_finite
 from .patch import MongePatch, PatchJets, eval_patch
 
 SPACING_RTOL = 1e-9
@@ -41,6 +40,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        if not all(map(math.isfinite, (self.u0, self.u1, self.v0, self.v1))):
+            raise ValueError("grid bounds must be finite")
         if not (self.u0 < self.u1 and self.v0 < self.v1):
             raise ValueError("grid bounds must be increasing")
 
@@ -95,9 +96,13 @@ class GridResult:
 def _row_from_jets(u: float, v: float, jets: PatchJets) -> Row:
     pd = point_data(jets)
     ff, inv = pd.first, pd.inv
+    try:
+        chen, wintgen = chen_residual(pd.second), wintgen_deficit(inv)
+    except OverflowError:
+        raise jet.DomainError("predicate residuals overflowed") from None
+    require_finite("predicate residuals", (chen, wintgen))
     return Row(u, v, ff.E, ff.F, ff.G, ff.W2, inv.K, inv.KN,
-               inv.H1, inv.H2, inv.Hnorm,
-               chen_residual(pd.second), wintgen_deficit(inv))
+               inv.H1, inv.H2, inv.Hnorm, chen, wintgen)
 
 
 def _sample_point(patch: MongePatch, u: float, v: float) -> Row:
@@ -107,15 +112,10 @@ def _sample_point(patch: MongePatch, u: float, v: float) -> Row:
         return Row(u, v, flag=f"domain-error: {err}")
 
 
-def sample_grid(patch: MongePatch, spec: GridSpec, workers: int = 1) -> GridResult:
+def sample_grid(patch: MongePatch, spec: GridSpec) -> GridResult:
     """Evaluate the full pipeline at every node; failures become flags."""
-    points = [(u, v) for _, _, u, v in spec.points()]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _sample_point(patch, *p), points))
-    else:
-        rows = [_sample_point(patch, u, v) for u, v in points]
-    return GridResult(spec, rows)
+    return GridResult(spec, [_sample_point(patch, u, v)
+                             for _, _, u, v in spec.points()])
 
 
 @dataclass(frozen=True)
@@ -285,47 +285,48 @@ def ingest_csv(path, mode: str | None = None) -> DiscretePatch:
     return ingest_samples(read_samples_csv(path), mode=mode, source=str(path))
 
 
-def _write_lines(destination, lines):
+def write_text(destination, text: str) -> None:
+    """Write to a file object, or to a path without newline translation."""
     if hasattr(destination, "write"):
-        destination.write("".join(lines))
+        destination.write(text)
         return
     with open(destination, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write(text)
 
 
-def _flag_cell(text: str) -> str:
-    # flag messages may contain commas; quote per the usual CSV rules
+def _text_cell(text: str) -> str:
+    # flags and check details may contain commas; quote per the usual rules
     if any(ch in text for ch in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
+def csv_text(header, rows) -> str:
+    """A CSV table: floats as shortest round-trip decimals, text quoted."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        lines.append(",".join(_text_cell(c) if isinstance(c, str) else repr(c)
+                              for c in row) + "\n")
+    return "".join(lines)
+
+
 def export_csv(result: GridResult, destination) -> None:
-    """Write the result table; floats as shortest round-trip decimals."""
-    lines = [",".join(RESULT_HEADER) + "\n"]
-    for r in result.rows:
-        cells = [repr(getattr(r, name)) for name in RESULT_HEADER[:-1]]
-        cells.append(_flag_cell(r.flag))
-        lines.append(",".join(cells) + "\n")
-    _write_lines(destination, lines)
+    """Write the result table, one row per node."""
+    rows = ([getattr(r, name) for name in RESULT_HEADER] for r in result.rows)
+    write_text(destination, csv_text(RESULT_HEADER, rows))
 
 
 def export_samples_csv(dp: DiscretePatch, destination) -> None:
     """Write height samples back out in the input format."""
-    spec = dp.spec()
-    header = "u,v,f,g" if dp.mode == "monge4" else "u,v,f"
-    lines = [header + "\n"]
-    for i, j, u, v in spec.points():
-        cells = [repr(u), repr(v), repr(dp.f[i][j])]
-        if dp.mode == "monge4":
-            cells.append(repr(dp.g[i][j]))
-        lines.append(",".join(cells) + "\n")
-    _write_lines(destination, lines)
+    header = ("u", "v", "f", "g") if dp.mode == "monge4" else ("u", "v", "f")
+    rows = ((u, v, dp.f[i][j], dp.g[i][j])[:len(header)]
+            for i, j, u, v in dp.spec().points())
+    write_text(destination, csv_text(header, rows))
 
 
 __all__ = [
     "DiscretePatch", "GridResult", "GridSpec", "MODES", "RESULT_HEADER",
-    "Row", "evaluate_discrete", "export_csv", "export_samples_csv", "fd_jets",
-    "ingest_csv", "ingest_samples", "read_samples_csv", "sample_grid",
-    "sample_values",
+    "Row", "csv_text", "evaluate_discrete", "export_csv", "export_samples_csv",
+    "fd_jets", "ingest_csv", "ingest_samples", "read_samples_csv", "sample_grid",
+    "sample_values", "write_text",
 ]

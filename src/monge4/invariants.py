@@ -106,22 +106,36 @@ class PointData:
     inv: InvariantSet
 
 
+def require_finite(what: str, values: tuple) -> None:
+    """DomainError unless every value is finite.
+
+    The dual-path checks cannot catch NaN (relative_gap(nan, nan) > tol
+    is False), so non-finite values are stopped here instead.
+    """
+    if not all(map(math.isfinite, values)):
+        raise jet.DomainError(f"non-finite {what}")
+
+
 def point_data(jets: PatchJets) -> PointData:
-    ff = first_form(jets)
-    nf = normal_frame(jets, ff)
-    sf = second_form(jets, ff, nf)
-    K = gauss_curvature(sf, ff, jets)
-    KN = normal_torsion(sf, ff, jets)
-    H1, H2, Hnorm = mean_curvature(sf, ff, jets)
+    """Forms and invariants at one point; non-finite data is a DomainError."""
+    f, g = jets.f, jets.g
+    require_finite("jets", (f.val, f.du, f.dv, f.duu, f.duv, f.dvv,
+                             g.val, g.du, g.dv, g.duu, g.duv, g.dvv))
+    try:
+        ff = first_form(jets)
+        nf = normal_frame(jets, ff)
+        sf = second_form(jets, ff, nf)
+        K = gauss_curvature(sf, ff, jets)
+        KN = normal_torsion(sf, ff, jets)
+        H1, H2, Hnorm = mean_curvature(sf, ff, jets)
+    except OverflowError:
+        raise jet.DomainError("invariants overflowed") from None
+    require_finite("invariants", (K, KN, H1, H2, Hnorm))
     return PointData(jets, ff, nf, sf, InvariantSet(K, KN, H1, H2, Hnorm))
 
 
-def invariants_of_jets(jets: PatchJets) -> InvariantSet:
-    return point_data(jets).inv
-
-
 def invariants_at(patch: MongePatch, u: float, v: float) -> InvariantSet:
-    return invariants_of_jets(eval_patch(patch, u, v))
+    return point_data(eval_patch(patch, u, v)).inv
 
 
 @dataclass(frozen=True)
@@ -202,6 +216,6 @@ def translation_closed_forms(patch: MongePatch, u: float, v: float):
 __all__ = [
     "AminovClosedForms", "CHECK_TOL", "ConsistencyError", "InvariantSet",
     "PointData", "aminov_closed_forms", "gauss_curvature", "invariants_at",
-    "invariants_of_jets", "mean_curvature", "normal_torsion", "point_data",
-    "relative_gap", "translation_closed_forms",
+    "mean_curvature", "normal_torsion", "point_data", "relative_gap",
+    "require_finite", "translation_closed_forms",
 ]

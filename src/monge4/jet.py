@@ -287,11 +287,6 @@ def apply_unary(fn: str, a):
     return a.chain(f0, f1, f2)
 
 
-def jet_unary(fn: str, a):
-    """Alias of apply_unary, named after the operation family."""
-    return apply_unary(fn, a)
-
-
 def pow_int(a, n: int):
     """Integer power by the exact power rule; valid for negative bases."""
     n = int(n)
@@ -334,7 +329,10 @@ def jet_pow(a, b):
                     f"variable exponent requires a positive base, got {a.val!r}")
             return apply_unary("exp", b * apply_unary("log", a))
     if isinstance(b, (int, float)):
-        if float(b).is_integer():
-            return pow_int(a, int(b))
-        return pow_real(a, float(b))
+        try:
+            if float(b).is_integer():
+                return pow_int(a, int(b))
+            return pow_real(a, float(b))
+        except OverflowError:
+            raise DomainError(f"power overflowed at base {a.val!r}") from None
     raise TypeError(f"unsupported exponent type {type(b).__name__}")

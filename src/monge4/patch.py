@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import jet
-from .expr import ExprError, Profile, compile_expr, eval_expr, profile_eval
+from .expr import compile_expr, eval_expr
 
 FAMILIES = ("explicit", "translation", "aminov", "gradient")
 
@@ -147,14 +147,11 @@ def eval_patch(patch: MongePatch, u: float, v: float) -> PatchJets:
                      g=eval_expr(patch.asts[kg], env))
 
 
-def aminov_profile(patch: MongePatch) -> Profile:
+def profile_at(patch: MongePatch, u: float) -> jet.Jet1:
+    """r, r' and r'' of an aminov patch's profile at u."""
     if patch.family != "aminov":
         raise ValueError("not an aminov patch")
-    return Profile(patch.exprs["r"], patch.asts["r"])
-
-
-def profile_at(patch: MongePatch, u: float) -> jet.Jet1:
-    return profile_eval(aminov_profile(patch), u)
+    return eval_expr(patch.asts["r"], {"u": jet.seed1(u)})
 
 
 def patch_to_json(patch: MongePatch) -> str:
@@ -197,22 +194,8 @@ def patch_from_json(text: str) -> MongePatch:
         raise ValueError(f"patch document missing expression {err.args[0]!r}") from None
 
 
-def describe(patch: MongePatch) -> str:
-    parts = [patch.family]
-    parts.extend(f"{k}={v}" for k, v in patch.exprs.items())
-    if patch.gradient_warning:
-        parts.append(f"warning: {patch.gradient_warning}")
-    return "; ".join(parts)
-
-
-def validate_expression(text: str, variables=("u", "v")) -> None:
-    """Parse-check an expression, re-raising ExprError unchanged."""
-    compile_expr(text, variables)
-
-
 __all__ = [
-    "FAMILIES", "MongePatch", "PatchJets", "aminov_profile", "describe",
-    "eval_patch", "make_aminov", "make_explicit", "make_gradient",
-    "make_translation", "patch_from_json", "patch_to_json", "profile_at",
-    "validate_expression", "ExprError",
+    "FAMILIES", "MongePatch", "PatchJets", "eval_patch", "make_aminov",
+    "make_explicit", "make_gradient", "make_translation", "patch_from_json",
+    "patch_to_json", "profile_at",
 ]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .classify import (chen_residual, classify_surface, integrate_profile_ode,
-                       max_h_norm, minimal_aminov_profile,
+                       minimal_aminov_profile,
                        minimal_translation_family, minimality_residual,
                        pseudo_umbilical_residual, same_sign_aminov_profile,
                        wintgen_deficit)
@@ -22,7 +22,7 @@ from .expr import parse, pretty, profile_eval, tokenize
 from .forms import (c_from_h, first_form, frame_residual, normal_frame,
                     rotate_normal_frame, second_form)
 from .grid import (GridSpec, evaluate_discrete, export_samples_csv,
-                   ingest_samples, sample_grid, sample_values)
+                   ingest_samples, sample_values)
 from .invariants import (aminov_closed_forms, invariants_at, point_data,
                          relative_gap, translation_closed_forms)
 from .patch import (eval_patch, make_aminov, make_explicit, make_gradient,
@@ -36,6 +36,16 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+
+
+class CheckFailed(Exception):
+    """A check's condition did not hold."""
+
+
+def _require(condition: bool, message: str) -> None:
+    # an explicit raise, unlike assert, still runs under python -O
+    if not condition:
+        raise CheckFailed(message)
 
 
 def _families():
@@ -75,7 +85,7 @@ def check_jets_match_finite_differences():
                 for a, b in zip((exact.du, exact.dv, exact.duu,
                                  exact.duv, exact.dvv), approx):
                     worst = max(worst, relative_gap(a, b))
-    assert worst < 1e-6, f"worst jet/FD gap {worst:.3g}"
+    _require(worst < 1e-6, f"worst jet/FD gap {worst:.3g}")
     return f"worst relative gap {worst:.2e}"
 
 
@@ -84,7 +94,7 @@ def check_expression_round_trip():
               "u/(v+3)/2", "sqrt(u^2+1) + log(abs(v)+2)", "2^3^2"]
     for text in corpus:
         ast = parse(tokenize(text))
-        assert parse(tokenize(pretty(ast))) == ast, text
+        _require(parse(tokenize(pretty(ast))) == ast, text)
     return f"{len(corpus)} expressions"
 
 
@@ -93,7 +103,8 @@ def check_translation_structure():
     rng = random.Random(SEED)
     for u, v in _points(50, rng):
         jets = eval_patch(patch, u, v)
-        assert jets.f.duv == 0.0 and jets.g.duv == 0.0
+        _require(jets.f.duv == 0.0 and jets.g.duv == 0.0,
+                 "mixed partial nonzero")
     return "f_uv = g_uv = 0 at 50 points"
 
 
@@ -111,7 +122,7 @@ def check_aminov_structure():
                     abs(ff.F),
                     abs(ff.B - (r.d1 ** 2 - r.val ** 2)
                         * math.sin(v) * math.cos(v)))
-    assert worst < 1e-12, f"worst structural residual {worst:.3g}"
+    _require(worst < 1e-12, f"worst structural residual {worst:.3g}")
     return f"worst residual {worst:.2e}"
 
 
@@ -120,9 +131,9 @@ def check_metric_identities():
     for _, patch in _families():
         for u, v in _points(250, rng):
             ff = first_form(eval_patch(patch, u, v))
-            assert ff.W2 >= 1.0
-            assert abs(ff.E * ff.G - ff.F ** 2
-                       - (ff.A * ff.C - ff.B ** 2)) < 1e-10 * ff.W2
+            _require(ff.W2 >= 1.0, f"W^2 = {ff.W2!r} below 1")
+            _require(abs(ff.E * ff.G - ff.F ** 2 - (ff.A * ff.C - ff.B ** 2))
+                     < 1e-10 * ff.W2, "EG - F^2 differs from AC - B^2")
     return "EG - F^2 = AC - B^2, W^2 >= 1 at 1000 points"
 
 
@@ -134,7 +145,7 @@ def check_frame_orthonormality():
             jets = eval_patch(patch, u, v)
             nf = normal_frame(jets, first_form(jets))
             worst = max(worst, frame_residual(jets, nf))
-    assert worst < 1e-12, f"worst frame residual {worst:.3g}"
+    _require(worst < 1e-12, f"worst frame residual {worst:.3g}")
     return f"worst residual {worst:.2e} over 4000 points"
 
 
@@ -147,7 +158,8 @@ def check_tangent_frame_inversion():
             sf = second_form(jets, ff, normal_frame(jets, ff))
             for c, h in ((sf.c1, sf.h1), (sf.c2, sf.h2)):
                 for a, b in zip(c, c_from_h(h, ff)):
-                    assert relative_gap(a, b) < 1e-10
+                    _require(relative_gap(a, b) < 1e-10,
+                             "c -> h -> c round trip moved")
     return "c -> h -> c round trip at 800 points"
 
 
@@ -169,10 +181,12 @@ def check_rotation_invariance():
             theta = rng.uniform(-math.pi, math.pi)
             pd = point_data(eval_patch(patch, u, v))
             _, sf2 = rotate_normal_frame(pd.frame, pd.second, theta)
-            assert relative_gap(gauss_curvature(sf2, pd.first), pd.inv.K) < 1e-10
-            assert relative_gap(normal_torsion(sf2, pd.first), pd.inv.KN) < 1e-10
+            _require(relative_gap(gauss_curvature(sf2, pd.first), pd.inv.K)
+                     < 1e-10, "K moved")
+            _require(relative_gap(normal_torsion(sf2, pd.first), pd.inv.KN)
+                     < 1e-10, "K_N moved")
             hn = mean_curvature(sf2, pd.first)[2]
-            assert relative_gap(hn, pd.inv.Hnorm) < 1e-10
+            _require(relative_gap(hn, pd.inv.Hnorm) < 1e-10, "|H| moved")
     return "K, K_N, |H| stable under 200 random rotations"
 
 
@@ -183,11 +197,11 @@ def check_gradient_equality():
     worst = 0.0
     for p_expr, q_expr in pairs:
         patch = make_gradient(p_expr, q_expr)
-        assert patch.family == "gradient", p_expr
+        _require(patch.family == "gradient", p_expr)
         for u, v in _points(50, rng):
             inv = invariants_at(patch, u, v)
             worst = max(worst, abs(inv.K - inv.KN))
-    assert worst < 1e-9, f"worst |K - K_N| {worst:.3g}"
+    _require(worst < 1e-9, f"worst |K - K_N| {worst:.3g}")
     return f"K = K_N on potentials, worst gap {worst:.2e}"
 
 
@@ -207,9 +221,9 @@ def check_exponential_profiles():
             worst_d6 = max(worst_d6, abs((r.val - r.d1)
                                          * (r.d1 * (1 + r.d1 ** 2)
                                             - r.d2 * (1 + r.val ** 2))))
-    assert worst_kkn < 1e-10, f"K+K_N residual {worst_kkn:.3g}"
-    assert worst_d6 < 1e-12, f"profile factor residual {worst_d6:.3g}"
-    assert worst_wintgen < 1e-10, f"wintgen deficit {worst_wintgen:.3g}"
+    _require(worst_kkn < 1e-10, f"K+K_N residual {worst_kkn:.3g}")
+    _require(worst_d6 < 1e-12, f"profile factor residual {worst_d6:.3g}")
+    _require(worst_wintgen < 1e-10, f"wintgen deficit {worst_wintgen:.3g}")
     return (f"K+K_N {worst_kkn:.2e}, factor {worst_d6:.2e}, "
             f"deficit {worst_wintgen:.2e}")
 
@@ -230,7 +244,7 @@ def check_aminov_closed_forms():
                 worst = max(worst, relative_gap(a, b))
             for a, b in zip(cf.h1 + cf.h2, pd.second.h1 + pd.second.h2):
                 worst = max(worst, relative_gap(a, b))
-    assert worst < 1e-10, f"worst closed-form gap {worst:.3g}"
+    _require(worst < 1e-10, f"worst closed-form gap {worst:.3g}")
     return f"worst gap {worst:.2e} over 200 points"
 
 
@@ -243,7 +257,7 @@ def check_translation_closed_forms():
         inv = invariants_at(patch, u, v)
         for a, b in [(K, inv.K), (KN, inv.KN), (H1, inv.H1), (H2, inv.H2)]:
             worst = max(worst, relative_gap(a, b))
-    assert worst < 1e-10, f"worst closed-form gap {worst:.3g}"
+    _require(worst < 1e-10, f"worst closed-form gap {worst:.3g}")
     return f"worst gap {worst:.2e} over 100 points"
 
 
@@ -258,7 +272,7 @@ def check_chen_six_profiles():
             inv = pd.inv
             scale = 1.0 + max(abs(inv.K), abs(inv.KN), inv.Hnorm ** 2)
             worst = max(worst, abs(chen_residual(pd.second)) / scale)
-    assert worst < 1e-9, f"worst normalized chen residual {worst:.3g}"
+    _require(worst < 1e-9, f"worst normalized chen residual {worst:.3g}")
     return f"{len(profiles)} profiles, worst normalized residual {worst:.2e}"
 
 
@@ -267,9 +281,10 @@ def check_chen_zero_at_minimal_points():
     rng = random.Random(SEED)
     for u, v in _points(50, rng):
         pd = point_data(eval_patch(patch, u, v))
-        assert pd.inv.Hnorm < 1e-10
-        assert chen_residual(pd.second) == 0.0
-        assert pseudo_umbilical_residual(pd.second) == 0.0
+        _require(pd.inv.Hnorm < 1e-10, "|H| nonzero")
+        _require(chen_residual(pd.second) == 0.0, "chen residual nonzero")
+        _require(pseudo_umbilical_residual(pd.second) == 0.0,
+                 "pseudo-umbilical residual nonzero")
     return "minimal points report zero residuals at 50 points"
 
 
@@ -281,50 +296,58 @@ def check_minimal_profiles():
             for k in range(21):
                 r = profile_eval(prof, -1.0 + k / 10)
                 worst = max(worst, abs(minimality_residual(r)))
-    assert worst < 1e-10, f"worst minimality residual {worst:.3g}"
+    _require(worst < 1e-10, f"worst minimality residual {worst:.3g}")
     return f"8 profiles, worst residual {worst:.2e}"
 
 
 def check_same_sign_counterexample():
     prof = same_sign_aminov_profile(1.0)
     res = minimality_residual(profile_eval(prof, 0.0))
-    assert res > 1.0, f"expected a strongly nonzero residual, got {res!r}"
+    _require(res > 1.0, f"expected a strongly nonzero residual, got {res!r}")
     return f"same-sign residual at u=0 is {res:.3g} (nonzero as required)"
 
 
 def check_profile_ode():
     rows = integrate_profile_ode(0.5, 0.5, (0.0, 1.0), 1000)
     err = abs(rows[-1][1] - 0.5 * math.e)
-    assert err < 1e-8, f"exp solution error {err:.3g}"
+    _require(err < 1e-8, f"exp solution error {err:.3g}")
     rows = integrate_profile_ode(1.0, 0.0, (0.0, 1.0), 1000)
     err2 = max(abs(r - math.cosh(u / math.sqrt(2))) for u, r, _, _ in rows)
-    assert err2 < 1e-8, f"cosh solution error {err2:.3g}"
+    _require(err2 < 1e-8, f"cosh solution error {err2:.3g}")
     return f"exp err {err:.2e}, cosh err {err2:.2e}"
 
 
 def check_scherk_translation_minimal():
     patch = minimal_translation_family(1, 0, 0, 0, 0, 0, 1, 1)
-    worst = max_h_norm(patch, GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11))
-    assert worst < 1e-10, f"max |H| {worst:.3g}"
+    report = classify_surface(patch, GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11))
+    worst = report.predicates["minimal"].max_residual
+    _require(report.failed_points == 0,
+             f"{report.failed_points} points failed to evaluate")
+    _require(worst < 1e-10, f"max |H| {worst:.3g}")
     return f"single-channel family, max |H| {worst:.2e}"
 
 
 def check_classification_verdicts():
     spec = GridSpec(0.5, 2.0, 0.0, math.pi, 11, 11)
     report = classify_surface(make_aminov("u", (0.5, 2.0)), spec)
-    assert report.predicates["chen"].verdict == "holds"
-    assert report.chen_qualifier == "non-trivial"
-    assert report.predicates["minimal"].verdict == "fails"
+    _require(report.predicates["chen"].verdict == "holds",
+             "linear profile: chen")
+    _require(report.chen_qualifier == "non-trivial",
+             "linear profile: chen qualifier")
+    _require(report.predicates["minimal"].verdict == "fails",
+             "linear profile: minimal")
 
     spec = GridSpec(-1.0, 1.0, 0.0, 2 * math.pi, 11, 11)
     report = classify_surface(make_aminov("exp(u)", (-1.0, 1.0)), spec)
     for name in ("minimal", "chen", "wintgen_ideal", "k_plus_kn_zero"):
-        assert report.predicates[name].verdict == "holds", name
+        _require(report.predicates[name].verdict == "holds",
+                 f"exponential profile: {name}")
 
     spec = GridSpec(-2.0, 2.0, -2.0, 2.0, 11, 11)
     report = classify_surface(make_explicit("u^2+v^2", "u^2-v^2"), spec)
-    assert report.predicates["flat"].verdict == "holds"
-    assert report.predicates["minimal"].verdict == "fails"
+    _require(report.predicates["flat"].verdict == "holds", "flat example: flat")
+    _require(report.predicates["minimal"].verdict == "fails",
+             "flat example: minimal")
     return "linear, exponential and flat examples classified as documented"
 
 
@@ -344,7 +367,7 @@ def check_fd_convergence():
     fine = errors(GridSpec(0.5, 2.0, 0.0, math.pi, 41, 41))
     common = set(coarse) & set(fine)
     ratio = max(coarse[k] for k in common) / max(fine[k] for k in common)
-    assert 3.5 < ratio < 4.5, f"convergence ratio {ratio:.3g}"
+    _require(3.5 < ratio < 4.5, f"convergence ratio {ratio:.3g}")
     return f"halving h shrinks the error {ratio:.2f}x"
 
 
@@ -354,17 +377,8 @@ def check_depth_map_mode():
                        mode="monge3")
     res = evaluate_discrete(dp)
     worst = max(abs(r.KN) for r in res.rows if not r.flag)
-    assert worst < 1e-14, f"K_N leak {worst:.3g}"
+    _require(worst < 1e-14, f"K_N leak {worst:.3g}")
     return f"single-channel K_N bounded by {worst:.2e}"
-
-
-def check_grid_determinism():
-    patch = make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2")
-    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
-    a = sample_grid(patch, spec)
-    b = sample_grid(patch, spec, workers=4)
-    assert a.rows == b.rows
-    return "sequential and 4-worker runs byte-identical"
 
 
 def check_sample_round_trip():
@@ -375,7 +389,7 @@ def check_sample_round_trip():
     lines = buf.getvalue().splitlines()
     records = [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]]
     back = ingest_samples(records)
-    assert back.f == dp.f and back.g == dp.g
+    _require(back.f == dp.f and back.g == dp.g, "samples changed")
     return "export/ingest reproduces samples bit-for-bit"
 
 
@@ -402,7 +416,6 @@ CHECKS = [
     ("classification-verdicts", check_classification_verdicts),
     ("fd-convergence", check_fd_convergence),
     ("depth-map-mode", check_depth_map_mode),
-    ("grid-determinism", check_grid_determinism),
     ("sample-round-trip", check_sample_round_trip),
 ]
 
@@ -418,4 +431,4 @@ def run_all() -> list:
     return results
 
 
-__all__ = ["CHECKS", "CheckResult", "run_all"]
+__all__ = ["CHECKS", "CheckFailed", "CheckResult", "run_all"]

@@ -4,13 +4,10 @@ import math
 import random
 import time
 
-import numpy as np
-
 from monge4.classify import (chen_residual, classify_surface,
-                             integrate_profile_ode, max_h_norm,
-                             minimal_aminov_profile,
+                             integrate_profile_ode, minimal_aminov_profile,
                              minimal_translation_family, minimality_residual,
-                             same_sign_aminov_profile, shape_operators)
+                             same_sign_aminov_profile)
 from monge4.expr import profile_eval
 from monge4.forms import frame_residual, rotate_normal_frame
 from monge4.grid import GridSpec, evaluate_discrete, sample_grid, \
@@ -21,10 +18,17 @@ from monge4.invariants import (aminov_closed_forms, gauss_curvature,
                                translation_closed_forms)
 from monge4.patch import (eval_patch, make_aminov, make_explicit,
                           make_gradient, make_translation, profile_at)
+from shape_reference import chen_traced
 
 SEED = 947
 
 TWO_PI = 2 * math.pi
+
+
+def _max_h(patch, spec):
+    """(largest |H| over the grid, points that failed to evaluate)."""
+    report = classify_surface(patch, spec)
+    return report.predicates["minimal"].max_residual, report.failed_points
 
 
 def _report(capsys, number, ok, detail):
@@ -131,6 +135,7 @@ def test_criterion_5_chen_over_profile_set(capsys):
 
 def test_criterion_6_minimal_profiles(capsys):
     worst_res = worst_h = 0.0
+    failed = 0
     for a in (0.5, 1.0, 2.0, 3.0):
         for sigma in (1, -1):
             prof = minimal_aminov_profile(a, 0.0, sigma)
@@ -138,14 +143,14 @@ def test_criterion_6_minimal_profiles(capsys):
                 r = profile_eval(prof, -1.0 + k / 10)
                 worst_res = max(worst_res, abs(minimality_residual(r)))
             patch = make_aminov(prof.text, (-1.0, 1.0))
-            worst_h = max(worst_h, max_h_norm(
-                patch, GridSpec(-1.0, 1.0, 0.0, TWO_PI, 21, 21)))
+            h, f = _max_h(patch, GridSpec(-1.0, 1.0, 0.0, TWO_PI, 21, 21))
+            worst_h, failed = max(worst_h, h), failed + f
     same = same_sign_aminov_profile(1.0)
     same_res = abs(minimality_residual(profile_eval(same, 0.0)))
     rows = integrate_profile_ode(0.5, 0.5, (0.0, 1.0), 1000)
     ode_err = abs(rows[-1][1] - 0.5 * math.e)
-    ok = (worst_res < 1e-10 and worst_h < 1e-8 and same_res > 1.0
-          and ode_err < 1e-8)
+    ok = (worst_res < 1e-10 and worst_h < 1e-8 and failed == 0
+          and same_res > 1.0 and ode_err < 1e-8)
     _report(capsys, 6, ok,
             f"profile residual = {worst_res:.3e}, grid max |H| = "
             f"{worst_h:.3e}, same-sign residual = {same_res:.3g}, "
@@ -180,13 +185,11 @@ def test_criterion_7_identity_suite(capsys):
                 relative_gap(normal_torsion(sf2, ff), pd.inv.KN),
                 relative_gap(mean_curvature(sf2, ff)[2], pd.inv.Hnorm))
             if pd.inv.Hnorm >= 1e-8:
-                ops = shape_operators(pd.second)
-                a1 = (pd.inv.H1 * ops.A1 + pd.inv.H2 * ops.A2) / pd.inv.Hnorm
-                a2 = (pd.inv.H2 * ops.A1 - pd.inv.H1 * ops.A2) / pd.inv.Hnorm
-                trace = float(np.trace(a1 @ a2)) * pd.inv.Hnorm ** 2
                 worst_chen = max(worst_chen,
-                                 relative_gap(trace,
-                                              chen_residual(pd.second)))
+                                 relative_gap(
+                                     chen_traced(pd.second,
+                                                 (pd.inv.H1, pd.inv.H2)),
+                                     chen_residual(pd.second)))
     ok = (worst_frame < 1e-12 and worst_metric < 1e-10 and w2_ok
           and worst_rot < 1e-10 and worst_chen < 1e-10)
     _report(capsys, 7, ok,
@@ -227,12 +230,13 @@ def test_criterion_8_fd_convergence(capsys):
 def test_criterion_9_translation_family_report(capsys):
     patch = minimal_translation_family(1.0, 1.0, 0.0, 0.0, 0.0, 0.0,
                                        1.0, 1.0)
-    measured = max_h_norm(patch, GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
+    measured, failed = _max_h(patch, GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
     snapshot = 0.13026518636538598
-    scherk = max_h_norm(minimal_translation_family(1.0, 0.0, 0.0, 0.0,
-                                                   0.0, 0.0, 1.0, 1.0),
-                        GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
-    ok = (abs(measured - snapshot) / snapshot < 1e-9 and scherk < 1e-12)
+    scherk, failed_scherk = _max_h(
+        minimal_translation_family(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0),
+        GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
+    ok = (abs(measured - snapshot) / snapshot < 1e-9 and scherk < 1e-12
+          and failed == failed_scherk == 0)
     _report(capsys, 9, ok,
             f"two-channel family max |H| = {measured!r} on 21x21 "
             f"(snapshot {snapshot!r}); single-channel case = {scherk:.3e}")

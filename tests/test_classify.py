@@ -8,16 +8,17 @@ from monge4 import jet
 from monge4.classify import (aminov_wintgen_residual, chen_residual,
                              classify_surface, first_normal_rank,
                              integrate_profile_ode, k_plus_kn_residual,
-                             max_h_norm, minimal_aminov_profile,
+                             minimal_aminov_profile,
                              minimal_translation_family, minimality_residual,
                              pseudo_umbilical_residual, report_to_json,
-                             same_sign_aminov_profile, shape_operators,
-                             wintgen_deficit)
+                             same_sign_aminov_profile, wintgen_deficit)
 from monge4.expr import profile_eval
 from monge4.forms import SecondForm
-from monge4.invariants import invariants_at, point_data
+from monge4.invariants import ConsistencyError, invariants_at, point_data
 from monge4.patch import (eval_patch, make_aminov, make_explicit, make_gradient,
                           make_translation, profile_at)
+from shape_reference import (chen_paths_disagree, chen_traced, normal_rank,
+                             pseudo_umbilical, shape_operators)
 
 
 class Grid:
@@ -34,6 +35,13 @@ class Grid:
 
 def second_at(p, u, v):
     return point_data(eval_patch(p, u, v)).second
+
+
+def max_h(patch, grid):
+    """Largest |H| over the grid, from the classify report."""
+    report = classify_surface(patch, grid)
+    assert report.failed_points == 0
+    return report.predicates["minimal"].max_residual
 
 
 def test_chen_residual_values():
@@ -100,10 +108,46 @@ def test_first_normal_rank():
 def test_shape_operator_traces(u, v):
     pd = point_data(eval_patch(
         make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"), u, v))
-    ops = shape_operators(pd.second)
-    assert abs(ops.A1[0, 0] + ops.A1[1, 1] - 2 * pd.inv.H1) < 1e-14
-    assert abs(ops.A2[0, 0] + ops.A2[1, 1] - 2 * pd.inv.H2) < 1e-14
-    assert ops.A1[0, 1] == ops.A1[1, 0]
+    a1, a2 = shape_operators(pd.second)
+    assert abs(a1[0, 0] + a1[1, 1] - 2 * pd.inv.H1) < 1e-14
+    assert abs(a2[0, 0] + a2[1, 1] - 2 * pd.inv.H2) < 1e-14
+    assert a1[0, 1] == a1[1, 0]
+
+
+_coef = st.floats(-10.0, 10.0)
+_triple = st.tuples(_coef, _coef, _coef)
+
+
+def _form(h1, h2):
+    return SecondForm(h1, h2, h1, h2)  # the predicates read h1, h2 only
+
+
+_forms = st.one_of(
+    st.builds(_form, _triple, _triple),
+    st.builds(lambda h: _form(h, (0.0, 0.0, 0.0)), _triple),
+    st.builds(lambda h: _form((0.0, 0.0, 0.0), h), _triple),
+    st.just(_form((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+    st.builds(lambda h, t: _form(h, tuple(t * x for x in h)), _triple,
+              _coef),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_forms)
+def test_scalar_predicates_match_numpy_reference(sf):
+    assert first_normal_rank(sf) == normal_rank(sf)
+    # the chen cross-check measures its gap against 1 + max, not |h|^4, so
+    # large forms with a vanishing residual can trip it; the matrix route
+    # must then trip it as well
+    try:
+        chen = chen_residual(sf)
+    except ConsistencyError:
+        assert chen_paths_disagree(sf)
+    else:
+        scale = 1.0 + sum(x * x for x in sf.h1 + sf.h2) ** 2
+        assert abs(chen - chen_traced(sf)) <= 1e-14 * scale
+    pu, ref = pseudo_umbilical_residual(sf), pseudo_umbilical(sf)
+    assert abs(pu - ref) <= 1e-14 * ref
 
 
 def test_minimal_profile_simplest_case():
@@ -140,7 +184,7 @@ def test_same_sign_profile_is_not_minimal():
 def test_minimal_profile_gives_minimal_patch():
     prof = minimal_aminov_profile(2.0)
     p = make_aminov(prof.text, (-1.0, 1.0))
-    assert max_h_norm(p, Grid(-1, 1, 0, 2 * math.pi, 9, 9)) < 1e-10
+    assert max_h(p, Grid(-1, 1, 0, 2 * math.pi, 9, 9)) < 1e-10
 
 
 def test_ode_matches_exponential_solution():
@@ -186,9 +230,9 @@ def test_translation_family_construction():
 
 def test_translation_family_h_measurements():
     scherk = minimal_translation_family(1, 0, 0, 0, 0, 0, 1, 1)
-    assert max_h_norm(scherk, Grid(-1, 1, -1, 1, 11, 11)) < 1e-12
+    assert max_h(scherk, Grid(-1, 1, -1, 1, 11, 11)) < 1e-12
     both = minimal_translation_family(1, 1, 0, 0, 0, 0, 1, 1)
-    measured = max_h_norm(both, Grid(-1, 1, -1, 1, 21, 21))
+    measured = max_h(both, Grid(-1, 1, -1, 1, 21, 21))
     assert abs(measured - 0.13026518636538598) / 0.13026518636538598 < 1e-9
 
 
@@ -229,6 +273,16 @@ def test_classify_marks_indeterminate_on_failures():
     assert report.failed_points > 0
     for pr in report.predicates.values():
         assert pr.verdict == "indeterminate"
+
+
+def test_classify_counts_overflow_as_failure():
+    # at the origin the forms are finite but chen's quartic terms overflow;
+    # elsewhere the metric itself overflows
+    p = make_explicit("1e80*(u^2+v^2)", "1e80*(2*u^2+v^2)")
+    report = classify_surface(p, Grid(-1.0, 1.0, -1.0, 1.0, 3, 3))
+    assert report.failed_points == 9
+    assert all(pr.verdict == "indeterminate"
+               for pr in report.predicates.values())
 
 
 def test_report_json_shape():

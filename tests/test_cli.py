@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +16,22 @@ from monge4.invariants import invariants_at
 from monge4.patch import make_explicit, make_translation, patch_to_json
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """Run a fresh interpreter with this checkout's package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def test_eval_rotational_linear_profile(capsys):
@@ -121,11 +137,11 @@ def test_grid_writes_csv(tmp_path, capsys):
     assert len(lines) == 21
 
 
-def test_grid_stdout_and_worker_determinism(tmp_path, capsys):
+def test_grid_stdout_determinism(capsys):
     argv = ["grid", "--f", "u^3", "--g", "v^2", "--nu", "7", "--nv", "7"]
     code, first, _ = run(capsys, *argv)
     assert code == 0
-    code, second, _ = run(capsys, *argv, "--workers", "3")
+    code, second, _ = run(capsys, *argv)
     assert code == 0
     assert first == second
 
@@ -278,7 +294,7 @@ def test_help_lists_flags(capsys):
         assert flag in out
     code, out, _ = run(capsys, "grid", "--help")
     assert code == 0
-    assert "--workers" in out and "default: 41" in out
+    assert "--workers" not in out and "default: 41" in out
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -292,3 +308,69 @@ def test_eval_output_is_deterministic(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+OVERFLOW_SURFACE = ["--f", "exp(700)*exp(700)*u", "--g", "v"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", *OVERFLOW_SURFACE, "-u", "0.5", "-v", "0.5"], 3),
+    (["eval", "--f", "u", "--g", "v", "-u", "nan", "-v", "0"], 3),
+    (["eval", "--f", "u^1000", "--g", "v", "-u", "10", "-v", "0"], 3),
+    (["eval", "--f", "(" * 1500 + "u" + ")" * 1500, "--g", "v",
+      "-u", "1", "-v", "1"], 2),
+    (["eval", "--f", "+".join(["u"] * 1500), "--g", "v",
+      "-u", "1", "-v", "1"], 2),
+    (["grid", "--f", "u", "--g", "v", "--u0=-inf"], 2),
+    (["classify", *OVERFLOW_SURFACE, "--nu", "5", "--nv", "5"], 1),
+])
+def test_bad_input_exits_without_traceback(argv, code):
+    proc = run_python("-m", "monge4.cli", *argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") or code == 1
+
+
+def test_classify_overflow_surface_is_indeterminate(capsys):
+    code, out, _ = run(capsys, "classify", *OVERFLOW_SURFACE,
+                       "--nu", "5", "--nv", "5")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["failed_points"] == 25
+    assert all(doc[name]["verdict"] == "indeterminate"
+               for name in ("minimal", "chen", "wintgen_ideal",
+                            "pseudo_umbilical", "flat", "k_plus_kn_zero"))
+
+
+def test_grid_overflow_surface_flags_every_row(capsys):
+    code, out, _ = run(capsys, "grid", *OVERFLOW_SURFACE,
+                       "--nu", "3", "--nv", "3")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 9
+    assert all(r["flag"] == "domain-error: non-finite jets" for r in rows)
+
+
+def test_import_does_not_load_numpy():
+    proc = run_python("-c", "import sys, monge4; "
+                            "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_verify_fails_under_optimize_when_witness_is_wrong():
+    # with the correct profile in place of the same-sign witness the
+    # counterexample check must fail, also when python -O strips asserts
+    script = ("import monge4.classify as c, monge4.selfcheck as s; "
+              "s.same_sign_aminov_profile = c.minimal_aminov_profile; "
+              "r = s.run_all(); "
+              "print([x.name for x in r if not x.ok], len(r))")
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['same-sign-counterexample'] 23"
+
+
+def test_verify_passes_under_optimize():
+    proc = run_python("-O", "-m", "monge4.cli", "verify")
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines()[-1] == "23 of 23 checks passed"

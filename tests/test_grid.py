@@ -15,6 +15,11 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, 0.0, 1.0, 1, 5)
     with pytest.raises(ValueError):
         GridSpec(1.0, 0.0, 0.0, 1.0, 5, 5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(-bad, 1.0, 0.0, 1.0, 5, 5)
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(0.0, 1.0, 0.0, bad, 5, 5)
     spec = GridSpec(0.5, 2.0, 0.0, math.pi, 5, 5)
     assert spec.u_at(0) == 0.5
     assert spec.u_at(4) == 2.0
@@ -56,14 +61,6 @@ def test_sample_grid_flags_domain_failures():
     for r in flagged:
         assert r.flag.startswith("domain-error")
         assert math.isnan(r.K)
-
-
-def test_sample_grid_workers_deterministic():
-    patch = make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2")
-    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
-    seq = sample_grid(patch, spec)
-    par = sample_grid(patch, spec, workers=4)
-    assert seq.rows == par.rows
 
 
 def test_fd_jets_interior_only():
@@ -253,3 +250,18 @@ def test_export_csv_flagged_rows(tmp_path):
 def test_row_defaults_are_nan():
     r = Row(0.0, 0.0, flag="boundary")
     assert math.isnan(r.K) and math.isnan(r.chen)
+
+
+@pytest.mark.parametrize("f, g, center_flag", [
+    # exp(700)^2 overflows: every node's jets hold inf or nan
+    ("exp(700)*exp(700)*u", "v", "domain-error: non-finite jets"),
+    # finite forms at the origin whose chen residual overflows
+    ("1e80*(u^2+v^2)", "1e80*(2*u^2+v^2)",
+     "domain-error: non-finite predicate residuals"),
+])
+def test_non_finite_values_are_flagged_not_returned(f, g, center_flag):
+    result = sample_grid(make_explicit(f, g),
+                         GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3))
+    assert result.rows[4].flag == center_flag
+    assert all(r.flag.startswith("domain-error: ") for r in result.rows)
+    assert all(math.isnan(r.K) for r in result.rows)

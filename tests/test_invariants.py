@@ -10,8 +10,8 @@ from monge4.invariants import (ConsistencyError, aminov_closed_forms,
                                gauss_curvature, invariants_at, mean_curvature,
                                normal_torsion, point_data, relative_gap,
                                translation_closed_forms)
-from monge4.patch import (eval_patch, make_aminov, make_explicit, make_gradient,
-                          make_translation, profile_at)
+from monge4.patch import (PatchJets, eval_patch, make_aminov, make_explicit,
+                          make_gradient, make_translation, profile_at)
 
 FLAT = make_explicit("u^2+v^2", "u^2-v^2")
 
@@ -240,3 +240,15 @@ def test_consistency_error_on_corrupted_jets():
         gauss_curvature(sf, ff, bad)
     with pytest.raises(ConsistencyError):
         mean_curvature(sf, ff, bad)
+
+
+@pytest.mark.parametrize("fu, message", [
+    (math.nan, "non-finite jets"),
+    (math.inf, "non-finite jets"),
+    (1e150, "invariants overflowed"),  # W^2 = 1e300: W2 ** 2 raises
+    (1e200, "non-finite invariants"),  # E = inf: the normal frame is nan
+])
+def test_point_data_rejects_non_finite_values(fu, message):
+    jets = PatchJets(jet.Jet2(0.0, fu, 0.0, 1.0, 0.0, 0.0), jet.Jet2(0.0))
+    with pytest.raises(jet.DomainError, match=message):
+        point_data(jets)
