@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from . import jet
 from .expr import Profile, compile_profile
 from .forms import SecondForm
-from .invariants import (ConsistencyError, InvariantSet, point_data,
-                         relative_gap, require_finite)
+from .invariants import InvariantSet, _check, point_data, require_finite
 from .patch import MongePatch, eval_patch, make_translation, profile_at
 
 MINIMAL_TOL = 1e-8
@@ -43,12 +42,12 @@ def _mean_components(sf: SecondForm):
     return 0.5 * (sf.h1[0] + sf.h1[2]), 0.5 * (sf.h2[0] + sf.h2[2])
 
 
-def chen_residual(sf: SecondForm, minimal_tol: float = MINIMAL_TOL) -> float:
+def chen_residual(sf: SecondForm) -> float:
     """Allied-vector obstruction; zero by convention at minimal points."""
     h1, h2 = sf.h1, sf.h2
     H1, H2 = _mean_components(sf)
     hnorm = math.hypot(H1, H2)
-    if hnorm < minimal_tol:
+    if hnorm < MINIMAL_TOL:
         return 0.0
     expansion = ((h1[0] ** 2 - h2[0] ** 2 + h1[2] ** 2 - h2[2] ** 2
                   + 2.0 * h1[1] ** 2 - 2.0 * h2[1] ** 2) * H1 * H2
@@ -61,9 +60,7 @@ def chen_residual(sf: SecondForm, minimal_tol: float = MINIMAL_TOL) -> float:
     across = _combine(H2, h1, -H1, h2)
     traced = (along[0] * across[0] + 2.0 * along[1] * across[1]
               + along[2] * across[2])
-    if relative_gap(expansion, traced) > 1e-10:
-        raise ConsistencyError(
-            f"chen residual paths disagree: {expansion!r} vs {traced!r}")
+    _check("chen residual paths", expansion, traced)
     return expansion
 
 
@@ -88,17 +85,17 @@ def k_plus_kn_residual(r: jet.Jet1) -> float:
     return (rv - rp) * (rp * (1.0 + rp * rp) - rpp * (1.0 + rv * rv))
 
 
-def pseudo_umbilical_residual(sf: SecondForm, minimal_tol: float = MINIMAL_TOL) -> float:
+def pseudo_umbilical_residual(sf: SecondForm) -> float:
     """Deviation of the shape operator along H from a multiple of I."""
     H1, H2 = _mean_components(sf)
-    if math.hypot(H1, H2) < minimal_tol:
+    if math.hypot(H1, H2) < MINIMAL_TOL:
         return 0.0
     a, b, c = _combine(H1, sf.h1, H2, sf.h2)
     norm = math.sqrt(a * a + 2.0 * b * b + c * c)  # Frobenius norm of A_H
     return max(abs(b), abs(a - c)) / (1.0 + norm)
 
 
-def first_normal_rank(sf: SecondForm, tol: float = RANK_TOL) -> int:
+def first_normal_rank(sf: SecondForm) -> int:
     """Numerical rank of the span of the second fundamental form.
 
     The singular values of the 2x3 matrix with rows h1, h2 satisfy
@@ -116,7 +113,7 @@ def first_normal_rank(sf: SecondForm, tol: float = RANK_TOL) -> int:
     s0 = math.sqrt(0.5 * (n1 + n2 + math.hypot(n1 - n2, 2.0 * dot)))
     x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
     s1 = math.sqrt(x * x + y * y + z * z) / s0
-    return (s0 > tol * s0) + (s1 > tol * s0)
+    return (s0 > RANK_TOL * s0) + (s1 > RANK_TOL * s0)
 
 
 def minimality_residual(r: jet.Jet1) -> float:
@@ -292,6 +289,7 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
     pseudo_everywhere = True
     aminov_kkn = 0.0
     aminov_wintgen = 0.0
+    profile_us = set()
 
     for *_, u, v in grid_spec.points():
         try:
@@ -308,7 +306,9 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
             minimal_everywhere = False
         if residuals["pseudo_umbilical"] / scale >= tol:
             pseudo_everywhere = False
-        if patch.family == "aminov":
+        # the profile depends on u alone: one evaluation per grid row
+        if patch.family == "aminov" and u not in profile_us:
+            profile_us.add(u)
             r = profile_at(patch, u)
             aminov_kkn = max(aminov_kkn, abs(k_plus_kn_residual(r)))
             aminov_wintgen = max(aminov_wintgen, abs(aminov_wintgen_residual(r)))

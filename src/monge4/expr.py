@@ -292,19 +292,20 @@ def _attach(err: jet.DomainError, position: int):
     return err
 
 
-def _eval(node, env, const):
+def eval_expr(node, env):
+    """Evaluate an AST over Jet2s; env maps variable names to seeded jets."""
     if isinstance(node, Num):
-        return const(node.value)
+        return jet.seed_const(node.value)
     if isinstance(node, Var):
         try:
             return env[node.name]
         except KeyError:
             raise ExprError(f"unbound variable {node.name!r}", node.position) from None
     if isinstance(node, Neg):
-        return -_eval(node.child, env, const)
+        return -eval_expr(node.child, env)
     if isinstance(node, BinOp):
-        left = _eval(node.left, env, const)
-        right = _eval(node.right, env, const)
+        left = eval_expr(node.left, env)
+        right = eval_expr(node.right, env)
         try:
             if node.op == "pow":
                 return jet.jet_pow(left, right)
@@ -312,7 +313,7 @@ def _eval(node, env, const):
         except jet.DomainError as err:
             raise _attach(err, node.position)
     if isinstance(node, Call):
-        arg = _eval(node.arg, env, const)
+        arg = eval_expr(node.arg, env)
         try:
             return jet.apply_unary(node.fn, arg)
         except jet.DomainError as err:
@@ -320,11 +321,10 @@ def _eval(node, env, const):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def eval_expr(ast, env):
-    """Evaluate an AST over jets; env maps variable names to seeded jets."""
-    sample = next(iter(env.values()), None)
-    const = jet.const1 if isinstance(sample, jet.Jet1) else jet.seed_const
-    return _eval(ast, env, const)
+def eval_1d(ast, x: float, var: str = "u") -> jet.Jet1:
+    """Value and first two derivatives at x of an AST in one variable."""
+    r = eval_expr(ast, {var: jet.seed_u(x, 0.0)})
+    return jet.Jet1(r.val, r.du, r.duu)
 
 
 @dataclass(frozen=True)
@@ -341,4 +341,4 @@ def compile_profile(text: str) -> Profile:
 
 def profile_eval(profile: Profile, u: float) -> jet.Jet1:
     """Evaluate r, r' and r'' at u."""
-    return eval_expr(profile.ast, {"u": jet.seed1(u)})
+    return eval_1d(profile.ast, u)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import jet
-from .expr import eval_expr
+from .expr import eval_1d
 from .forms import FirstForm, NormalFrame, SecondForm, first_form, normal_frame, second_form
 from .patch import MongePatch, PatchJets, eval_patch
 
@@ -117,12 +117,19 @@ def require_finite(what: str, values: tuple) -> None:
 
 
 def point_data(jets: PatchJets) -> PointData:
-    """Forms and invariants at one point; non-finite data is a DomainError."""
+    """Forms and invariants at one point.
+
+    Non-finite data, and a metric ruined by rounding, is a DomainError.
+    """
     f, g = jets.f, jets.g
     require_finite("jets", (f.val, f.du, f.dv, f.duu, f.duv, f.dvv,
                              g.val, g.du, g.dv, g.duu, g.duv, g.dvv))
     try:
         ff = first_form(jets)
+        # EG - F^2 >= 1 holds exactly; below 1, cancellation between
+        # products of huge slopes has destroyed it (and W may be 0)
+        if ff.W2 < 1.0:
+            raise jet.DomainError(f"metric lost to rounding: W^2 = {ff.W2!r}")
         nf = normal_frame(jets, ff)
         sf = second_form(jets, ff, nf)
         K = gauss_curvature(sf, ff, jets)
@@ -189,11 +196,9 @@ def translation_closed_forms(patch: MongePatch, u: float, v: float):
     """K, K_N, H1, H2 of f = f3(u)+g3(v), g = f4(u)+g4(v) from the profiles."""
     if patch.family != "translation":
         raise ValueError("not a translation patch")
-    ju, jv = jet.seed1(u), jet.seed1(v)
-    f3 = eval_expr(patch.asts["f3"], {"u": ju})
-    f4 = eval_expr(patch.asts["f4"], {"u": ju})
-    g3 = eval_expr(patch.asts["g3"], {"v": jv})
-    g4 = eval_expr(patch.asts["g4"], {"v": jv})
+    a = patch.asts
+    f3, f4 = eval_1d(a["f3"], u), eval_1d(a["f4"], u)
+    g3, g4 = eval_1d(a["g3"], v, "v"), eval_1d(a["g4"], v, "v")
 
     E = 1.0 + f3.d1 ** 2 + f4.d1 ** 2
     F = f3.d1 * g3.d1 + f4.d1 * g4.d1

@@ -1,9 +1,13 @@
-"""Second-order forward-mode jets in one and two variables.
+"""Second-order forward-mode jets.
 
 Every curvature formula in this package consumes exact first and second
 partial derivatives of the patch functions.  A jet carries those derivatives
 through arithmetic and elementary functions by the chain rule, so the exact
 pipeline involves no numerical differentiation at all.
+
+Jet2 is the only jet arithmetic.  Its second-order rules do not depend on
+the number of variables, so a one-variable profile r(u) is a Jet2 seeded in
+u; Jet1 is the record (r, r', r'') read back from it.
 """
 
 from __future__ import annotations
@@ -94,53 +98,15 @@ class Jet2:
 
 @dataclass(frozen=True)
 class Jet1:
-    """Value and first two derivatives of a one-variable function."""
+    """r, r' and r'' of a one-variable function at a point.
+
+    A plain record read by the profile formulas; the derivatives are
+    computed in Jet2 arithmetic (see expr.eval_1d).
+    """
 
     val: float
     d1: float = 0.0
     d2: float = 0.0
-
-    @property
-    def is_constant(self) -> bool:
-        return self.d1 == 0.0 and self.d2 == 0.0
-
-    def chain(self, f0: float, f1: float, f2: float) -> "Jet1":
-        return Jet1(f0, f1 * self.d1, f2 * self.d1 * self.d1 + f1 * self.d2)
-
-    def __add__(self, other):
-        other = _lift1(other)
-        return Jet1(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _lift1(other)
-        return Jet1(self.val - other.val, self.d1 - other.d1, self.d2 - other.d2)
-
-    def __rsub__(self, other):
-        return _lift1(other).__sub__(self)
-
-    def __mul__(self, other):
-        a, b = self, _lift1(other)
-        return Jet1(
-            a.val * b.val,
-            a.d1 * b.val + a.val * b.d1,
-            a.d2 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d2,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * _reciprocal(_lift1(other))
-
-    def __rtruediv__(self, other):
-        return _lift1(other) * _reciprocal(self)
-
-    def __neg__(self):
-        return Jet1(-self.val, -self.d1, -self.d2)
-
-    def __pow__(self, other):
-        return jet_pow(self, other)
 
 
 def _lift2(x):
@@ -149,14 +115,6 @@ def _lift2(x):
     if isinstance(x, (int, float)):
         return Jet2(float(x))
     raise TypeError(f"cannot mix Jet2 with {type(x).__name__}")
-
-
-def _lift1(x):
-    if isinstance(x, Jet1):
-        return x
-    if isinstance(x, (int, float)):
-        return Jet1(float(x))
-    raise TypeError(f"cannot mix Jet1 with {type(x).__name__}")
 
 
 def _reciprocal(a):
@@ -182,16 +140,6 @@ def seed_v(u0: float, v0: float) -> Jet2:
 def seed_const(c: float) -> Jet2:
     """Jet of a constant in two variables."""
     return Jet2(float(c))
-
-
-def seed1(u0: float) -> Jet1:
-    """Jet of the identity in one variable."""
-    return Jet1(float(u0), 1.0, 0.0)
-
-
-def const1(c: float) -> Jet1:
-    """Jet of a constant in one variable."""
-    return Jet1(float(c))
 
 
 def jet_binary(op: str, a, b):
@@ -275,15 +223,24 @@ UNARY_NAMES = frozenset(_UNARY)
 
 
 def apply_unary(fn: str, a):
-    """Apply a named elementary function to a Jet1 or Jet2."""
+    """Apply a named elementary function to a Jet2 by the chain rule.
+
+    A value or derivative that leaves the floats, such as exp(710) or the
+    second derivative of log at 1e-200, and a function undefined at its
+    argument, such as sin(inf), raise DomainError.
+    """
     try:
         table = _UNARY[fn]
     except KeyError:
         raise ValueError(f"unknown function {fn!r}") from None
     try:
         f0, f1, f2 = table(a.val)
-    except OverflowError:
+    except DomainError:
+        raise
+    except ArithmeticError:  # OverflowError, ZeroDivisionError
         raise DomainError(f"{fn} overflowed at {a.val!r}") from None
+    except ValueError:
+        raise DomainError(f"{fn} is undefined at {a.val!r}") from None
     return a.chain(f0, f1, f2)
 
 
@@ -314,13 +271,13 @@ def pow_real(a, p: float):
 
 
 def jet_pow(a, b):
-    """General power a^b for jet base and jet or scalar exponent.
+    """General power a^b for a Jet2 base and a Jet2 or scalar exponent.
 
     Constant exponents use the power rule (integer exponents admit negative
     bases); a genuinely variable exponent requires a positive base and goes
     through exp(b*log(a)).
     """
-    if isinstance(b, (Jet1, Jet2)):
+    if isinstance(b, Jet2):
         if b.is_constant:
             b = b.val
         else:

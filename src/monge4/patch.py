@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import jet
-from .expr import compile_expr, eval_expr
+from .expr import compile_expr, eval_1d, eval_expr
 
 FAMILIES = ("explicit", "translation", "aminov", "gradient")
 
@@ -89,14 +89,13 @@ def make_aminov(r_expr: str, u_range, v_range=None) -> MongePatch:
     # probe the profile across the declared range so domain failures
     # (log of a nonpositive value, poles) surface at construction
     for k in range(9):
-        eval_expr(ast, {"u": jet.seed1(u0 + (u1 - u0) * k / 8)})
+        eval_1d(ast, u0 + (u1 - u0) * k / 8)
     v0, v1 = v_range if v_range is not None else (None, None)
     domain = _check_domain((u0, u1, v0, v1))
     return MongePatch("aminov", {"r": r_expr}, domain, asts={"r": ast})
 
 
-def make_gradient(p_expr: str, q_expr: str, domain=None,
-                  samples: int = INTEG_SAMPLES, integ_tol: float = INTEG_TOL) -> MongePatch:
+def make_gradient(p_expr: str, q_expr: str, domain=None) -> MongePatch:
     asts = {"p": compile_expr(p_expr), "q": compile_expr(q_expr)}
     domain = _check_domain(domain)
     box = DEFAULT_SAMPLE_BOX
@@ -105,26 +104,23 @@ def make_gradient(p_expr: str, q_expr: str, domain=None,
         box = (u0 if u0 is not None else box[0], u1 if u1 is not None else box[1],
                v0 if v0 is not None else box[2], v1 if v1 is not None else box[3])
     residual = 0.0
-    for i in range(samples):
-        u = box[0] + (box[1] - box[0]) * i / (samples - 1)
-        for j in range(samples):
-            v = box[2] + (box[3] - box[2]) * j / (samples - 1)
+    n = INTEG_SAMPLES
+    for i in range(n):
+        u = box[0] + (box[1] - box[0]) * i / (n - 1)
+        for j in range(n):
+            v = box[2] + (box[3] - box[2]) * j / (n - 1)
             env = {"u": jet.seed_u(u, v), "v": jet.seed_v(u, v)}
             p = eval_expr(asts["p"], env)
             q = eval_expr(asts["q"], env)
             residual = max(residual, abs(p.dv - q.du))
-    if residual < integ_tol:
+    if residual < INTEG_TOL:
         return MongePatch("gradient", {"p": p_expr, "q": q_expr}, domain,
                           integrability_residual=residual, asts=asts)
-    warning = (f"integrability residual {residual:.3g} exceeds {integ_tol:.3g}; "
+    warning = (f"integrability residual {residual:.3g} exceeds {INTEG_TOL:.3g}; "
                "treating the pair as an explicit patch")
     return MongePatch("explicit", {"f": p_expr, "g": q_expr}, domain,
                       integrability_residual=residual, gradient_warning=warning,
                       asts={"f": asts["p"], "g": asts["q"]})
-
-
-def _profile_jet2(r: jet.Jet1) -> jet.Jet2:
-    return jet.Jet2(r.val, r.d1, 0.0, r.d2, 0.0, 0.0)
 
 
 def eval_patch(patch: MongePatch, u: float, v: float) -> PatchJets:
@@ -132,11 +128,10 @@ def eval_patch(patch: MongePatch, u: float, v: float) -> PatchJets:
     if not patch.in_domain(u, v):
         raise jet.DomainError(f"point ({u}, {v}) outside patch domain")
     if patch.family == "aminov":
-        r = eval_expr(patch.asts["r"], {"u": jet.seed1(u)})
-        rj = _profile_jet2(r)
+        r = eval_expr(patch.asts["r"], {"u": jet.seed_u(u, v)})
         jv = jet.seed_v(u, v)
-        return PatchJets(f=rj * jet.apply_unary("cos", jv),
-                         g=rj * jet.apply_unary("sin", jv))
+        return PatchJets(f=r * jet.apply_unary("cos", jv),
+                         g=r * jet.apply_unary("sin", jv))
     env = {"u": jet.seed_u(u, v), "v": jet.seed_v(u, v)}
     if patch.family == "translation":
         a = patch.asts
@@ -151,7 +146,7 @@ def profile_at(patch: MongePatch, u: float) -> jet.Jet1:
     """r, r' and r'' of an aminov patch's profile at u."""
     if patch.family != "aminov":
         raise ValueError("not an aminov patch")
-    return eval_expr(patch.asts["r"], {"u": jet.seed1(u)})
+    return eval_1d(patch.asts["r"], u)
 
 
 def patch_to_json(patch: MongePatch) -> str:

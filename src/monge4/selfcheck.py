@@ -14,14 +14,14 @@ import random
 from dataclasses import dataclass
 
 from .classify import (chen_residual, classify_surface, integrate_profile_ode,
-                       minimal_aminov_profile,
+                       k_plus_kn_residual, minimal_aminov_profile,
                        minimal_translation_family, minimality_residual,
                        pseudo_umbilical_residual, same_sign_aminov_profile,
                        wintgen_deficit)
 from .expr import parse, pretty, profile_eval, tokenize
 from .forms import (c_from_h, first_form, frame_residual, normal_frame,
                     rotate_normal_frame, second_form)
-from .grid import (GridSpec, evaluate_discrete, export_samples_csv,
+from .grid import (GridSpec, evaluate_discrete, export_samples_csv, fd_jets,
                    ingest_samples, sample_values)
 from .invariants import (aminov_closed_forms, invariants_at, point_data,
                          relative_gap, translation_closed_forms)
@@ -67,24 +67,14 @@ def check_jets_match_finite_differences():
     worst = 0.0
     for _, patch in _families():
         for u, v in [(0.4, 0.7), (-0.3, 0.2)]:
-            jets = eval_patch(patch, u, v)
-            for ch in ("f", "g"):
-                exact = getattr(jets, ch)
-
-                def val(uu, vv):
-                    return getattr(eval_patch(patch, uu, vv), ch).val
-
-                approx = (
-                    (val(u + h, v) - val(u - h, v)) / (2 * h),
-                    (val(u, v + h) - val(u, v - h)) / (2 * h),
-                    (val(u + h, v) - 2 * val(u, v) + val(u - h, v)) / h**2,
-                    (val(u + h, v + h) - val(u + h, v - h)
-                     - val(u - h, v + h) + val(u - h, v - h)) / (4 * h**2),
-                    (val(u, v + h) - 2 * val(u, v) + val(u, v - h)) / h**2,
-                )
-                for a, b in zip((exact.du, exact.dv, exact.duu,
-                                 exact.duv, exact.dvv), approx):
-                    worst = max(worst, relative_gap(a, b))
+            exact = eval_patch(patch, u, v)
+            # the ingest path's stencil on a 3x3 grid centred at (u, v)
+            spec = GridSpec(u - h, u + h, v - h, v + h, 3, 3)
+            approx = fd_jets(sample_values(patch, spec), 1, 1)
+            for a, b in ((exact.f, approx.f), (exact.g, approx.g)):
+                for name in ("du", "dv", "duu", "duv", "dvv"):
+                    worst = max(worst, relative_gap(getattr(a, name),
+                                                    getattr(b, name)))
     _require(worst < 1e-6, f"worst jet/FD gap {worst:.3g}")
     return f"worst relative gap {worst:.2e}"
 
@@ -217,10 +207,8 @@ def check_exponential_profiles():
             inv = invariants_at(patch, u, v)
             worst_kkn = max(worst_kkn, abs(inv.K + inv.KN))
             worst_wintgen = max(worst_wintgen, abs(wintgen_deficit(inv)))
-            r = profile_at(patch, u)
-            worst_d6 = max(worst_d6, abs((r.val - r.d1)
-                                         * (r.d1 * (1 + r.d1 ** 2)
-                                            - r.d2 * (1 + r.val ** 2))))
+            worst_d6 = max(worst_d6,
+                           abs(k_plus_kn_residual(profile_at(patch, u))))
     _require(worst_kkn < 1e-10, f"K+K_N residual {worst_kkn:.3g}")
     _require(worst_d6 < 1e-12, f"profile factor residual {worst_d6:.3g}")
     _require(worst_wintgen < 1e-10, f"wintgen deficit {worst_wintgen:.3g}")
@@ -263,15 +251,13 @@ def check_translation_closed_forms():
 
 def check_chen_six_profiles():
     profiles = ("u", "u^2", "exp(u)", "0.5*exp(u)", "sin(u)+2", "1")
+    spec = GridSpec(0.25, 1.45, 0.0, 2 * math.pi, 15, 15)
     worst = 0.0
     for text in profiles:
-        patch = make_aminov(text, (0.2, 1.5))
-        spec = GridSpec(0.25, 1.45, 0.0, 2 * math.pi, 15, 15)
-        for _, _, u, v in spec.points():
-            pd = point_data(eval_patch(patch, u, v))
-            inv = pd.inv
-            scale = 1.0 + max(abs(inv.K), abs(inv.KN), inv.Hnorm ** 2)
-            worst = max(worst, abs(chen_residual(pd.second)) / scale)
+        report = classify_surface(make_aminov(text, (0.2, 1.5)), spec)
+        _require(report.failed_points == 0,
+                 f"{text}: {report.failed_points} points failed to evaluate")
+        worst = max(worst, report.predicates["chen"].normalized_residual)
     _require(worst < 1e-9, f"worst normalized chen residual {worst:.3g}")
     return f"{len(profiles)} profiles, worst normalized residual {worst:.2e}"
 
@@ -288,14 +274,20 @@ def check_chen_zero_at_minimal_points():
     return "minimal points report zero residuals at 50 points"
 
 
+def minimal_profiles() -> list:
+    """The eight closed-form minimal profiles: a in {0.5, 1, 2, 3}, b = 0."""
+    return [minimal_aminov_profile(a, 0.0, sigma)
+            for a in (0.5, 1.0, 2.0, 3.0) for sigma in (1, -1)]
+
+
+def minimal_profile_residual() -> float:
+    """Worst |minimality residual| of minimal_profiles() on u in [-1, 1]."""
+    return max(abs(minimality_residual(profile_eval(prof, -1.0 + k / 10)))
+               for prof in minimal_profiles() for k in range(21))
+
+
 def check_minimal_profiles():
-    worst = 0.0
-    for a in (0.5, 1.0, 2.0, 3.0):
-        for sigma in (1, -1):
-            prof = minimal_aminov_profile(a, 0.0, sigma)
-            for k in range(21):
-                r = profile_eval(prof, -1.0 + k / 10)
-                worst = max(worst, abs(minimality_residual(r)))
+    worst = minimal_profile_residual()
     _require(worst < 1e-10, f"worst minimality residual {worst:.3g}")
     return f"8 profiles, worst residual {worst:.2e}"
 
@@ -307,12 +299,21 @@ def check_same_sign_counterexample():
     return f"same-sign residual at u=0 is {res:.3g} (nonzero as required)"
 
 
-def check_profile_ode():
+def profile_ode_errors() -> tuple:
+    """Integrator errors on [0, 1] in 1000 steps against two exact solutions.
+
+    Returns (|r(1) - e/2| for r = e^u / 2, max |r - cosh(u / sqrt 2)|).
+    """
     rows = integrate_profile_ode(0.5, 0.5, (0.0, 1.0), 1000)
-    err = abs(rows[-1][1] - 0.5 * math.e)
-    _require(err < 1e-8, f"exp solution error {err:.3g}")
+    exp_err = abs(rows[-1][1] - 0.5 * math.e)
     rows = integrate_profile_ode(1.0, 0.0, (0.0, 1.0), 1000)
-    err2 = max(abs(r - math.cosh(u / math.sqrt(2))) for u, r, _, _ in rows)
+    cosh_err = max(abs(r - math.cosh(u / math.sqrt(2))) for u, r, _, _ in rows)
+    return exp_err, cosh_err
+
+
+def check_profile_ode():
+    err, err2 = profile_ode_errors()
+    _require(err < 1e-8, f"exp solution error {err:.3g}")
     _require(err2 < 1e-8, f"cosh solution error {err2:.3g}")
     return f"exp err {err:.2e}, cosh err {err2:.2e}"
 
@@ -351,32 +352,45 @@ def check_classification_verdicts():
     return "linear, exponential and flat examples classified as documented"
 
 
-def check_fd_convergence():
+def fd_convergence() -> tuple:
+    """(error ratio between steps h and h/2, number of nodes compared).
+
+    The error in K and K_N of the finite-difference path on r = u is
+    compared at the nodes a 21x21 and a 41x41 grid share.
+    """
     patch = make_aminov("u", (0.4, 2.1))
 
-    def errors(spec):
-        res = evaluate_discrete(sample_values(patch, spec))
+    def errors(n):
+        spec = GridSpec(0.5, 2.0, 0.0, math.pi, n, n)
         out = {}
-        for r in res.rows:
+        for r in evaluate_discrete(sample_values(patch, spec)).rows:
             if not r.flag:
                 exact = invariants_at(patch, r.u, r.v)
                 out[(r.u, r.v)] = max(abs(r.K - exact.K), abs(r.KN - exact.KN))
         return out
 
-    coarse = errors(GridSpec(0.5, 2.0, 0.0, math.pi, 21, 21))
-    fine = errors(GridSpec(0.5, 2.0, 0.0, math.pi, 41, 41))
+    coarse, fine = errors(21), errors(41)
     common = set(coarse) & set(fine)
     ratio = max(coarse[k] for k in common) / max(fine[k] for k in common)
+    return ratio, len(common)
+
+
+def check_fd_convergence():
+    ratio, _ = fd_convergence()
     _require(3.5 < ratio < 4.5, f"convergence ratio {ratio:.3g}")
     return f"halving h shrinks the error {ratio:.2f}x"
 
 
-def check_depth_map_mode():
+def depth_map_kn_leak() -> float:
+    """Largest |K_N| the finite-difference path reports on one channel."""
     patch = make_explicit("u^2+v^2", "0")
     dp = sample_values(patch, GridSpec(-0.05, 0.05, -0.05, 0.05, 11, 11),
                        mode="monge3")
-    res = evaluate_discrete(dp)
-    worst = max(abs(r.KN) for r in res.rows if not r.flag)
+    return max(abs(r.KN) for r in evaluate_discrete(dp).rows if not r.flag)
+
+
+def check_depth_map_mode():
+    worst = depth_map_kn_leak()
     _require(worst < 1e-14, f"K_N leak {worst:.3g}")
     return f"single-channel K_N bounded by {worst:.2e}"
 
@@ -431,4 +445,8 @@ def run_all() -> list:
     return results
 
 
-__all__ = ["CHECKS", "CheckFailed", "CheckResult", "run_all"]
+__all__ = [
+    "CHECKS", "CheckFailed", "CheckResult", "depth_map_kn_leak",
+    "fd_convergence", "minimal_profile_residual", "minimal_profiles",
+    "profile_ode_errors", "run_all",
+]

@@ -5,19 +5,20 @@ import random
 import time
 
 from monge4.classify import (chen_residual, classify_surface,
-                             integrate_profile_ode, minimal_aminov_profile,
                              minimal_translation_family, minimality_residual,
                              same_sign_aminov_profile)
 from monge4.expr import profile_eval
 from monge4.forms import frame_residual, rotate_normal_frame
-from monge4.grid import GridSpec, evaluate_discrete, sample_grid, \
-    sample_values
+from monge4.grid import GridSpec, sample_grid
 from monge4.invariants import (aminov_closed_forms, gauss_curvature,
                                invariants_at, mean_curvature, normal_torsion,
                                point_data, relative_gap,
                                translation_closed_forms)
 from monge4.patch import (eval_patch, make_aminov, make_explicit,
                           make_gradient, make_translation, profile_at)
+from monge4.selfcheck import (depth_map_kn_leak, fd_convergence,
+                              minimal_profile_residual, minimal_profiles,
+                              profile_ode_errors)
 from shape_reference import chen_traced
 
 SEED = 947
@@ -134,21 +135,16 @@ def test_criterion_5_chen_over_profile_set(capsys):
 
 
 def test_criterion_6_minimal_profiles(capsys):
-    worst_res = worst_h = 0.0
+    worst_res = minimal_profile_residual()
+    worst_h = 0.0
     failed = 0
-    for a in (0.5, 1.0, 2.0, 3.0):
-        for sigma in (1, -1):
-            prof = minimal_aminov_profile(a, 0.0, sigma)
-            for k in range(21):
-                r = profile_eval(prof, -1.0 + k / 10)
-                worst_res = max(worst_res, abs(minimality_residual(r)))
-            patch = make_aminov(prof.text, (-1.0, 1.0))
-            h, f = _max_h(patch, GridSpec(-1.0, 1.0, 0.0, TWO_PI, 21, 21))
-            worst_h, failed = max(worst_h, h), failed + f
+    for prof in minimal_profiles():
+        patch = make_aminov(prof.text, (-1.0, 1.0))
+        h, f = _max_h(patch, GridSpec(-1.0, 1.0, 0.0, TWO_PI, 21, 21))
+        worst_h, failed = max(worst_h, h), failed + f
     same = same_sign_aminov_profile(1.0)
     same_res = abs(minimality_residual(profile_eval(same, 0.0)))
-    rows = integrate_profile_ode(0.5, 0.5, (0.0, 1.0), 1000)
-    ode_err = abs(rows[-1][1] - 0.5 * math.e)
+    ode_err, _ = profile_ode_errors()
     ok = (worst_res < 1e-10 and worst_h < 1e-8 and failed == 0
           and same_res > 1.0 and ode_err < 1e-8)
     _report(capsys, 6, ok,
@@ -199,28 +195,8 @@ def test_criterion_7_identity_suite(capsys):
 
 
 def test_criterion_8_fd_convergence(capsys):
-    patch = make_aminov("u", (0.4, 2.1))
-
-    def errors(spec):
-        res = evaluate_discrete(sample_values(patch, spec))
-        out = {}
-        for r in res.rows:
-            if not r.flag:
-                exact = invariants_at(patch, r.u, r.v)
-                out[(r.u, r.v)] = max(abs(r.K - exact.K),
-                                      abs(r.KN - exact.KN))
-        return out
-
-    coarse = errors(GridSpec(0.5, 2.0, 0.0, math.pi, 21, 21))
-    fine = errors(GridSpec(0.5, 2.0, 0.0, math.pi, 41, 41))
-    common = set(coarse) & set(fine)
-    ratio = max(coarse[k] for k in common) / max(fine[k] for k in common)
-
-    depth = sample_values(make_explicit("u^2+v^2", "0"),
-                          GridSpec(-0.05, 0.05, -0.05, 0.05, 11, 11),
-                          mode="monge3")
-    leak = max(abs(r.KN) for r in evaluate_discrete(depth).rows
-               if not r.flag)
+    ratio, _ = fd_convergence()
+    leak = depth_map_kn_leak()
     ok = 3.5 <= ratio <= 4.5 and leak < 1e-14
     _report(capsys, 8, ok,
             f"error ratio h vs h/2 = {ratio:.2f}, "

@@ -1,16 +1,21 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from monge4.classify import PREDICATES
 from monge4.cli import main
+from monge4.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var, pretty
 from monge4.grid import GridSpec, sample_values, export_samples_csv
 from monge4.invariants import invariants_at
 from monge4.patch import make_explicit, make_translation, patch_to_json
@@ -323,6 +328,11 @@ OVERFLOW_SURFACE = ["--f", "exp(700)*exp(700)*u", "--g", "v"]
       "-u", "1", "-v", "1"], 2),
     (["grid", "--f", "u", "--g", "v", "--u0=-inf"], 2),
     (["classify", *OVERFLOW_SURFACE, "--nu", "5", "--nv", "5"], 1),
+    # second derivatives past the floats near 0, and sin of inf
+    (["eval", "--f", "log(u)", "--g", "v", "-u", "1e-200", "-v", "0"], 3),
+    (["eval", "--f", "sqrt(u)", "--g", "v", "-u", "1e-300", "-v", "0"], 3),
+    (["eval", "--f", "sin(exp(700)*exp(700)*u)", "--g", "v",
+      "-u", "1", "-v", "0"], 3),
 ])
 def test_bad_input_exits_without_traceback(argv, code):
     proc = run_python("-m", "monge4.cli", *argv)
@@ -374,3 +384,58 @@ def test_verify_passes_under_optimize():
     proc = run_python("-O", "-m", "monge4.cli", "verify")
     assert proc.returncode == 0, proc.stdout
     assert proc.stdout.splitlines()[-1] == "23 of 23 checks passed"
+
+
+_fuzz_ast = st.recursive(
+    st.one_of(st.builds(Num, st.floats(0.0, 800.0)),
+              st.sampled_from([Var("u"), Var("v")])),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from(["add", "sub", "mul", "div", "pow"]),
+                  children, children),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children)),
+    max_leaves=8)
+_fuzz_coord = st.one_of(st.floats(-3.0, 3.0),
+                        st.sampled_from([0.0, 1e-200, -1e-300, 700.0]))
+
+
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))  # an escaping exception fails the test
+    assert code in range(5), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+def _all_finite(values):
+    return all(math.isfinite(float(x)) for x in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_ast, _fuzz_ast, _fuzz_coord, _fuzz_coord,
+       st.floats(1e-3, 2.0))
+@example(Call("log", Var("u")), Var("v"), 1e-200, 0.0, 1.0)
+@example(Call("sqrt", Var("u")), Var("v"), 1e-300, 0.0, 1.0)
+@example(Call("sin", BinOp("mul", Call("exp", Num(700.0)),
+                           Call("exp", Num(700.0)))), Var("v"), 0.0, 0.0, 1.0)
+@example(Num(0.0), BinOp("div", Var("u"), Var("v")), 0.0, 1e-12, 0.1875)
+def test_fuzz_cli_contract(f, g, u, v, width):
+    # exit codes 0-4 only, no traceback, and a non-finite value is only
+    # ever reported as a flagged row or an evaluation error
+    surface = ["--f", pretty(f), "--g", pretty(g)]
+    code, out = _main("eval", *surface, f"--u={u!r}", f"--v={v!r}")
+    if code == 0:
+        assert _all_finite(json.loads(out).values())
+    box = [f"--u0={u!r}", f"--u1={u + width!r}",
+           f"--v0={v!r}", f"--v1={v + width!r}", "--nu=3", "--nv=3"]
+    code, out = _main("grid", *surface, *box)
+    if code == 0:
+        for row in csv.DictReader(out.splitlines()):
+            flag = row.pop("flag")
+            assert flag or _all_finite(row.values()), row
+    code, out = _main("classify", *surface, *box)
+    if code in (0, 1):
+        doc = json.loads(out)
+        assert _all_finite(doc[name][key] for name in PREDICATES
+                           for key in ("max_residual", "normalized_residual"))

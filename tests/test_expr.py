@@ -7,6 +7,7 @@ from monge4 import jet
 from monge4.expr import (BinOp, Call, ExprError, Neg, Num, Var, compile_expr,
                          compile_profile, eval_expr, parse, pretty, profile_eval,
                          tokenize)
+from monge4.patch import eval_patch, make_explicit
 
 
 def kinds(text):
@@ -150,10 +151,9 @@ def test_pretty_round_trip(text):
     assert parse(tokenize(printed)) == ast
 
 
-_leaf = st.one_of(
-    st.builds(Num, st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)),
-    st.sampled_from([Var("u"), Var("v")]),
-)
+_number = st.builds(Num, st.floats(0.0, 100.0, allow_nan=False,
+                                   allow_infinity=False))
+_leaf = st.one_of(_number, st.sampled_from([Var("u"), Var("v")]))
 
 
 def _node(children):
@@ -198,11 +198,26 @@ def test_profile_rejects_v():
         compile_profile("r*v")
 
 
-def test_eval_expr_infers_jet1_env():
-    ast = compile_expr("u^2 + 1", variables=("u",))
-    j = eval_expr(ast, {"u": jet.seed1(3.0)})
-    assert isinstance(j, jet.Jet1)
-    assert j == jet.Jet1(10.0, 6.0, 2.0)
+def test_profile_eval_polynomial():
+    assert profile_eval(compile_profile("u^2 + 1"), 3.0) == jet.Jet1(10.0, 6.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(st.one_of(_number, st.just(Var("u"))), _node, max_leaves=10),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_profile_eval_matches_surface_jet(ast, u, v):
+    # a profile and a surface height share one jet arithmetic: r(u) as a
+    # profile and f(u, v) = r(u) as a patch agree bit for bit, or fail alike
+    text = pretty(ast)
+    try:
+        r = profile_eval(compile_profile(text), u)
+    except jet.DomainError as err:
+        with pytest.raises(jet.DomainError) as other:
+            eval_patch(make_explicit(text, "0"), u, v)
+        assert str(other.value) == str(err)
+        return
+    f = eval_patch(make_explicit(text, "0"), u, v).f
+    assert repr((r.val, r.d1, r.d2)) == repr((f.val, f.du, f.duu))
 
 
 def test_comma_tokenizes_but_does_not_parse():

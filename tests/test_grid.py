@@ -6,8 +6,8 @@ from monge4.grid import (GridSpec, Row, evaluate_discrete, export_csv,
                          export_samples_csv, fd_jets, ingest_csv,
                          ingest_samples, read_samples_csv, sample_grid,
                          sample_values)
-from monge4.invariants import invariants_at
 from monge4.patch import make_aminov, make_explicit, make_translation
+from monge4.selfcheck import fd_convergence
 
 
 def test_grid_spec_validation():
@@ -90,26 +90,9 @@ def test_fd_pipeline_on_flat_surface():
             assert r.flag == "boundary"
 
 
-def _fd_errors(patch, spec):
-    res = evaluate_discrete(sample_values(patch, spec))
-    errors = {}
-    for r in res.rows:
-        if r.flag:
-            continue
-        exact = invariants_at(patch, r.u, r.v)
-        errors[(r.u, r.v)] = max(abs(r.K - exact.K), abs(r.KN - exact.KN))
-    return errors
-
-
 def test_fd_convergence_is_second_order():
-    # compare at shared nodes so the halved-step error is measured at
-    # the same points (doubling node count also widens the interior)
-    patch = make_aminov("u", (0.4, 2.1))
-    coarse = _fd_errors(patch, GridSpec(0.5, 2.0, 0.0, math.pi, 21, 21))
-    fine = _fd_errors(patch, GridSpec(0.5, 2.0, 0.0, math.pi, 41, 41))
-    common = set(coarse) & set(fine)
-    assert len(common) == len(coarse)
-    ratio = max(coarse[k] for k in common) / max(fine[k] for k in common)
+    ratio, shared = fd_convergence()
+    assert shared == 19 * 19  # every interior node of the coarse grid
     assert 3.5 < ratio < 4.5
 
 

@@ -3,17 +3,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge4 import jet
-from monge4.jet import (DomainError, Jet1, Jet2, apply_unary, const1, jet_binary,
-                        jet_pow, pow_int, pow_real, seed1, seed_const, seed_u, seed_v)
+from monge4.expr import compile_profile, profile_eval
+from monge4.jet import (DomainError, Jet1, Jet2, apply_unary, jet_binary,
+                        jet_pow, pow_int, pow_real, seed_const, seed_u, seed_v)
 
 
 def test_seeds():
     assert seed_u(2, 3) == Jet2(2.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     assert seed_v(2, 3) == Jet2(3.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     assert seed_const(5) == Jet2(5.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert seed1(1) == Jet1(1.0, 1.0, 0.0)
-    assert const1(4) == Jet1(4.0, 0.0, 0.0)
 
 
 def test_polynomial_product():
@@ -61,7 +59,7 @@ def test_division_by_zero():
     with pytest.raises(DomainError):
         seed_u(1, 0) / seed_const(0)
     with pytest.raises(DomainError):
-        const1(1) / const1(0)
+        profile_eval(compile_profile("1/(u-u)"), 1.0)
 
 
 def test_abs_at_zero():
@@ -188,16 +186,18 @@ def test_coordinate_seed_identities(u, v):
 
 
 def test_jet1_profile_values():
-    r = seed1(1.0)
-    assert r == Jet1(1.0, 1.0, 0.0)
-    e = apply_unary("exp", seed1(0.0))
-    assert e == Jet1(1.0, 1.0, 1.0)
-    half = 0.5 * apply_unary("exp", seed1(0.0))
-    assert half == Jet1(0.5, 0.5, 0.5)
+    # a profile is a Jet2 seeded in u, read back as the record (r, r', r'')
+    assert profile_eval(compile_profile("u"), 1.0) == Jet1(1.0, 1.0, 0.0)
+    half = 0.5 * apply_unary("exp", seed_u(0.0, 0.0))
+    assert half == Jet2(0.5, 0.5, 0.0, 0.5, 0.0, 0.0)
+    assert profile_eval(compile_profile("0.5*exp(u)"), 0.0) == Jet1(0.5, 0.5, 0.5)
+    with pytest.raises(TypeError):
+        Jet1(1.0) + 1.0  # a record, with no arithmetic of its own
 
 
 def test_jet1_chain_against_fd():
-    fn = lambda x: apply_unary("sin", jet.seed1(x) * jet.seed1(x) / 2.0)
+    prof = compile_profile("sin(u*u/2.0)")
+    fn = lambda x: profile_eval(prof, x)
     x = 0.7
     j = fn(x)
     h = 1e-5
