@@ -278,9 +278,7 @@ def _emit_grid_result(result, args) -> None:
         export_csv(result, sys.stdout if args.out is None else args.out)
         return
     if args.format == "json":
-        rows = ([getattr(r, name) for name in RESULT_HEADER]
-                for r in result.rows)
-        _emit(_json_rows(RESULT_HEADER, rows), args.out)
+        _emit(_json_rows(RESULT_HEADER, result.rows), args.out)
         return
     clean = [r for r in result.rows if not r.flag]
     flagged = len(result.rows) - len(clean)

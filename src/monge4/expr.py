@@ -1,4 +1,4 @@
-"""Recursive-descent parser and jet evaluator for surface expressions.
+"""Recursive-descent parser and jet compiler for surface expressions.
 
 Grammar (EBNF):
     expr   := term (("+"|"-") term)*
@@ -10,11 +10,16 @@ Grammar (EBNF):
 "^" is right-associative and binds tighter than unary minus, so "-u^2"
 means -(u^2) and "2^3^2" means 2^(3^2).  Implicit multiplication is not
 supported.  The constants pi and e resolve at parse time.
+
+compile_jet turns an AST into a tree of closures env -> Jet2, once per
+patch or profile; evaluating at a point then walks no AST and seeds no
+constant.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -292,38 +297,63 @@ def _attach(err: jet.DomainError, position: int):
     return err
 
 
-def eval_expr(node, env):
-    """Evaluate an AST over Jet2s; env maps variable names to seeded jets."""
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": operator.truediv, "pow": jet.jet_pow}
+
+
+def compile_jet(node):
+    """Compile an AST once into a function env -> Jet2, where env maps
+    variable names to seeded jets; calling it walks no AST."""
     if isinstance(node, Num):
-        return jet.seed_const(node.value)
+        const = jet.seed_const(node.value)
+        return lambda env: const
     if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise ExprError(f"unbound variable {node.name!r}", node.position) from None
+        name, position = node.name, node.position
+
+        def variable(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise ExprError(f"unbound variable {name!r}", position) from None
+        return variable
     if isinstance(node, Neg):
-        return -eval_expr(node.child, env)
+        child = compile_jet(node.child)
+        return lambda env: -child(env)
     if isinstance(node, BinOp):
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        try:
-            if node.op == "pow":
-                return jet.jet_pow(left, right)
-            return jet.jet_binary(node.op, left, right)
-        except jet.DomainError as err:
-            raise _attach(err, node.position)
+        op = _BINARY.get(node.op)
+        if op is None:
+            raise ValueError(f"unknown binary operation {node.op!r}")
+        left, right = compile_jet(node.left), compile_jet(node.right)
+        position = node.position
+
+        def binary(env):
+            a, b = left(env), right(env)
+            try:
+                return op(a, b)
+            except jet.DomainError as err:
+                raise _attach(err, position)
+        return binary
     if isinstance(node, Call):
-        arg = eval_expr(node.arg, env)
-        try:
-            return jet.apply_unary(node.fn, arg)
-        except jet.DomainError as err:
-            raise _attach(err, node.position)
+        fn, arg, position = node.fn, compile_jet(node.arg), node.position
+
+        def call(env):
+            a = arg(env)
+            try:
+                return jet.apply_unary(fn, a)
+            except jet.DomainError as err:
+                raise _attach(err, position)
+        return call
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def eval_1d(ast, x: float, var: str = "u") -> jet.Jet1:
-    """Value and first two derivatives at x of an AST in one variable."""
-    r = eval_expr(ast, {var: jet.seed_u(x, 0.0)})
+def eval_expr(node, env):
+    """Evaluate an AST over Jet2s once; patches keep compile_jet's result."""
+    return compile_jet(node)(env)
+
+
+def eval_1d(fn, x: float, var: str = "u") -> jet.Jet1:
+    """Value and first two derivatives at x of a compiled one-variable AST."""
+    r = fn({var: jet.seed_u(x, 0.0)})
     return jet.Jet1(r.val, r.du, r.duu)
 
 
@@ -333,12 +363,14 @@ class Profile:
 
     text: str
     ast: object = field(compare=False)
+    fn: object = field(repr=False, compare=False)  # compile_jet(ast)
 
 
 def compile_profile(text: str) -> Profile:
-    return Profile(text, compile_expr(text, variables=("u",)))
+    ast = compile_expr(text, variables=("u",))
+    return Profile(text, ast, compile_jet(ast))
 
 
 def profile_eval(profile: Profile, u: float) -> jet.Jet1:
     """Evaluate r, r' and r'' at u."""
-    return eval_1d(profile.ast, u)
+    return eval_1d(profile.fn, u)

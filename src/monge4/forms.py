@@ -14,13 +14,12 @@ of the normal curvature computed downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .patch import PatchJets
 
 
-@dataclass(frozen=True)
-class FirstForm:
+class FirstForm(NamedTuple):
     E: float
     F: float
     G: float
@@ -34,16 +33,14 @@ class FirstForm:
         return math.sqrt(self.W2)
 
 
-@dataclass(frozen=True)
-class NormalFrame:
+class NormalFrame(NamedTuple):
     """Orthonormal basis of the normal plane, ambient components."""
 
     N1: tuple
     N2: tuple
 
 
-@dataclass(frozen=True)
-class SecondForm:
+class SecondForm(NamedTuple):
     """Coefficients ordered (11, 12, 22) for each normal direction.
 
     c holds coordinate-frame coefficients <X_ij, N_k>; h holds the same

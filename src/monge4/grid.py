@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
 
 from . import jet
 from .classify import chen_residual, wintgen_deficit
@@ -22,10 +24,10 @@ from .patch import MongePatch, PatchJets, eval_patch
 
 SPACING_RTOL = 1e-9
 
-RESULT_HEADER = ("u", "v", "E", "F", "G", "W2", "K", "KN",
-                 "H1", "H2", "Hnorm", "chen", "wintgen", "flag")
-
 MODES = ("monge4", "monge3")
+
+# rows per write: export holds one chunk of text, never the whole table
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ class GridSpec:
                 yield i, j, u, self.v_at(j)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     u: float
     v: float
     E: float = math.nan
@@ -85,6 +86,10 @@ class Row:
     chen: float = math.nan
     wintgen: float = math.nan
     flag: str = ""
+
+
+# a Row is written as is: its fields are the columns of the result table
+RESULT_HEADER = Row._fields
 
 
 @dataclass(frozen=True)
@@ -285,13 +290,15 @@ def ingest_csv(path, mode: str | None = None) -> DiscretePatch:
     return ingest_samples(read_samples_csv(path), mode=mode, source=str(path))
 
 
-def write_text(destination, text: str) -> None:
-    """Write to a file object, or to a path without newline translation."""
+def write_text(destination, text) -> None:
+    """Write a string, or an iterable of strings, to a file object or to
+    a path without newline translation."""
+    chunks = (text,) if isinstance(text, str) else text
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.writelines(chunks)
         return
     with open(destination, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _text_cell(text: str) -> str:
@@ -301,19 +308,24 @@ def _text_cell(text: str) -> str:
     return text
 
 
+def _csv_chunks(header, rows):
+    """A CSV table in strings of up to CHUNK_ROWS lines: floats as
+    shortest round-trip decimals, text quoted."""
+    yield ",".join(header) + "\n"
+    lines = (",".join(_text_cell(c) if isinstance(c, str) else repr(c)
+                      for c in row) + "\n" for row in rows)
+    while chunk := "".join(islice(lines, CHUNK_ROWS)):
+        yield chunk
+
+
 def csv_text(header, rows) -> str:
-    """A CSV table: floats as shortest round-trip decimals, text quoted."""
-    lines = [",".join(header) + "\n"]
-    for row in rows:
-        lines.append(",".join(_text_cell(c) if isinstance(c, str) else repr(c)
-                              for c in row) + "\n")
-    return "".join(lines)
+    """The whole table as one string, for the small CLI tables."""
+    return "".join(_csv_chunks(header, rows))
 
 
 def export_csv(result: GridResult, destination) -> None:
     """Write the result table, one row per node."""
-    rows = ([getattr(r, name) for name in RESULT_HEADER] for r in result.rows)
-    write_text(destination, csv_text(RESULT_HEADER, rows))
+    write_text(destination, _csv_chunks(RESULT_HEADER, result.rows))
 
 
 def export_samples_csv(dp: DiscretePatch, destination) -> None:
@@ -321,7 +333,7 @@ def export_samples_csv(dp: DiscretePatch, destination) -> None:
     header = ("u", "v", "f", "g") if dp.mode == "monge4" else ("u", "v", "f")
     rows = ((u, v, dp.f[i][j], dp.g[i][j])[:len(header)]
             for i, j, u, v in dp.spec().points())
-    write_text(destination, csv_text(header, rows))
+    write_text(destination, _csv_chunks(header, rows))
 
 
 __all__ = [

@@ -15,7 +15,7 @@ forms.normal_frame fix the sign of K_N.  Swapping the graph functions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jet
 from .expr import eval_1d
@@ -39,8 +39,7 @@ def _check(name: str, a: float, b: float, tol: float = CHECK_TOL) -> None:
         raise ConsistencyError(f"{name} disagree: {a!r} vs {b!r}")
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(NamedTuple):
     K: float
     KN: float
     H1: float
@@ -95,8 +94,7 @@ def mean_curvature(sf: SecondForm, ff: FirstForm, jets: PatchJets | None = None)
     return coord1, coord2, math.hypot(coord1, coord2)
 
 
-@dataclass(frozen=True)
-class PointData:
+class PointData(NamedTuple):
     """Everything the pipeline knows about a patch at one point."""
 
     jets: PatchJets
@@ -145,8 +143,7 @@ def invariants_at(patch: MongePatch, u: float, v: float) -> InvariantSet:
     return point_data(eval_patch(patch, u, v)).inv
 
 
-@dataclass(frozen=True)
-class AminovClosedForms:
+class AminovClosedForms(NamedTuple):
     """Closed-form invariants of f = r(u) cos v, g = r(u) sin v.
 
     H is the signed scalar mean curvature of the profile formula;
@@ -196,25 +193,29 @@ def translation_closed_forms(patch: MongePatch, u: float, v: float):
     """K, K_N, H1, H2 of f = f3(u)+g3(v), g = f4(u)+g4(v) from the profiles."""
     if patch.family != "translation":
         raise ValueError("not a translation patch")
-    a = patch.asts
-    f3, f4 = eval_1d(a["f3"], u), eval_1d(a["f4"], u)
-    g3, g4 = eval_1d(a["g3"], v, "v"), eval_1d(a["g4"], v, "v")
+    fns = patch.fns
+    f3, f4 = eval_1d(fns["f3"], u), eval_1d(fns["f4"], u)
+    g3, g4 = eval_1d(fns["g3"], v, "v"), eval_1d(fns["g4"], v, "v")
 
-    E = 1.0 + f3.d1 ** 2 + f4.d1 ** 2
-    F = f3.d1 * g3.d1 + f4.d1 * g4.d1
-    G = 1.0 + g3.d1 ** 2 + g4.d1 ** 2
-    A = 1.0 + f3.d1 ** 2 + g3.d1 ** 2
-    B = f3.d1 * f4.d1 + g3.d1 * g4.d1
-    W2 = E * G - F * F
-    ra = math.sqrt(A)
-    w = math.sqrt(W2)
+    try:
+        E = 1.0 + f3.d1 ** 2 + f4.d1 ** 2
+        F = f3.d1 * g3.d1 + f4.d1 * g4.d1
+        G = 1.0 + g3.d1 ** 2 + g4.d1 ** 2
+        A = 1.0 + f3.d1 ** 2 + g3.d1 ** 2
+        B = f3.d1 * f4.d1 + g3.d1 * g4.d1
+        W2 = E * G - F * F
+        ra = math.sqrt(A)
+        w = math.sqrt(W2)
 
-    K = (f3.d2 * g3.d2 * (1.0 + f4.d1 ** 2 + g4.d1 ** 2)
-         - (f3.d2 * g4.d2 + f4.d2 * g3.d2) * B
-         + f4.d2 * g4.d2 * A) / W2 ** 2
-    KN = F * (f4.d2 * g3.d2 - f3.d2 * g4.d2) / W2 ** 2
-    H1 = (f3.d2 * G + g3.d2 * E) / (2.0 * ra * W2)
-    H2 = (G * (f4.d2 * A - f3.d2 * B) + E * (g4.d2 * A - g3.d2 * B)) / (2.0 * ra * W2 * w)
+        K = (f3.d2 * g3.d2 * (1.0 + f4.d1 ** 2 + g4.d1 ** 2)
+             - (f3.d2 * g4.d2 + f4.d2 * g3.d2) * B
+             + f4.d2 * g4.d2 * A) / W2 ** 2
+        KN = F * (f4.d2 * g3.d2 - f3.d2 * g4.d2) / W2 ** 2
+        H1 = (f3.d2 * G + g3.d2 * E) / (2.0 * ra * W2)
+        H2 = (G * (f4.d2 * A - f3.d2 * B) + E * (g4.d2 * A - g3.d2 * B)) / (2.0 * ra * W2 * w)
+    except OverflowError:
+        raise jet.DomainError("invariants overflowed") from None
+    require_finite("invariants", (K, KN, H1, H2))
     return K, KN, H1, H2
 
 

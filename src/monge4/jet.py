@@ -8,12 +8,18 @@ pipeline involves no numerical differentiation at all.
 Jet2 is the only jet arithmetic.  Its second-order rules do not depend on
 the number of variables, so a one-variable profile r(u) is a Jet2 seeded in
 u; Jet1 is the record (r, r', r'') read back from it.
+
+Jets are tuple-backed records (typing.NamedTuple): immutable, cheap to
+build, and compared and hashed as the plain tuple of their components.
+The arithmetic unpacks its operands into locals once per operation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+_new = tuple.__new__  # a record from a tuple, skipping NamedTuple's Python __new__
 
 
 class DomainError(ValueError):
@@ -24,8 +30,7 @@ class DomainError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Value and partial derivatives up to second order at a point (u, v).
 
     The mixed partial is stored once (duv), so symmetry of second partials
@@ -41,45 +46,46 @@ class Jet2:
 
     @property
     def is_constant(self) -> bool:
-        return (self.du == 0.0 and self.dv == 0.0 and self.duu == 0.0
-                and self.duv == 0.0 and self.dvv == 0.0)
+        return not any(self[1:])
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Compose with a scalar function given its value and derivatives."""
-        return Jet2(
+        _, du, dv, duu, duv, dvv = self
+        return _new(Jet2, (
             f0,
-            f1 * self.du,
-            f1 * self.dv,
-            f2 * self.du * self.du + f1 * self.duu,
-            f2 * self.du * self.dv + f1 * self.duv,
-            f2 * self.dv * self.dv + f1 * self.dvv,
-        )
+            f1 * du,
+            f1 * dv,
+            f2 * du * du + f1 * duu,
+            f2 * du * dv + f1 * duv,
+            f2 * dv * dv + f1 * dvv,
+        ))
 
     def __add__(self, other):
-        other = _lift2(other)
-        return Jet2(self.val + other.val, self.du + other.du, self.dv + other.dv,
-                    self.duu + other.duu, self.duv + other.duv, self.dvv + other.dvv)
+        a0, a1, a2, a3, a4, a5 = self
+        b0, b1, b2, b3, b4, b5 = _lift2(other)
+        return _new(Jet2, (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _lift2(other)
-        return Jet2(self.val - other.val, self.du - other.du, self.dv - other.dv,
-                    self.duu - other.duu, self.duv - other.duv, self.dvv - other.dvv)
+        a0, a1, a2, a3, a4, a5 = self
+        b0, b1, b2, b3, b4, b5 = _lift2(other)
+        return _new(Jet2, (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5))
 
     def __rsub__(self, other):
         return _lift2(other).__sub__(self)
 
     def __mul__(self, other):
-        a, b = self, _lift2(other)
-        return Jet2(
-            a.val * b.val,
-            a.du * b.val + a.val * b.du,
-            a.dv * b.val + a.val * b.dv,
-            a.duu * b.val + 2.0 * a.du * b.du + a.val * b.duu,
-            a.duv * b.val + a.du * b.dv + a.dv * b.du + a.val * b.duv,
-            a.dvv * b.val + 2.0 * a.dv * b.dv + a.val * b.dvv,
-        )
+        a0, a1, a2, a3, a4, a5 = self
+        b0, b1, b2, b3, b4, b5 = _lift2(other)
+        return _new(Jet2, (
+            a0 * b0,
+            a1 * b0 + a0 * b1,
+            a2 * b0 + a0 * b2,
+            a3 * b0 + 2.0 * a1 * b1 + a0 * b3,
+            a4 * b0 + a1 * b2 + a2 * b1 + a0 * b4,
+            a5 * b0 + 2.0 * a2 * b2 + a0 * b5,
+        ))
 
     __rmul__ = __mul__
 
@@ -90,14 +96,14 @@ class Jet2:
         return _lift2(other) * _reciprocal(self)
 
     def __neg__(self):
-        return Jet2(-self.val, -self.du, -self.dv, -self.duu, -self.duv, -self.dvv)
+        a0, a1, a2, a3, a4, a5 = self
+        return _new(Jet2, (-a0, -a1, -a2, -a3, -a4, -a5))
 
     def __pow__(self, other):
         return jet_pow(self, other)
 
 
-@dataclass(frozen=True)
-class Jet1:
+class Jet1(NamedTuple):
     """r, r' and r'' of a one-variable function at a point.
 
     A plain record read by the profile formulas; the derivatives are
@@ -140,19 +146,6 @@ def seed_v(u0: float, v0: float) -> Jet2:
 def seed_const(c: float) -> Jet2:
     """Jet of a constant in two variables."""
     return Jet2(float(c))
-
-
-def jet_binary(op: str, a, b):
-    """Apply a named binary operation: add, sub, mul or div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown binary operation {op!r}")
 
 
 def _fn_sin(x):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import jet
-from .expr import compile_expr, eval_1d, eval_expr
+from .expr import compile_expr, compile_jet, eval_1d
 
 FAMILIES = ("explicit", "translation", "aminov", "gradient")
 
@@ -24,8 +25,7 @@ INTEG_SAMPLES = 5
 DEFAULT_SAMPLE_BOX = (-1.0, 1.0, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class PatchJets:
+class PatchJets(NamedTuple):
     """Second-order jets of the two graph functions at one point."""
 
     f: jet.Jet2
@@ -40,6 +40,12 @@ class MongePatch:
     integrability_residual: float | None = None
     gradient_warning: str | None = None
     asts: dict = field(default=None, repr=False, compare=False)
+    # asts compiled once (expr.compile_jet); eval_patch walks no AST
+    fns: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fns", {name: compile_jet(ast)
+                                         for name, ast in (self.asts or {}).items()})
 
     def in_domain(self, u: float, v: float) -> bool:
         if self.domain is None:
@@ -88,8 +94,9 @@ def make_aminov(r_expr: str, u_range, v_range=None) -> MongePatch:
         raise ValueError("empty u-range")
     # probe the profile across the declared range so domain failures
     # (log of a nonpositive value, poles) surface at construction
+    r = compile_jet(ast)
     for k in range(9):
-        eval_1d(ast, u0 + (u1 - u0) * k / 8)
+        eval_1d(r, u0 + (u1 - u0) * k / 8)
     v0, v1 = v_range if v_range is not None else (None, None)
     domain = _check_domain((u0, u1, v0, v1))
     return MongePatch("aminov", {"r": r_expr}, domain, asts={"r": ast})
@@ -97,6 +104,7 @@ def make_aminov(r_expr: str, u_range, v_range=None) -> MongePatch:
 
 def make_gradient(p_expr: str, q_expr: str, domain=None) -> MongePatch:
     asts = {"p": compile_expr(p_expr), "q": compile_expr(q_expr)}
+    p_fn, q_fn = compile_jet(asts["p"]), compile_jet(asts["q"])
     domain = _check_domain(domain)
     box = DEFAULT_SAMPLE_BOX
     if domain is not None:
@@ -110,8 +118,7 @@ def make_gradient(p_expr: str, q_expr: str, domain=None) -> MongePatch:
         for j in range(n):
             v = box[2] + (box[3] - box[2]) * j / (n - 1)
             env = {"u": jet.seed_u(u, v), "v": jet.seed_v(u, v)}
-            p = eval_expr(asts["p"], env)
-            q = eval_expr(asts["q"], env)
+            p, q = p_fn(env), q_fn(env)
             residual = max(residual, abs(p.dv - q.du))
     if residual < INTEG_TOL:
         return MongePatch("gradient", {"p": p_expr, "q": q_expr}, domain,
@@ -127,26 +134,25 @@ def eval_patch(patch: MongePatch, u: float, v: float) -> PatchJets:
     """Exact second-order jets of (f, g) at (u, v)."""
     if not patch.in_domain(u, v):
         raise jet.DomainError(f"point ({u}, {v}) outside patch domain")
+    fns = patch.fns
     if patch.family == "aminov":
-        r = eval_expr(patch.asts["r"], {"u": jet.seed_u(u, v)})
+        r = fns["r"]({"u": jet.seed_u(u, v)})
         jv = jet.seed_v(u, v)
-        return PatchJets(f=r * jet.apply_unary("cos", jv),
-                         g=r * jet.apply_unary("sin", jv))
+        return PatchJets(r * jet.apply_unary("cos", jv),
+                         r * jet.apply_unary("sin", jv))
     env = {"u": jet.seed_u(u, v), "v": jet.seed_v(u, v)}
     if patch.family == "translation":
-        a = patch.asts
-        return PatchJets(f=eval_expr(a["f3"], env) + eval_expr(a["g3"], env),
-                         g=eval_expr(a["f4"], env) + eval_expr(a["g4"], env))
+        return PatchJets(fns["f3"](env) + fns["g3"](env),
+                         fns["f4"](env) + fns["g4"](env))
     kf, kg = ("p", "q") if patch.family == "gradient" else ("f", "g")
-    return PatchJets(f=eval_expr(patch.asts[kf], env),
-                     g=eval_expr(patch.asts[kg], env))
+    return PatchJets(fns[kf](env), fns[kg](env))
 
 
 def profile_at(patch: MongePatch, u: float) -> jet.Jet1:
     """r, r' and r'' of an aminov patch's profile at u."""
     if patch.family != "aminov":
         raise ValueError("not an aminov patch")
-    return eval_1d(patch.asts["r"], u)
+    return eval_1d(patch.fns["r"], u)
 
 
 def patch_to_json(patch: MongePatch) -> str:

@@ -15,10 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from monge4.classify import PREDICATES
 from monge4.cli import main
-from monge4.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var, pretty
+from monge4.expr import BinOp, Call, Num, Var, pretty
 from monge4.grid import GridSpec, sample_values, export_samples_csv
 from monge4.invariants import invariants_at
 from monge4.patch import make_explicit, make_translation, patch_to_json
+
+from expr_reference import random_ast, random_coord
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -386,19 +388,6 @@ def test_verify_passes_under_optimize():
     assert proc.stdout.splitlines()[-1] == "23 of 23 checks passed"
 
 
-_fuzz_ast = st.recursive(
-    st.one_of(st.builds(Num, st.floats(0.0, 800.0)),
-              st.sampled_from([Var("u"), Var("v")])),
-    lambda children: st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from(["add", "sub", "mul", "div", "pow"]),
-                  children, children),
-        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children)),
-    max_leaves=8)
-_fuzz_coord = st.one_of(st.floats(-3.0, 3.0),
-                        st.sampled_from([0.0, 1e-200, -1e-300, 700.0]))
-
-
 def _main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -413,7 +402,7 @@ def _all_finite(values):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_fuzz_ast, _fuzz_ast, _fuzz_coord, _fuzz_coord,
+@given(random_ast, random_ast, random_coord, random_coord,
        st.floats(1e-3, 2.0))
 @example(Call("log", Var("u")), Var("v"), 1e-200, 0.0, 1.0)
 @example(Call("sqrt", Var("u")), Var("v"), 1e-300, 0.0, 1.0)

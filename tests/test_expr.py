@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from monge4 import jet
 from monge4.expr import (BinOp, Call, ExprError, Neg, Num, Var, compile_expr,
-                         compile_profile, eval_expr, parse, pretty, profile_eval,
-                         tokenize)
+                         compile_jet, compile_profile, eval_expr, parse, pretty,
+                         profile_eval, tokenize)
 from monge4.patch import eval_patch, make_explicit
+
+from expr_reference import random_ast, random_coord, reference_eval
 
 
 def kinds(text):
@@ -115,6 +117,33 @@ def test_unbound_variable():
     ast = parse(tokenize("q"))
     with pytest.raises(ExprError):
         eval_expr(ast, _env(0, 0))
+
+
+def test_compiled_binary_dispatch():
+    env = _env(3, 1)
+    a, b = env["u"], env["v"]
+    for op, want in (("add", a + b), ("sub", a - b), ("mul", a * b),
+                     ("div", a / b), ("pow", a ** b)):
+        assert compile_jet(BinOp(op, Var("u"), Var("v")))(env) == want
+    with pytest.raises(ValueError, match="unknown binary operation 'mod'"):
+        compile_jet(BinOp("mod", Var("u"), Var("v")))
+
+
+def _outcome(evaluate):
+    try:
+        return repr(tuple(evaluate()))
+    except (jet.DomainError, ExprError) as err:
+        return (type(err), str(err), err.position)
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_ast, random_coord, random_coord)
+def test_compiled_matches_reference_interpreter(ast, u, v):
+    # parsing the printed AST gives every node a real source position
+    ast = compile_expr(pretty(ast))
+    env = _env(u, v)
+    assert (_outcome(lambda: eval_expr(ast, env))
+            == _outcome(lambda: reference_eval(ast, env)))
 
 
 def test_constants_only_matches_arithmetic():

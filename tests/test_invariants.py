@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -150,6 +149,15 @@ def test_translation_closed_forms_flat_cases():
         translation_closed_forms(FLAT, 0.0, 0.0)
 
 
+def test_translation_closed_forms_overflow_is_a_domain_error():
+    # f3' = 300 e^300 at u = 1, so W2 ** 2 overflows in both routes
+    p = make_translation("exp(300*u)", "u", "v", "v")
+    with pytest.raises(jet.DomainError, match="invariants overflowed"):
+        translation_closed_forms(p, 1.0, 0.0)
+    with pytest.raises(jet.DomainError, match="invariants overflowed"):
+        invariants_at(p, 1.0, 0.0)
+
+
 AMINOV_PROFILES = ["u", "exp(u)", "u^2", "sin(u)+2"]
 
 
@@ -234,8 +242,7 @@ def test_consistency_error_on_corrupted_jets():
     ff = first_form(jets)
     nf = normal_frame(jets, ff)
     sf = second_form(jets, ff, nf)
-    bad_f = dataclasses.replace(jets.f, duu=jets.f.duu + 0.5)
-    bad = dataclasses.replace(jets, f=bad_f)
+    bad = jets._replace(f=jets.f._replace(duu=jets.f.duu + 0.5))
     with pytest.raises(ConsistencyError):
         gauss_curvature(sf, ff, bad)
     with pytest.raises(ConsistencyError):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monge4.expr import compile_profile, profile_eval
-from monge4.jet import (DomainError, Jet1, Jet2, apply_unary, jet_binary,
-                        jet_pow, pow_int, pow_real, seed_const, seed_u, seed_v)
+from monge4.jet import (DomainError, Jet1, Jet2, apply_unary, jet_pow,
+                        pow_int, pow_real, seed_const, seed_u, seed_v)
 
 
 def test_seeds():
@@ -69,14 +69,28 @@ def test_abs_at_zero():
     assert j == Jet2(3.0, -1.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_jet_binary_dispatch():
-    a, b = seed_u(3, 1), seed_v(3, 1)
-    assert jet_binary("add", a, b) == a + b
-    assert jet_binary("sub", a, b) == a - b
-    assert jet_binary("mul", a, b) == a * b
-    assert jet_binary("div", a, b) == a / b
-    with pytest.raises(ValueError):
-        jet_binary("mod", a, b)
+def test_jet2_is_an_immutable_tuple_record():
+    j = Jet2(1.5, 2.0)
+    with pytest.raises(AttributeError):
+        j.val = 0.0
+    assert j == Jet2(1.5, 2.0, 0.0, 0.0, 0.0, 0.0) == (1.5, 2.0, 0.0, 0.0, 0.0, 0.0)
+    assert hash(j) == hash(Jet2(1.5, 2.0, 0.0, 0.0, 0.0, 0.0))
+    assert len({j, Jet2(1.5, 2.0)}) == 1
+    assert repr(j) == "Jet2(val=1.5, du=2.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0)"
+    assert j._replace(dv=3.0) == Jet2(1.5, 2.0, 3.0)
+    assert repr(Jet1(1.0)) == "Jet1(val=1.0, d1=0.0, d2=0.0)"
+
+
+@pytest.mark.parametrize("c", [2, -3.5])
+def test_jet2_scalars_on_either_side(c):
+    # int and float operands are lifted to constant jets on both sides:
+    # never tuple concatenation or repetition
+    a, k = seed_u(3, 1) * seed_v(3, 1), seed_const(c)
+    assert a + c == a + k and c + a == k + a
+    assert a - c == a - k and c - a == k - a
+    assert a * c == a * k and c * a == k * a
+    assert a / c == a / k and c / a == k / a
+    assert len(c * a) == 6
 
 
 def test_pow_int_cases():
