@@ -25,8 +25,8 @@ from .invariants import (ConsistencyError, InvariantSet, aminov_closed_forms,
                          translation_closed_forms)
 from .jet import DomainError, Jet1, Jet2
 from .patch import (MongePatch, eval_patch, make_aminov, make_explicit,
-                    make_gradient, make_translation, patch_from_json,
-                    patch_to_json)
+                    make_gradient, make_patch, make_translation,
+                    patch_from_json, patch_to_json)
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,8 @@ __all__ = [
     "classify_surface", "compile_expr", "compile_profile",
     "evaluate_discrete", "eval_patch", "export_csv", "first_form",
     "ingest_csv", "ingest_samples", "integrate_profile_ode", "invariants_at",
-    "make_aminov", "make_explicit", "make_gradient", "make_translation",
-    "minimal_aminov_profile", "minimal_translation_family",
+    "make_aminov", "make_explicit", "make_gradient", "make_patch",
+    "make_translation", "minimal_aminov_profile", "minimal_translation_family",
     "minimality_residual", "normal_frame", "patch_from_json", "patch_to_json",
     "point_data", "pretty", "pseudo_umbilical_residual", "report_to_json",
     "sample_grid", "sample_values", "second_form",

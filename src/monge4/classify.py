@@ -121,6 +121,21 @@ def minimality_residual(r: jet.Jet1) -> float:
     return r.d2 * (1.0 + r.val ** 2) - r.val * (1.0 + r.d1 ** 2)
 
 
+def profile_row(u: float, r: jet.Jet1) -> tuple:
+    """(u, r, r', minimality residual): one row of an ode table.
+
+    An overflow, or a non-finite r, r' or residual, raises DomainError
+    naming u, so a table never carries NaN or inf.
+    """
+    try:
+        residual = minimality_residual(r)
+    except OverflowError:
+        raise jet.DomainError(
+            f"profile residual overflowed at u = {u!r}") from None
+    require_finite(f"profile row at u = {u!r}", (r.val, r.d1, residual))
+    return (u, r.val, r.d1, residual)
+
+
 def _scaled_exponent(a: float, b: float, sign: int) -> str:
     s = f"((u + ({b!r})) / ({a!r}))"
     return s if sign > 0 else f"(-{s})"
@@ -166,8 +181,8 @@ def integrate_profile_ode(r0: float, r0p: float, u_range, steps: int):
     the minimality equation using a finite-difference r'' from the
     numerical solution, as an integration diagnostic.
     """
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    if steps < 3:  # the one-sided end stencils of r'' read four nodes
+        raise ValueError("steps must be at least 3")
     u0, u1 = u_range
     if not u0 < u1:
         raise ValueError("empty integration range")
@@ -200,11 +215,12 @@ def integrate_profile_ode(r0: float, r0p: float, u_range, steps: int):
             return (2 * rs[0] - 5 * rs[1] + 4 * rs[2] - rs[3]) / h**2
         return (2 * rs[-1] - 5 * rs[-2] + 4 * rs[-3] - rs[-4]) / h**2
 
-    rows = []
-    for i in range(steps + 1):
-        res = fd_rpp(i) * (1.0 + rs[i] ** 2) - rs[i] * (1.0 + rps[i] ** 2)
-        rows.append((us[i], rs[i], rps[i], res))
-    return rows
+    try:
+        return [profile_row(us[i], jet.Jet1(rs[i], rps[i], fd_rpp(i)))
+                for i in range(steps + 1)]
+    except ArithmeticError:  # h**2 underflowed to 0 or overflowed
+        raise jet.DomainError(
+            f"step {h!r} is out of range for the residual") from None
 
 
 def minimal_translation_family(c3: float, c4: float, e3: float, e4: float,
@@ -279,8 +295,10 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
 
     grid_spec only needs a points() iterable whose items end with
     (u, v); evaluation failures are counted and flip every verdict to
-    indeterminate instead of aborting.
+    indeterminate instead of aborting.  tol must be finite and > 0.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     raw = dict.fromkeys(PREDICATES, 0.0)
     normalized = dict.fromkeys(PREDICATES, 0.0)
     failed = 0
@@ -362,7 +380,7 @@ __all__ = [
     "ClassificationReport", "PredicateResult", "aminov_wintgen_residual",
     "chen_residual", "classify_surface", "describe_grid", "first_normal_rank",
     "integrate_profile_ode", "k_plus_kn_residual", "minimal_aminov_profile",
-    "minimal_translation_family", "minimality_residual",
+    "minimal_translation_family", "minimality_residual", "profile_row",
     "pseudo_umbilical_residual", "report_to_json", "same_sign_aminov_profile",
     "wintgen_deficit",
 ]

@@ -17,16 +17,15 @@ import math
 import sys
 
 from . import jet
-from .classify import (PREDICATES, classify_surface, integrate_profile_ode,
-                       minimal_aminov_profile, minimality_residual,
-                       report_to_json)
+from .classify import (DEFAULT_TOL, PREDICATES, classify_surface,
+                       integrate_profile_ode, minimal_aminov_profile,
+                       profile_row, report_to_json)
 from .expr import ExprError, profile_eval
 from .grid import (RESULT_HEADER, GridSpec, csv_text, evaluate_discrete,
                    export_csv, ingest_samples, read_samples_csv, sample_grid,
                    write_text)
 from .invariants import ConsistencyError, invariants_at
-from .patch import (FAMILIES, make_aminov, make_explicit, make_gradient,
-                    make_translation, patch_from_json)
+from .patch import FIELDS, make_patch, patch_from_json
 from .selfcheck import run_all
 
 EXIT_OK = 0
@@ -36,7 +35,6 @@ EXIT_EVAL = 3
 EXIT_IO = 4
 
 DEFAULT_NODES = 41
-DEFAULT_TOL = 1e-8
 
 PREDICATE_ALIASES = {"wintgen": "wintgen_ideal", "pseudo": "pseudo_umbilical",
                      "k+kn": "k_plus_kn_zero"}
@@ -44,41 +42,39 @@ PREDICATE_ALIASES = {"wintgen": "wintgen_ideal", "pseudo": "pseudo_umbilical",
 ODE_HEADER = ("u", "r", "rp", "residual")
 
 
+# one flag per expression field of patch.FIELDS, in help order
+SURFACE_HELP = {
+    "f": "height f(u, v)",
+    "g": "height g(u, v)",
+    "r": "radius profile r(u) for the rotational family",
+    "f3": "translation term f3(u) of f = f3(u) + g3(v)",
+    "g3": "translation term g3(v) of f = f3(u) + g3(v)",
+    "f4": "translation term f4(u) of g = f4(u) + g4(v)",
+    "g4": "translation term g4(v) of g = f4(u) + g4(v)",
+    "p": "first gradient component p(u, v)",
+    "q": "second gradient component q(u, v)",
+}
+
+
 def _add_surface_flags(p):
     grp = p.add_argument_group("surface (exactly one source)")
-    grp.add_argument("--f", metavar="EXPR", help="height f(u, v)")
-    grp.add_argument("--g", metavar="EXPR", help="height g(u, v)")
-    grp.add_argument("--family", choices=FAMILIES,
-                     help="surface family (inferred from payload flags "
-                          "when omitted)")
-    grp.add_argument("--r", metavar="EXPR",
-                     help="radius profile r(u) for the rotational family")
-    grp.add_argument("--f3", metavar="EXPR",
-                     help="translation term f3(u) of f = f3(u) + g3(v)")
-    grp.add_argument("--g3", metavar="EXPR",
-                     help="translation term g3(v) of f = f3(u) + g3(v)")
-    grp.add_argument("--f4", metavar="EXPR",
-                     help="translation term f4(u) of g = f4(u) + g4(v)")
-    grp.add_argument("--g4", metavar="EXPR",
-                     help="translation term g4(v) of g = f4(u) + g4(v)")
-    grp.add_argument("--p", metavar="EXPR",
-                     help="first gradient component p(u, v)")
-    grp.add_argument("--q", metavar="EXPR",
-                     help="second gradient component q(u, v)")
+    for name, text in SURFACE_HELP.items():
+        grp.add_argument(f"--{name}", metavar="EXPR", help=text)
     grp.add_argument("--patch", metavar="FILE",
                      help="JSON patch file produced by this package")
 
 
+def _add_range_flags(grp, axis, what):
+    grp.add_argument(f"--{axis}0", type=float, default=-1.0,
+                     help=f"lower {what} (default: %(default)s)")
+    grp.add_argument(f"--{axis}1", type=float, default=1.0,
+                     help=f"upper {what} (default: %(default)s)")
+
+
 def _add_grid_flags(p):
     grp = p.add_argument_group("grid")
-    grp.add_argument("--u0", type=float, default=-1.0,
-                     help="lower u bound (default: %(default)s)")
-    grp.add_argument("--u1", type=float, default=1.0,
-                     help="upper u bound (default: %(default)s)")
-    grp.add_argument("--v0", type=float, default=-1.0,
-                     help="lower v bound (default: %(default)s)")
-    grp.add_argument("--v1", type=float, default=1.0,
-                     help="upper v bound (default: %(default)s)")
+    _add_range_flags(grp, "u", "u bound")
+    _add_range_flags(grp, "v", "v bound")
     grp.add_argument("--nu", type=int, default=DEFAULT_NODES,
                      help="nodes along u (default: %(default)s)")
     grp.add_argument("--nv", type=int, default=DEFAULT_NODES,
@@ -86,8 +82,6 @@ def _add_grid_flags(p):
 
 
 def _add_output_flags(p, default_format):
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="tolerance for checks (default: %(default)s)")
     p.add_argument("--out", metavar="PATH",
                    help="write output here instead of stdout")
     p.add_argument("--format", choices=("json", "csv", "text"),
@@ -107,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Evaluate K, K_N, H1, H2 and |H| at "
                                    "one parameter point.")
     _add_surface_flags(p)
-    _add_grid_flags(p)
+    _add_range_flags(p.add_argument_group("rotational family only"), "u",
+                     "end of the rotational profile's u-range")
     p.add_argument("-u", "--u", type=float, required=True, dest="u",
                    help="u coordinate of the point")
     p.add_argument("-v", "--v", type=float, required=True, dest="v",
@@ -131,17 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicates", metavar="LIST",
                    help="comma-separated predicates to require "
                         "(default: all of %s)" % ",".join(PREDICATES))
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="verdict tolerance, finite and > 0 "
+                        "(default: %(default)s)")
     _add_output_flags(p, "json")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("verify", help="run the built-in identity suite",
                        description="Run every built-in consistency check "
                                    "and print one status line per check.")
-    p.add_argument("--out", metavar="PATH",
-                   help="write output here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default="text",
-                   help="output format (default: %(default)s)")
+    _add_output_flags(p, "text")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("ode", help="integrate or check a radius profile",
@@ -185,42 +179,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_patch(args):
     """Construct the surface from exactly one source of flags."""
-    groups = {
-        "explicit": [args.f, args.g],
-        "translation": [args.f3, args.g3, args.f4, args.g4],
-        "aminov": [args.r],
-        "gradient": [args.p, args.q],
-    }
-    given = [name for name, flags in groups.items()
-             if any(x is not None for x in flags)]
+    given = [family for family, names in FIELDS.items()
+             if any(getattr(args, name) is not None for name in names)]
     if args.patch is not None:
-        if given or args.family is not None:
+        if given:
             raise ValueError("--patch cannot be combined with expression "
                              "flags")
         with open(args.patch) as fh:
             return patch_from_json(fh.read())
-    family = args.family
-    if family is None:
-        if len(given) != 1:
-            raise ValueError("give exactly one surface source: --f/--g, "
-                             "--f3/--g3/--f4/--g4, --r, --p/--q or --patch")
-        family = given[0]
-    elif given and given != [family]:
-        raise ValueError(f"flags for {given} do not match --family {family}")
-    flags = groups[family]
-    if any(x is None for x in flags):
-        names = {"explicit": "--f and --g",
-                 "translation": "--f3, --g3, --f4 and --g4",
-                 "aminov": "--r",
-                 "gradient": "--p and --q"}[family]
+    if len(given) != 1:
+        raise ValueError("give exactly one surface source: --f/--g, "
+                         "--f3/--g3/--f4/--g4, --r, --p/--q or --patch")
+    family = given[0]
+    exprs = {name: getattr(args, name) for name in FIELDS[family]}
+    if None in exprs.values():
+        *head, last = [f"--{name}" for name in SURFACE_HELP if name in exprs]
+        names = f"{', '.join(head)} and {last}" if head else last
         raise ValueError(f"family {family} needs {names}")
-    if family == "explicit":
-        return make_explicit(args.f, args.g)
-    if family == "translation":
-        return make_translation(args.f3, args.f4, args.g3, args.g4)
-    if family == "aminov":
-        return make_aminov(args.r, (args.u0, args.u1))
-    patch = make_gradient(args.p, args.q)
+    domain = (args.u0, args.u1, None, None) if family == "aminov" else None
+    patch = make_patch(family, exprs, domain)
     if patch.gradient_warning:
         print(f"warning: {patch.gradient_warning}", file=sys.stderr)
     return patch
@@ -374,8 +351,7 @@ def cmd_ode(args) -> int:
         for k in range(args.steps + 1):
             t = k / args.steps
             u = lo * (1.0 - t) + hi * t
-            r = profile_eval(profile, u)
-            rows.append((u, r.val, r.d1, minimality_residual(r)))
+            rows.append(profile_row(u, profile_eval(profile, u)))
     else:
         if args.r0 is None or args.r0p is None:
             raise ValueError("numerical integration needs both --r0 "

@@ -47,7 +47,7 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _SIMPLE = {"(": "lparen", ")": "rparen", ",": "comma"}
 
-FUNCTIONS = frozenset(jet.UNARY_NAMES - {"neg"})
+FUNCTIONS = jet.UNARY_NAMES
 CONSTANTS = {"pi": math.pi, "e": math.e}
 # bound on parser nesting and AST height; parsing and evaluation recurse
 MAX_DEPTH = 100
@@ -55,6 +55,8 @@ MAX_DEPTH = 100
 
 def tokenize(text: str) -> list[Token]:
     """Longest-match lexing of an expression string."""
+    if not isinstance(text, str):  # e.g. a number in a patch document
+        raise ExprError(f"expected an expression string, got {text!r}")
     tokens = []
     i = 0
     n = len(text)
@@ -362,13 +364,11 @@ class Profile:
     """A compiled one-variable expression r(u)."""
 
     text: str
-    ast: object = field(compare=False)
-    fn: object = field(repr=False, compare=False)  # compile_jet(ast)
+    fn: object = field(repr=False, compare=False)  # compile_jet of the AST
 
 
 def compile_profile(text: str) -> Profile:
-    ast = compile_expr(text, variables=("u",))
-    return Profile(text, ast, compile_jet(ast))
+    return Profile(text, compile_jet(compile_expr(text, variables=("u",))))
 
 
 def profile_eval(profile: Profile, u: float) -> jet.Jet1:

@@ -188,7 +188,9 @@ def evaluate_discrete(dp: DiscretePatch) -> GridResult:
             continue
         try:
             rows.append(_row_from_jets(u, v, fd_jets(dp, i, j)))
-        except ValueError as err:
+        except jet.DomainError as err:
+            rows.append(Row(u, v, flag=f"domain-error: {err}"))
+        except ValueError as err:  # fd_jets: a non-finite sample in the stencil
             rows.append(Row(u, v, flag=f"bad-sample: {err}"))
     return GridResult(spec, rows)
 

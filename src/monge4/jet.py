@@ -195,12 +195,7 @@ def _fn_abs(x):
     return abs(x), s, 0.0
 
 
-def _fn_neg(x):
-    return -x, -1.0, 0.0
-
-
 _UNARY = {
-    "neg": _fn_neg,
     "sin": _fn_sin,
     "cos": _fn_cos,
     "tan": _fn_tan,

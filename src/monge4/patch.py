@@ -17,7 +17,10 @@ from typing import NamedTuple
 from . import jet
 from .expr import compile_expr, compile_jet, eval_1d
 
-FAMILIES = ("explicit", "translation", "aminov", "gradient")
+# the expression fields of each family, in its constructor's argument order
+FIELDS = {"explicit": ("f", "g"), "translation": ("f3", "f4", "g3", "g4"),
+          "aminov": ("r",), "gradient": ("p", "q")}
+FAMILIES = tuple(FIELDS)
 
 INTEG_TOL = 1e-8
 INTEG_SAMPLES = 5
@@ -161,6 +164,23 @@ def patch_to_json(patch: MongePatch) -> str:
     return json.dumps(doc)
 
 
+def make_patch(family: str, exprs: dict, domain=None) -> MongePatch:
+    """Build a patch of `family` from its FIELDS expressions in `exprs`.
+
+    This is the one dispatch from a family name to its constructor.  An
+    aminov patch takes its u-range, and any v-range, from `domain`; a
+    missing field raises KeyError.
+    """
+    if family == "aminov":
+        if domain is None or None in domain[:2]:
+            raise ValueError("aminov patch requires a u-range in domain")
+        return make_aminov(exprs["r"], (domain[0], domain[1]),
+                           (domain[2], domain[3]))
+    maker = {"explicit": make_explicit, "translation": make_translation,
+             "gradient": make_gradient}[family]
+    return maker(*(exprs[name] for name in FIELDS[family]), domain)
+
+
 def patch_from_json(text: str) -> MongePatch:
     try:
         doc = json.loads(text)
@@ -176,27 +196,19 @@ def patch_from_json(text: str) -> MongePatch:
     if not isinstance(exprs, dict):
         raise ValueError("patch document missing exprs")
     if domain is not None:
-        domain = tuple(domain)
-        if len(domain) != 4:
+        if not isinstance(domain, list) or len(domain) != 4:
             raise ValueError("domain must have four entries")
+        if not all(x is None or type(x) in (int, float) for x in domain):
+            raise ValueError("domain entries must be numbers or null")
+        domain = tuple(domain)
     try:
-        if family == "explicit":
-            return make_explicit(exprs["f"], exprs["g"], domain)
-        if family == "translation":
-            return make_translation(exprs["f3"], exprs["f4"],
-                                    exprs["g3"], exprs["g4"], domain)
-        if family == "aminov":
-            if domain is None or domain[0] is None:
-                raise ValueError("aminov patch requires a u-range in domain")
-            v_range = None if domain[2] is None else (domain[2], domain[3])
-            return make_aminov(exprs["r"], (domain[0], domain[1]), v_range)
-        return make_gradient(exprs["p"], exprs["q"], domain)
+        return make_patch(family, exprs, domain)
     except KeyError as err:
         raise ValueError(f"patch document missing expression {err.args[0]!r}") from None
 
 
 __all__ = [
-    "FAMILIES", "MongePatch", "PatchJets", "eval_patch", "make_aminov",
-    "make_explicit", "make_gradient", "make_translation", "patch_from_json",
-    "patch_to_json", "profile_at",
+    "FAMILIES", "FIELDS", "MongePatch", "PatchJets", "eval_patch",
+    "make_aminov", "make_explicit", "make_gradient", "make_patch",
+    "make_translation", "patch_from_json", "patch_to_json", "profile_at",
 ]

@@ -210,6 +210,8 @@ def test_ode_residual_column_is_small():
 def test_ode_parameter_and_blowup_errors():
     with pytest.raises(ValueError):
         integrate_profile_ode(0.5, 0.5, (0.0, 1.0), 1)
+    with pytest.raises(ValueError, match="at least 3"):
+        integrate_profile_ode(0.5, 0.5, (0.0, 1.0), 2)
     with pytest.raises(ValueError):
         integrate_profile_ode(0.5, 0.5, (1.0, 0.0), 10)
     with pytest.raises(jet.DomainError):
@@ -265,6 +267,14 @@ def test_classify_flat_surface():
     assert report.predicates["flat"].verdict == "holds"
     assert report.predicates["minimal"].verdict == "fails"
     assert report.aminov_channels is None
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf])
+def test_classify_rejects_tolerance_outside_the_positive_floats(tol):
+    # nan or 0 would make every predicate fail, inf every one hold
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        classify_surface(make_explicit("u", "v"), Grid(-1, 1, -1, 1, 3, 3),
+                         tol=tol)
 
 
 def test_classify_marks_indeterminate_on_failures():

@@ -42,7 +42,7 @@ def run_python(*args):
 
 
 def test_eval_rotational_linear_profile(capsys):
-    code, out, _ = run(capsys, "eval", "--family", "aminov", "--r", "u",
+    code, out, _ = run(capsys, "eval", "--r", "u",
                        "-u", "1", "-v", "0.7853981633974483")
     assert code == 0
     doc = json.loads(out)
@@ -80,8 +80,7 @@ def test_eval_text_and_csv_formats(capsys):
 
 
 def test_eval_outside_domain_is_evaluation_error(capsys):
-    code, _, err = run(capsys, "eval", "--family", "aminov", "--r", "u",
-                       "-u", "5", "-v", "0")
+    code, _, err = run(capsys, "eval", "--r", "u", "-u", "5", "-v", "0")
     assert code == 3
     assert "domain" in err
 
@@ -101,9 +100,13 @@ def test_surface_source_usage_errors(capsys):
     code, _, err = run(capsys, "eval", "--f", "u", "--g", "v", "--r", "u",
                        "-u", "0", "-v", "0")
     assert code == 2
+    code, _, err = run(capsys, "eval", "--f3", "u", "--g3", "v",
+                       "-u", "0", "-v", "0")
+    assert code == 2 and "needs --f3, --g3, --f4 and --g4" in err
+    # the flags given fix the family; --family is gone
     code, _, err = run(capsys, "eval", "--family", "aminov", "--f", "u",
                        "--g", "v", "-u", "0", "-v", "0")
-    assert code == 2 and "--family" in err
+    assert code == 2 and "unrecognized arguments: --family" in err
 
 
 def test_eval_from_patch_file(tmp_path, capsys):
@@ -166,7 +169,7 @@ def test_grid_json_marks_failures_null(capsys):
 
 
 def test_classify_requested_predicates_control_exit(capsys):
-    argv = ["classify", "--family", "aminov", "--r", "exp(u)",
+    argv = ["classify", "--r", "exp(u)",
             "--v0", "0", "--v1", "6.283185307179586",
             "--nu", "11", "--nv", "11"]
     code, out, _ = run(capsys, *argv, "--predicates", "minimal,chen,wintgen")
@@ -296,12 +299,20 @@ def test_help_lists_flags(capsys):
         assert name in out
     code, out, _ = run(capsys, "eval", "--help")
     assert code == 0
-    for flag in ("--f", "--g", "--family", "--r", "--patch", "--u0", "--nv",
-                 "--tol", "--out", "--format", "-u", "-v"):
+    for flag in ("--f", "--g", "--r", "--patch", "--u0", "--u1", "--out",
+                 "--format", "-u", "-v"):
         assert flag in out
+    assert "rotational profile's u-range" in out
+    for flag in ("--v0", "--v1", "--nu", "--nv"):
+        assert flag not in out
     code, out, _ = run(capsys, "grid", "--help")
     assert code == 0
     assert "--workers" not in out and "default: 41" in out
+    for sub in ("eval", "grid", "classify", "verify", "ode", "ingest"):
+        code, out, _ = run(capsys, sub, "--help")
+        assert code == 0
+        assert "--family" not in out
+        assert ("--tol" in out) == (sub == "classify"), sub
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -335,6 +346,16 @@ OVERFLOW_SURFACE = ["--f", "exp(700)*exp(700)*u", "--g", "v"]
     (["eval", "--f", "sqrt(u)", "--g", "v", "-u", "1e-300", "-v", "0"], 3),
     (["eval", "--f", "sin(exp(700)*exp(700)*u)", "--g", "v",
       "-u", "1", "-v", "0"], 3),
+    # ode: r^2 overflows, a NaN residual, an overflow in the fd residual
+    (["ode", "--a", "0.0028", "--range", "-1", "1", "--steps", "4"], 3),
+    (["ode", "--a", "0.004", "--range", "-1", "1", "--steps", "4"], 3),
+    (["ode", "--r0", "1e160", "--r0p", "0", "--range", "0", "1",
+      "--steps", "4"], 3),
+    # ode: h^2 underflows to 0, too few nodes for the end stencils
+    (["ode", "--r0", "1", "--r0p", "0", "--range", "0", "1e-200",
+      "--steps", "4"], 3),
+    (["ode", "--r0", "1", "--r0p", "0", "--steps", "2"], 2),
+    (["classify", "--f", "u", "--g", "v", "--tol", "nan"], 2),
 ])
 def test_bad_input_exits_without_traceback(argv, code):
     proc = run_python("-m", "monge4.cli", *argv)
@@ -368,6 +389,17 @@ def test_import_does_not_load_numpy():
                             "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_declares_no_runtime_dependency():
+    # a line-level read of the [project] table: tomllib is 3.11+
+    lines = (SRC.parent / "pyproject.toml").read_text().splitlines()
+    start = lines.index("[project]") + 1
+    end = next((k for k in range(start, len(lines))
+                if lines[k].startswith("[")), len(lines))
+    deps = [line.partition("=")[2].strip() for line in lines[start:end]
+            if line.partition("=")[0].strip() == "dependencies"]
+    assert deps == ["[]"]
 
 
 def test_verify_fails_under_optimize_when_witness_is_wrong():
@@ -428,3 +460,29 @@ def test_fuzz_cli_contract(f, g, u, v, width):
         doc = json.loads(out)
         assert _all_finite(doc[name][key] for name in PREDICATES
                            for key in ("max_residual", "normalized_residual"))
+
+
+def _assert_ode_table(code, out):
+    if code == 0:
+        for row in csv.DictReader(out.splitlines()):
+            assert _all_finite(row.values()), row
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_float, any_float, st.sampled_from(["1", "-1"]),
+       any_float, any_float, any_float, any_float, st.integers(-1, 12))
+@example(0.0028, 0.0, "1", 1.0, 0.0, -1.0, 1.0, 4)
+@example(0.004, 0.0, "1", 1e160, 0.0, 0.0, 1.0, 4)
+@example(1.0, 0.0, "1", 0.0, 0.0, 0.0, 1e300, 4)
+def test_fuzz_ode_contract(a, b, sigma, r0, r0p, lo, hi, steps):
+    # both ode modes: exit codes 0-4 only, no traceback, and a table
+    # that is printed holds finite numbers only
+    span = ["--range", repr(lo), repr(hi), "--steps", str(steps)]
+    code, out = _main("ode", f"--a={a!r}", f"--b={b!r}", "--sigma", sigma,
+                      *span)
+    _assert_ode_table(code, out)
+    code, out = _main("ode", f"--r0={r0!r}", f"--r0p={r0p!r}", *span)
+    _assert_ode_table(code, out)

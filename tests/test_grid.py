@@ -173,6 +173,16 @@ def test_bad_sample_flags_neighborhood():
     assert len(res.rows) == 25
 
 
+def test_invariant_overflow_is_a_domain_error_not_a_bad_sample():
+    # every sample is finite, but the stencil's slopes overflow the forms
+    records = [(u, v, 0.0, 0.0) for u in range(3) for v in range(3)]
+    records[0] = (0, 0, 1e308, 0.0)
+    records[1] = (0, 1, -1e308, 0.0)
+    res = evaluate_discrete(ingest_samples(records))
+    assert res.rows[4].flag == "domain-error: invariants overflowed"
+    assert all(r.flag == "boundary" for k, r in enumerate(res.rows) if k != 4)
+
+
 def test_csv_round_trip(tmp_path):
     patch = make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2")
     dp = sample_values(patch, GridSpec(-1.0, 1.0, -1.0, 1.0, 6, 7))

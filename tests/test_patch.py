@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from monge4 import jet
 from monge4.expr import ExprError
-from monge4.patch import (eval_patch, make_aminov, make_explicit, make_gradient,
+from monge4.patch import (FAMILIES, FIELDS, eval_patch, make_aminov,
+                          make_explicit, make_gradient, make_patch,
                           make_translation, patch_from_json, patch_to_json,
                           profile_at)
 
@@ -136,6 +137,22 @@ def test_json_round_trip():
         assert eval_patch(q, 0.25, 0.5) == eval_patch(p, 0.25, 0.5)
 
 
+def test_make_patch_dispatches_on_family():
+    assert FAMILIES == ("explicit", "translation", "aminov", "gradient")
+    for p in _patch_pool() + [make_gradient("v", "-u")]:
+        exprs = dict(p.exprs)
+        assert set(exprs) == set(FIELDS[p.family])
+        q = make_patch(p.family, exprs, p.domain)
+        assert (q.family, q.exprs, q.domain) == (p.family, p.exprs, p.domain)
+        assert eval_patch(q, 0.25, 0.5) == eval_patch(p, 0.25, 0.5)
+    q = make_patch("aminov", {"r": "u+2"}, (0.0, 1.0, None, None))
+    assert q.domain == (0.0, 1.0, None, None)
+    with pytest.raises(ValueError, match="u-range"):
+        make_patch("aminov", {"r": "u"})
+    with pytest.raises(KeyError):
+        make_patch("explicit", {"f": "u"})
+
+
 def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         patch_from_json("not json")
@@ -143,6 +160,17 @@ def test_json_rejects_garbage():
         patch_from_json('{"family": "mystery", "exprs": {}, "domain": null}')
     with pytest.raises(ValueError):
         patch_from_json('{"family": "explicit", "exprs": {"f": "0"}, "domain": null}')
+    # wrong types in a well-formed document are ValueErrors too, not TypeErrors
+    for doc in ('{"family": "explicit", "exprs": {"f": 3, "g": "v"}}',
+                '{"family": "explicit", "exprs": {"f": "u", "g": "v"}, "domain": 5}',
+                '{"family": "explicit", "exprs": {"f": "u", "g": "v"}, '
+                '"domain": ["a", 1, null, null]}',
+                '{"family": "aminov", "exprs": {"r": "u"}, '
+                '"domain": [0, null, null, null]}',
+                '{"family": "aminov", "exprs": {"r": "u+2"}, '
+                '"domain": [0, 1, null, 2]}'):
+        with pytest.raises(ValueError):
+            patch_from_json(doc)
 
 
 def _fd_check(p, u, v, h=1e-4, tol=1e-6):
