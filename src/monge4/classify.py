@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from . import jet
 from .expr import Profile, compile_profile
 from .forms import SecondForm
-from .invariants import InvariantSet, _check, point_data, require_finite
-from .patch import MongePatch, eval_patch, make_translation, profile_at
+from .invariants import (InvariantSet, _check, _larger, mean_frame,
+                         point_kernel, require_finite)
+from .patch import MongePatch, jet_floats, make_translation, profile_at
 
 MINIMAL_TOL = 1e-8
 RANK_TOL = 1e-8
@@ -38,14 +39,10 @@ def _combine(s1: float, h1: tuple, s2: float, h2: tuple) -> tuple:
             s1 * h1[2] + s2 * h2[2])
 
 
-def _mean_components(sf: SecondForm):
-    return 0.5 * (sf.h1[0] + sf.h1[2]), 0.5 * (sf.h2[0] + sf.h2[2])
-
-
 def chen_residual(sf: SecondForm) -> float:
     """Allied-vector obstruction; zero by convention at minimal points."""
     h1, h2 = sf.h1, sf.h2
-    H1, H2 = _mean_components(sf)
+    H1, H2 = mean_frame(h1, h2)
     hnorm = math.hypot(H1, H2)
     if hnorm < MINIMAL_TOL:
         return 0.0
@@ -87,12 +84,12 @@ def k_plus_kn_residual(r: jet.Jet1) -> float:
 
 def pseudo_umbilical_residual(sf: SecondForm) -> float:
     """Deviation of the shape operator along H from a multiple of I."""
-    H1, H2 = _mean_components(sf)
+    H1, H2 = mean_frame(sf.h1, sf.h2)
     if math.hypot(H1, H2) < MINIMAL_TOL:
         return 0.0
     a, b, c = _combine(H1, sf.h1, H2, sf.h2)
     norm = math.sqrt(a * a + 2.0 * b * b + c * c)  # Frobenius norm of A_H
-    return max(abs(b), abs(a - c)) / (1.0 + norm)
+    return _larger(abs(b), abs(a - c)) / (1.0 + norm)
 
 
 def first_normal_rank(sf: SecondForm) -> int:
@@ -271,22 +268,18 @@ class ClassificationReport:
     aminov_channels: dict | None = None
 
 
-def _point_residuals(pd) -> tuple:
-    """Normalizing scale and predicate residuals at one point."""
-    inv = pd.inv
+def _point_residuals(sf: SecondForm, inv: InvariantSet) -> tuple:
+    """Normalizing scale and the predicate residuals, in PREDICATES order,
+    at one point."""
+    K, KN = abs(inv.K), abs(inv.KN)
     try:
-        scale = 1.0 + max(abs(inv.K), abs(inv.KN), inv.Hnorm ** 2)
-        residuals = {
-            "minimal": inv.Hnorm,
-            "chen": abs(chen_residual(pd.second)),
-            "wintgen_ideal": abs(wintgen_deficit(inv)),
-            "pseudo_umbilical": pseudo_umbilical_residual(pd.second),
-            "flat": max(abs(inv.K), abs(inv.KN)),
-            "k_plus_kn_zero": abs(inv.K + inv.KN),
-        }
+        scale = 1.0 + _larger(_larger(K, KN), inv.Hnorm ** 2)
+        residuals = (inv.Hnorm, abs(chen_residual(sf)),
+                     abs(wintgen_deficit(inv)), pseudo_umbilical_residual(sf),
+                     _larger(K, KN), abs(inv.K + inv.KN))
     except OverflowError:
         raise jet.DomainError("predicate residuals overflowed") from None
-    require_finite("predicate residuals", (scale, *residuals.values()))
+    require_finite("predicate residuals", (scale, *residuals))
     return scale, residuals
 
 
@@ -299,8 +292,8 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    raw = dict.fromkeys(PREDICATES, 0.0)
-    normalized = dict.fromkeys(PREDICATES, 0.0)
+    raw = [0.0] * len(PREDICATES)
+    normalized = [0.0] * len(PREDICATES)
     failed = 0
     rank = 0
     minimal_everywhere = True
@@ -311,19 +304,23 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
 
     for *_, u, v in grid_spec.points():
         try:
-            pd = point_data(eval_patch(patch, u, v))
-            scale, residuals = _point_residuals(pd)
+            _, _, sf, inv = point_kernel(*jet_floats(patch, u, v))
+            scale, residuals = _point_residuals(sf, inv)
         except jet.DomainError:
             failed += 1
             continue
-        for name, value in residuals.items():
-            raw[name] = max(raw[name], value)
-            normalized[name] = max(normalized[name], value / scale)
-        rank = max(rank, first_normal_rank(pd.second))
-        if residuals["minimal"] / scale >= tol:
+        for k, value in enumerate(residuals):
+            if value > raw[k]:
+                raw[k] = value
+            if value / scale > normalized[k]:
+                normalized[k] = value / scale
+        if residuals[0] / scale >= tol:
             minimal_everywhere = False
-        if residuals["pseudo_umbilical"] / scale >= tol:
+        if residuals[3] / scale >= tol:
             pseudo_everywhere = False
+        # the rank only rises, and 2 is its largest value
+        if rank < 2:
+            rank = max(rank, first_normal_rank(sf))
         # the profile depends on u alone: one evaluation per grid row
         if patch.family == "aminov" and u not in profile_us:
             profile_us.add(u)
@@ -332,12 +329,12 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
             aminov_wintgen = max(aminov_wintgen, abs(aminov_wintgen_residual(r)))
 
     predicates = {}
-    for name in PREDICATES:
+    for k, name in enumerate(PREDICATES):
         if failed > 0:
             verdict = "indeterminate"
         else:
-            verdict = "holds" if normalized[name] < tol else "fails"
-        predicates[name] = PredicateResult(raw[name], normalized[name], verdict)
+            verdict = "holds" if normalized[k] < tol else "fails"
+        predicates[name] = PredicateResult(raw[k], normalized[k], verdict)
 
     qualifier = None
     if predicates["chen"].verdict == "holds":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import jet
@@ -89,8 +90,23 @@ def _add_output_flags(p, default_format):
                    help="output format (default: %(default)s)")
 
 
+# a negative decimal, exponent form included; argparse's own pattern
+# (-1, -0.5) would take -1e-05 for an option
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number as a value, so
+    `--u0 -1e-05` and `--range -1e-05 1` parse.  Its subparsers are of
+    this class too (add_subparsers' default parser_class)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monge4",
         description="Curvature invariants and classification predicates "
                     "for two-height-channel graph surfaces.")
@@ -186,18 +202,20 @@ def _build_patch(args):
             raise ValueError("--patch cannot be combined with expression "
                              "flags")
         with open(args.patch) as fh:
-            return patch_from_json(fh.read())
-    if len(given) != 1:
-        raise ValueError("give exactly one surface source: --f/--g, "
-                         "--f3/--g3/--f4/--g4, --r, --p/--q or --patch")
-    family = given[0]
-    exprs = {name: getattr(args, name) for name in FIELDS[family]}
-    if None in exprs.values():
-        *head, last = [f"--{name}" for name in SURFACE_HELP if name in exprs]
-        names = f"{', '.join(head)} and {last}" if head else last
-        raise ValueError(f"family {family} needs {names}")
-    domain = (args.u0, args.u1, None, None) if family == "aminov" else None
-    patch = make_patch(family, exprs, domain)
+            patch = patch_from_json(fh.read())
+    else:
+        if len(given) != 1:
+            raise ValueError("give exactly one surface source: --f/--g, "
+                             "--f3/--g3/--f4/--g4, --r, --p/--q or --patch")
+        family = given[0]
+        exprs = {name: getattr(args, name) for name in FIELDS[family]}
+        if None in exprs.values():
+            *head, last = [f"--{name}" for name in SURFACE_HELP
+                           if name in exprs]
+            names = f"{', '.join(head)} and {last}" if head else last
+            raise ValueError(f"family {family} needs {names}")
+        domain = (args.u0, args.u1, None, None) if family == "aminov" else None
+        patch = make_patch(family, exprs, domain)
     if patch.gradient_warning:
         print(f"warning: {patch.gradient_warning}", file=sys.stderr)
     return patch

@@ -11,17 +11,22 @@ Grammar (EBNF):
 means -(u^2) and "2^3^2" means 2^(3^2).  Implicit multiplication is not
 supported.  The constants pi and e resolve at parse time.
 
-compile_jet turns an AST into a tree of closures env -> Jet2, once per
-patch or profile; evaluating at a point then walks no AST and seeds no
-constant.
+JetCode turns ASTs into straight-line Python source, once per patch or
+profile: forward-mode differentiation by source transformation (Griewank
+and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 6 and 13).
+Each AST node becomes six local float expressions, the jet rules of
+jet.Jet2 written out operation for operation, so a generated function
+returns the same floats as Jet2 arithmetic, bit for bit, and raises the
+same DomainError with the same message and position.  Evaluating at a
+point then walks no AST and builds no jet.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import jet
 
@@ -293,70 +298,293 @@ def pretty(node, context: int = 0) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _attach(err: jet.DomainError, position: int):
-    if err.position is None:
+_ZEROS = ("0.0",) * 5
+
+
+def _literal(x: float) -> str:
+    """Source text of a float: its repr, or a name of the kernel namespace."""
+    if math.isfinite(x):
+        text = repr(x)
+    elif math.isnan(x):
+        return "_nan"
+    else:
+        text = "_inf" if x > 0.0 else "-_inf"
+    return f"({text})" if text.startswith("-") else text
+
+
+def _times(*factors: str) -> str:
+    """A left-to-right product; a factor 1.0 is dropped, since x * 1.0 is x
+    for every float, NaN, infinity and signed zero included."""
+    kept = [x for x in factors if x != "1.0"]
+    return " * ".join(kept) if kept else "1.0"
+
+
+def _sum(*terms) -> str:
+    """A left-to-right sum of products (_times)."""
+    return " + ".join(_times(*factors) for factors in terms)
+
+
+def _int_literal(n: int) -> str:
+    return f"({n!r})" if n < 0 else repr(n)
+
+
+def _constant(node):
+    """The value of a number, or of minus signs applied to one, else None.
+
+    Such an exponent is a constant jet at every point, so jet_pow would
+    take its constant branch; the branch is chosen here instead.
+    """
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Neg):
+        value = _constant(node.child)
+        return None if value is None else -value
+    return None
+
+
+def _jet_pow(*c):
+    """jet.jet_pow of two jets given as twelve floats: a variable exponent."""
+    return jet.jet_pow(jet.Jet2._make(c[:6]), jet.Jet2._make(c[6:]))
+
+
+def _site_error(sites, err, k, x):
+    """The exception that raising statement k of a kernel raises for err,
+    a failure of its call at x; shown without err as its context.
+
+    The generated source names a statement by its index alone; the
+    function name and the position are read from `sites`.
+    """
+    name, position = sites[k]
+    if name is not None and not isinstance(err, jet.DomainError):
+        err = jet.unary_error(name, x, err)
+    if isinstance(err, jet.DomainError) and err.position is None:
         err.position = position
+    err.__suppress_context__ = True
     return err
 
 
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "div": operator.truediv, "pow": jet.jet_pow}
+def _unbound_error(variables, k):
+    name, position = variables[k]
+    return ExprError(f"unbound variable {name!r}", position)
+
+
+# The globals of every kernel, besides _fail and _unbound, which each
+# kernel binds to its own tables.  Generated source uses only these names
+# and its own identifiers (_t<N> for floats, _f<N> for functions and _e
+# for a caught exception), and only repr(float) and int constants: no
+# string, no None, no text of the user's expressions.  A message that
+# quotes user text reads it from the tables behind _fail and _unbound.
+_KERNEL_GLOBALS = {
+    "__builtins__": {}, "_float": float, "_errors": (ArithmeticError, ValueError),
+    "_inf": math.inf, "_nan": math.nan, "_reciprocal": jet.reciprocal,
+    "_int_power": jet.int_power, "_real_power": jet.real_power,
+    "_jet_pow": _jet_pow, **{"_" + fn: f for fn, f in jet._UNARY.items()}}
+KERNEL_NAMES = frozenset(_KERNEL_GLOBALS) - {"__builtins__"} | {"_fail", "_unbound"}
+GENERATED_NAME = re.compile(r"_[tf]\d+|_e")
+
+
+class JetCode:
+    """Straight-line source for the jets of expressions, one node at a time.
+
+    A jet is six operands, each a generated local or a float literal.
+    Calls to jet's coefficient functions (the _UNARY table, reciprocal,
+    int_power, real_power and, for a variable exponent, jet_pow) are
+    the only statements that can raise; each converts its error as
+    apply_unary does and attaches the node's position to a DomainError.
+    build() compiles the functions defined so far with a single
+    compile().
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.sites = []  # (unary function name or None, position) per call
+        self.unbound = []  # (name, position) of each unbound variable
+        self.count = 0
+        self.functions = 0
+
+    def _local(self) -> str:
+        self.count += 1
+        return f"_t{self.count - 1}"
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " + line)
+
+    def let(self, expression: str) -> str:
+        name = self._local()
+        self.emit(f"{name} = {expression}")
+        return name
+
+    def define(self, nparams: int):
+        """Start a function of nparams floats; returns its name and parameters."""
+        name = f"_f{self.functions}"
+        self.functions += 1
+        params = tuple(self._local() for _ in range(nparams))
+        self.lines.append(f"def {name}({', '.join(params)}):")
+        return name, params
+
+    def finish(self, *jets) -> None:
+        """Return the operands of `jets` from the function being defined."""
+        self.emit(f"return ({', '.join(x for j in jets for x in j)},)")
+
+    def apply(self, function: str, args) -> tuple:
+        """Call a generated function that returns one jet."""
+        names = tuple(self._local() for _ in range(6))
+        self.emit(f"{', '.join(names)} = {function}({', '.join(args)})")
+        return names
+
+    def _raising(self, n: int, call: str, x: str, site: tuple) -> tuple:
+        """`n` locals from a call that may raise; site says how to convert."""
+        k = len(self.sites)
+        self.sites.append(site)
+        names = tuple(self._local() for _ in range(n))
+        self.emit("try:")
+        self.emit(f"    {', '.join(names)} = {call}")
+        self.emit("except _errors as _e:")
+        self.emit(f"    raise _fail(_e, {k}, {x})")
+        return names
+
+    def jet(self, node, bound: dict) -> tuple:
+        """Emit the jet of an AST; bound maps variable names to seed jets."""
+        if isinstance(node, Num):
+            return (_literal(float(node.value)),) + _ZEROS
+        if isinstance(node, Var):
+            seed = bound.get(node.name)
+            if seed is None:
+                self.unbound.append((node.name, node.position))
+                self.emit(f"raise _unbound({len(self.unbound) - 1})")
+                return ("0.0",) + _ZEROS  # unreachable
+            return seed
+        if isinstance(node, Neg):
+            return self.neg(self.jet(node.child, bound))
+        if isinstance(node, BinOp):
+            if node.op not in _PREC:
+                raise ValueError(f"unknown binary operation {node.op!r}")
+            a = self.jet(node.left, bound)
+            if node.op == "pow":
+                return self.power(a, node.right, bound, node.position)
+            b = self.jet(node.right, bound)
+            if node.op == "div":
+                return self.div(a, b, node.position)
+            return {"add": self.add, "sub": self.sub, "mul": self.mul}[node.op](a, b)
+        if isinstance(node, Call):
+            return self.call(node.fn, self.jet(node.arg, bound), node.position)
+        raise TypeError(f"not an AST node: {node!r}")
+
+    # the rules of jet.Jet2, operation for operation
+
+    def neg(self, a) -> tuple:
+        return tuple(self.let(f"-{x}") for x in a)
+
+    def add(self, a, b) -> tuple:
+        return tuple(self.let(f"{x} + {y}") for x, y in zip(a, b))
+
+    def sub(self, a, b) -> tuple:
+        return tuple(self.let(f"{x} - {y}") for x, y in zip(a, b))
+
+    def mul(self, a, b) -> tuple:
+        a0, a1, a2, a3, a4, a5 = a
+        b0, b1, b2, b3, b4, b5 = b
+        return tuple(self.let(_sum(*terms)) for terms in (
+            ((a0, b0),),
+            ((a1, b0), (a0, b1)),
+            ((a2, b0), (a0, b2)),
+            ((a3, b0), ("2.0", a1, b1), (a0, b3)),
+            ((a4, b0), (a1, b2), (a2, b1), (a0, b4)),
+            ((a5, b0), ("2.0", a2, b2), (a0, b5)),
+        ))
+
+    def chain(self, a, f0: str, f1: str, f2: str) -> tuple:
+        _, du, dv, duu, duv, dvv = a
+        return (f0,) + tuple(self.let(_sum(*terms)) for terms in (
+            ((f1, du),),
+            ((f1, dv),),
+            ((f2, du, du), (f1, duu)),
+            ((f2, du, dv), (f1, duv)),
+            ((f2, dv, dv), (f1, dvv)),
+        ))
+
+    def div(self, a, b, position) -> tuple:
+        coeffs = self._raising(3, f"_reciprocal({b[0]})", b[0],
+                               (None, position))
+        return self.mul(a, self.chain(b, *coeffs))
+
+    def power(self, a, exponent, bound: dict, position) -> tuple:
+        p = _constant(exponent)
+        if p is None:
+            b = self.jet(exponent, bound)
+            return self._raising(6, f"_jet_pow({', '.join(a + b)})", a[0],
+                                 (None, position))
+        if p.is_integer():
+            call = f"_int_power({a[0]}, {_int_literal(int(p))})"
+        else:
+            call = f"_real_power({a[0]}, {_literal(p)})"
+        return self.chain(a, *self._raising(3, call, a[0], (None, position)))
+
+    def call(self, fn: str, a, position) -> tuple:
+        if fn not in jet.UNARY_NAMES:
+            raise ValueError(f"unknown function {fn!r}")
+        coeffs = self._raising(3, f"_{fn}({a[0]})", a[0], (fn, position))
+        return self.chain(a, *coeffs)
+
+    def source(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+    def build(self) -> dict:
+        """Compile the source once; the functions by name."""
+        namespace = dict(_KERNEL_GLOBALS,
+                         _fail=partial(_site_error, tuple(self.sites)),
+                         _unbound=partial(_unbound_error, tuple(self.unbound)))
+        exec(compile(self.source(), "<monge4 kernel>", "exec"), namespace)
+        return namespace
+
+
+def seeds(u: str, v: str):
+    """Seed jets of the coordinates u and v, given as source operands."""
+    return (u, "1.0") + _ZEROS[:4], (v, "0.0", "1.0") + _ZEROS[:3]
+
+
+def compile_field(code: JetCode, node, variable: str) -> str:
+    """Define a function of one variable's seed jet (six floats) that
+    returns the jet of node; returns the function's name."""
+    name, params = code.define(6)
+    code.finish(code.jet(node, {variable: params}))
+    return name
+
+
+def jet1(field, x: float) -> jet.Jet1:
+    """Value and first two derivatives at x of a compiled field."""
+    r = field(float(x), 1.0, 0.0, 0.0, 0.0, 0.0)
+    return jet.Jet1(r[0], r[1], r[3])
 
 
 def compile_jet(node):
-    """Compile an AST once into a function env -> Jet2, where env maps
-    variable names to seeded jets; calling it walks no AST."""
-    if isinstance(node, Num):
-        const = jet.seed_const(node.value)
-        return lambda env: const
-    if isinstance(node, Var):
-        name, position = node.name, node.position
+    """Compile an AST into a function env -> Jet2, where env maps variable
+    names to seeded jets.  The variables of node that env binds are the
+    parameters of a generated kernel, built once per set of bound names.
+    """
+    names = sorted({var.name for var in _walk_vars(node)})
+    kernels = {}
 
-        def variable(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise ExprError(f"unbound variable {name!r}", position) from None
-        return variable
-    if isinstance(node, Neg):
-        child = compile_jet(node.child)
-        return lambda env: -child(env)
-    if isinstance(node, BinOp):
-        op = _BINARY.get(node.op)
-        if op is None:
-            raise ValueError(f"unknown binary operation {node.op!r}")
-        left, right = compile_jet(node.left), compile_jet(node.right)
-        position = node.position
+    def kernel(bound_names):
+        code = JetCode()
+        fname, params = code.define(6 * len(bound_names))
+        code.finish(code.jet(node, {name: params[6 * k:6 * k + 6]
+                                    for k, name in enumerate(bound_names)}))
+        kernels[bound_names] = fn = code.build()[fname]
+        return fn
 
-        def binary(env):
-            a, b = left(env), right(env)
-            try:
-                return op(a, b)
-            except jet.DomainError as err:
-                raise _attach(err, position)
-        return binary
-    if isinstance(node, Call):
-        fn, arg, position = node.fn, compile_jet(node.arg), node.position
+    kernel(tuple(names))  # unknown operations fail here, not at a call
 
-        def call(env):
-            a = arg(env)
-            try:
-                return jet.apply_unary(fn, a)
-            except jet.DomainError as err:
-                raise _attach(err, position)
-        return call
-    raise TypeError(f"not an AST node: {node!r}")
+    def evaluate(env):
+        bound_names = tuple(name for name in names if name in env)
+        fn = kernels.get(bound_names) or kernel(bound_names)
+        return jet.Jet2._make(fn(*[c for name in bound_names for c in env[name]]))
+    return evaluate
 
 
 def eval_expr(node, env):
-    """Evaluate an AST over Jet2s once; patches keep compile_jet's result."""
+    """Evaluate an AST over Jet2s once; patches keep their compiled kernel."""
     return compile_jet(node)(env)
-
-
-def eval_1d(fn, x: float, var: str = "u") -> jet.Jet1:
-    """Value and first two derivatives at x of a compiled one-variable AST."""
-    r = fn({var: jet.seed_u(x, 0.0)})
-    return jet.Jet1(r.val, r.du, r.duu)
 
 
 @dataclass(frozen=True)
@@ -364,13 +592,15 @@ class Profile:
     """A compiled one-variable expression r(u)."""
 
     text: str
-    fn: object = field(repr=False, compare=False)  # compile_jet of the AST
+    fn: object = field(repr=False, compare=False)  # compile_field of the AST
 
 
 def compile_profile(text: str) -> Profile:
-    return Profile(text, compile_jet(compile_expr(text, variables=("u",))))
+    code = JetCode()
+    name = compile_field(code, compile_expr(text, variables=("u",)), "u")
+    return Profile(text, code.build()[name])
 
 
 def profile_eval(profile: Profile, u: float) -> jet.Jet1:
     """Evaluate r, r' and r'' at u."""
-    return eval_1d(profile.fn, u)
+    return jet1(profile.fn, u)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .jet import _new
 from .patch import PatchJets
 
 
@@ -54,48 +55,64 @@ class SecondForm(NamedTuple):
     h2: tuple
 
 
-def first_form(j: PatchJets) -> FirstForm:
-    fu, fv = j.f.du, j.f.dv
-    gu, gv = j.g.du, j.g.dv
+# Float-level bodies: each formula of this module is written once, in a
+# function of floats and float tuples.  The stage functions below wrap
+# them in records; invariants.point_kernel calls them directly.
+
+def metric(fu: float, fv: float, gu: float, gv: float) -> tuple:
+    """(E, F, G, W2, A, B, C) from the first partials of f and g."""
     E = 1.0 + fu * fu + gu * gu
     F = fu * fv + gu * gv
     G = 1.0 + fv * fv + gv * gv
     A = 1.0 + fu * fu + fv * fv
     B = fu * gu + fv * gv
     C = 1.0 + gu * gu + gv * gv
-    return FirstForm(E, F, G, E * G - F * F, A, B, C)
+    return E, F, G, E * G - F * F, A, B, C
 
 
-def normal_frame(j: PatchJets, ff: FirstForm) -> NormalFrame:
-    fu, fv = j.f.du, j.f.dv
-    gu, gv = j.g.du, j.g.dv
-    A, B, W = ff.A, ff.B, ff.W
-    ra = 1.0 / math.sqrt(A)
-    rwa = 1.0 / (W * math.sqrt(A))
+def frame(fu: float, fv: float, gu: float, gv: float, A: float, B: float,
+          W: float, sqrt_A: float) -> tuple:
+    """(N1, N2) from the first partials, A, B, W and sqrt(A)."""
+    ra = 1.0 / sqrt_A
+    rwa = 1.0 / (W * sqrt_A)
     n1 = (-fu * ra, -fv * ra, ra, 0.0)
     n2 = ((B * fu - A * gu) * rwa, (B * fv - A * gv) * rwa, -B * rwa, A * rwa)
-    return NormalFrame(n1, n2)
+    return n1, n2
 
 
-def _h_from_c(c: tuple, ff: FirstForm) -> tuple:
+def project(n: tuple, fuu: float, fuv: float, fvv: float, guu: float,
+            guv: float, gvv: float) -> tuple:
+    """Coordinate coefficients (c11, c12, c22) = <X_ij, n>."""
+    # X_ij = (0, 0, f_ij, g_ij), so only the last two frame components enter
+    a, b = n[2], n[3]
+    return (fuu * a + guu * b, fuv * a + guv * b, fvv * a + gvv * b)
+
+
+def h_from_c(c: tuple, E: float, F: float, W: float, W2: float) -> tuple:
+    """The coefficients c in the orthonormal tangent frame."""
     c11, c12, c22 = c
-    E, F, W, W2 = ff.E, ff.F, ff.W, ff.W2
     h11 = c11 / E
     h12 = (c12 - (F / E) * c11) / W
     h22 = (E * c22 - 2.0 * F * c12 + (F * F / E) * c11) / W2
     return (h11, h12, h22)
 
 
-def second_form(j: PatchJets, ff: FirstForm, nf: NormalFrame) -> SecondForm:
-    # X_ij = (0, 0, f_ij, g_ij), so only the last two frame components enter
-    def project(n):
-        return (j.f.duu * n[2] + j.g.duu * n[3],
-                j.f.duv * n[2] + j.g.duv * n[3],
-                j.f.dvv * n[2] + j.g.dvv * n[3])
+def first_form(j: PatchJets) -> FirstForm:
+    return _new(FirstForm, metric(j.f.du, j.f.dv, j.g.du, j.g.dv))
 
-    c1 = project(nf.N1)
-    c2 = project(nf.N2)
-    return SecondForm(c1, c2, _h_from_c(c1, ff), _h_from_c(c2, ff))
+
+def normal_frame(j: PatchJets, ff: FirstForm) -> NormalFrame:
+    return _new(NormalFrame, frame(j.f.du, j.f.dv, j.g.du, j.g.dv, ff.A, ff.B,
+                                   ff.W, math.sqrt(ff.A)))
+
+
+def second_form(j: PatchJets, ff: FirstForm, nf: NormalFrame) -> SecondForm:
+    f, g = j
+    c1 = project(nf.N1, f.duu, f.duv, f.dvv, g.duu, g.duv, g.dvv)
+    c2 = project(nf.N2, f.duu, f.duv, f.dvv, g.duu, g.duv, g.dvv)
+    E, F, W, W2 = ff.E, ff.F, ff.W, ff.W2
+    return _new(SecondForm, (c1, c2, h_from_c(c1, E, F, W, W2),
+                             h_from_c(c2, E, F, W, W2)))
 
 
 def rotate_normal_frame(nf: NormalFrame, sf: SecondForm, theta: float):

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from . import jet
 from .classify import chen_residual, wintgen_deficit
-from .invariants import point_data, require_finite
-from .patch import MongePatch, PatchJets, eval_patch
+from .invariants import point_kernel, require_finite
+from .patch import MongePatch, PatchJets, jet_floats
 
 SPACING_RTOL = 1e-9
 
@@ -98,11 +98,11 @@ class GridResult:
     rows: list = field(repr=False)
 
 
-def _row_from_jets(u: float, v: float, jets: PatchJets) -> Row:
-    pd = point_data(jets)
-    ff, inv = pd.first, pd.inv
+def _row(u: float, v: float, floats) -> Row:
+    """The result row of the twelve jet floats at (u, v)."""
+    ff, _, sf, inv = point_kernel(*floats)
     try:
-        chen, wintgen = chen_residual(pd.second), wintgen_deficit(inv)
+        chen, wintgen = chen_residual(sf), wintgen_deficit(inv)
     except OverflowError:
         raise jet.DomainError("predicate residuals overflowed") from None
     require_finite("predicate residuals", (chen, wintgen))
@@ -112,7 +112,7 @@ def _row_from_jets(u: float, v: float, jets: PatchJets) -> Row:
 
 def _sample_point(patch: MongePatch, u: float, v: float) -> Row:
     try:
-        return _row_from_jets(u, v, eval_patch(patch, u, v))
+        return _row(u, v, jet_floats(patch, u, v))
     except jet.DomainError as err:
         return Row(u, v, flag=f"domain-error: {err}")
 
@@ -149,9 +149,8 @@ def sample_values(patch: MongePatch, spec: GridSpec, mode: str = "monge4") -> Di
     f = [[0.0] * spec.nv for _ in range(spec.nu)]
     g = [[0.0] * spec.nv for _ in range(spec.nu)]
     for i, j, u, v in spec.points():
-        jets = eval_patch(patch, u, v)
-        f[i][j] = jets.f.val
-        g[i][j] = jets.g.val
+        floats = jet_floats(patch, u, v)
+        f[i][j], g[i][j] = floats[0], floats[6]
     return DiscretePatch(spec.u0, spec.v0, spec.hu, spec.hv, spec.nu, spec.nv,
                          f, g, mode=mode)
 
@@ -187,7 +186,8 @@ def evaluate_discrete(dp: DiscretePatch) -> GridResult:
             rows.append(Row(u, v, flag="boundary"))
             continue
         try:
-            rows.append(_row_from_jets(u, v, fd_jets(dp, i, j)))
+            f, g = fd_jets(dp, i, j)
+            rows.append(_row(u, v, (*f, *g)))
         except jet.DomainError as err:
             rows.append(Row(u, v, flag=f"domain-error: {err}"))
         except ValueError as err:  # fd_jets: a non-finite sample in the stencil

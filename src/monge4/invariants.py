@@ -18,9 +18,11 @@ import math
 from typing import NamedTuple
 
 from . import jet
-from .expr import eval_1d
-from .forms import FirstForm, NormalFrame, SecondForm, first_form, normal_frame, second_form
-from .patch import MongePatch, PatchJets, eval_patch
+from .expr import jet1
+from .jet import _new
+from .forms import (FirstForm, NormalFrame, SecondForm, frame, h_from_c,
+                    metric, project)
+from .patch import MongePatch, PatchJets, jet_floats
 
 CHECK_TOL = 1e-10
 
@@ -29,9 +31,15 @@ class ConsistencyError(RuntimeError):
     """Two independent computation paths disagreed."""
 
 
+def _larger(a, b):
+    """max(a, b), including its choice of a when the two compare equal or
+    b is NaN, without the cost of the builtin's call."""
+    return b if b > a else a
+
+
 def relative_gap(a: float, b: float) -> float:
     """|a - b| scaled so the gap stays meaningful near zero."""
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+    return abs(a - b) / (1.0 + _larger(abs(a), abs(b)))
 
 
 def _check(name: str, a: float, b: float, tol: float = CHECK_TOL) -> None:
@@ -47,48 +55,76 @@ class InvariantSet(NamedTuple):
     Hnorm: float
 
 
+# Float-level bodies of the invariant formulas, each written once; the
+# stage functions below and point_kernel call them.
+
+def gauss_frame(c1: tuple, c2: tuple, W2: float) -> float:
+    return (c1[0] * c1[2] - c1[1] ** 2 + c2[0] * c2[2] - c2[1] ** 2) / W2
+
+
+def gauss_coord(fuu, fuv, fvv, guu, guv, gvv, A, B, C, W2) -> float:
+    return (C * (fuu * fvv - fuv ** 2)
+            - B * (fuu * gvv + guu * fvv - 2.0 * fuv * guv)
+            + A * (guu * gvv - guv ** 2)) / W2 ** 2
+
+
+def torsion_frame(c1: tuple, c2: tuple, E, F, G, W2) -> float:
+    bracket = (E * (c1[1] * c2[2] - c2[1] * c1[2])
+               - F * (c1[0] * c2[2] - c2[0] * c1[2])
+               + G * (c1[0] * c2[1] - c2[0] * c1[1]))
+    return bracket / W2 ** 1.5
+
+
+def torsion_coord(fuu, fuv, fvv, guu, guv, gvv, E, F, G, W2) -> float:
+    return (E * (fuv * gvv - guv * fvv)
+            - F * (fuu * gvv - guu * fvv)
+            + G * (fuu * guv - guu * fuv)) / W2 ** 2
+
+
+def mean_frame(h1: tuple, h2: tuple) -> tuple:
+    return 0.5 * (h1[0] + h1[2]), 0.5 * (h2[0] + h2[2])
+
+
+def mean_coord(fuu, fuv, fvv, guu, guv, gvv, E, F, G, W2, A, B, W,
+               sqrt_A) -> tuple:
+    coord1 = (G * fuu - 2.0 * F * fuv + E * fvv) / (2.0 * sqrt_A * W2)
+    coord2 = (G * (A * guu - B * fuu)
+              - 2.0 * F * (A * guv - B * fuv)
+              + E * (A * gvv - B * fvv)) / (2.0 * sqrt_A * W2 * W)
+    return coord1, coord2
+
+
 def gauss_curvature(sf: SecondForm, ff: FirstForm, jets: PatchJets | None = None) -> float:
-    c1, c2 = sf.c1, sf.c2
-    frame = (c1[0] * c1[2] - c1[1] ** 2 + c2[0] * c2[2] - c2[1] ** 2) / ff.W2
+    frame = gauss_frame(sf.c1, sf.c2, ff.W2)
     if jets is None:
         return frame
-    f, g = jets.f, jets.g
-    coord = (ff.C * (f.duu * f.dvv - f.duv ** 2)
-             - ff.B * (f.duu * g.dvv + g.duu * f.dvv - 2.0 * f.duv * g.duv)
-             + ff.A * (g.duu * g.dvv - g.duv ** 2)) / ff.W2 ** 2
+    f, g = jets
+    coord = gauss_coord(f.duu, f.duv, f.dvv, g.duu, g.duv, g.dvv,
+                        ff.A, ff.B, ff.C, ff.W2)
     _check("gauss curvature paths", coord, frame)
     return coord
 
 
 def normal_torsion(sf: SecondForm, ff: FirstForm, jets: PatchJets | None = None) -> float:
-    c1, c2 = sf.c1, sf.c2
-    bracket = (ff.E * (c1[1] * c2[2] - c2[1] * c1[2])
-               - ff.F * (c1[0] * c2[2] - c2[0] * c1[2])
-               + ff.G * (c1[0] * c2[1] - c2[0] * c1[1]))
-    frame = bracket / ff.W2 ** 1.5
+    frame = torsion_frame(sf.c1, sf.c2, ff.E, ff.F, ff.G, ff.W2)
     if jets is None:
         return frame
-    f, g = jets.f, jets.g
-    coord = (ff.E * (f.duv * g.dvv - g.duv * f.dvv)
-             - ff.F * (f.duu * g.dvv - g.duu * f.dvv)
-             + ff.G * (f.duu * g.duv - g.duu * f.duv)) / ff.W2 ** 2
+    f, g = jets
+    coord = torsion_coord(f.duu, f.duv, f.dvv, g.duu, g.duv, g.dvv,
+                          ff.E, ff.F, ff.G, ff.W2)
     _check("normal torsion paths", coord, frame)
     return coord
 
 
 def mean_curvature(sf: SecondForm, ff: FirstForm, jets: PatchJets | None = None):
     """Components of the mean-curvature vector along N1, N2 and its norm."""
-    frame1 = 0.5 * (sf.h1[0] + sf.h1[2])
-    frame2 = 0.5 * (sf.h2[0] + sf.h2[2])
+    frame1, frame2 = mean_frame(sf.h1, sf.h2)
     if jets is None:
         return frame1, frame2, math.hypot(frame1, frame2)
-    f, g = jets.f, jets.g
-    ra = math.sqrt(ff.A)
-    w = ff.W
-    coord1 = (ff.G * f.duu - 2.0 * ff.F * f.duv + ff.E * f.dvv) / (2.0 * ra * ff.W2)
-    coord2 = (ff.G * (ff.A * g.duu - ff.B * f.duu)
-              - 2.0 * ff.F * (ff.A * g.duv - ff.B * f.duv)
-              + ff.E * (ff.A * g.dvv - ff.B * f.dvv)) / (2.0 * ra * ff.W2 * w)
+    f, g = jets
+    coord1, coord2 = mean_coord(f.duu, f.duv, f.dvv, g.duu, g.duv, g.dvv,
+                                ff.E, ff.F, ff.G, ff.W2, ff.A, ff.B, ff.W,
+                                math.sqrt(ff.A))
     _check("mean curvature H1 paths", coord1, frame1)
     _check("mean curvature H2 paths", coord2, frame2)
     return coord1, coord2, math.hypot(coord1, coord2)
@@ -114,33 +150,63 @@ def require_finite(what: str, values: tuple) -> None:
         raise jet.DomainError(f"non-finite {what}")
 
 
-def point_data(jets: PatchJets) -> PointData:
-    """Forms and invariants at one point.
+def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
+    """(FirstForm, NormalFrame, SecondForm, InvariantSet) from the twelve
+    jet floats: the one per-node body behind point_data, invariants_at,
+    the grids and classify_surface.
 
+    It runs the stage formulas above in the order of first_form,
+    normal_frame, second_form, gauss_curvature, normal_torsion and
+    mean_curvature with their checks, taking W and sqrt(A) once.
     Non-finite data, and a metric ruined by rounding, is a DomainError.
     """
-    f, g = jets.f, jets.g
-    require_finite("jets", (f.val, f.du, f.dv, f.duu, f.duv, f.dvv,
-                             g.val, g.du, g.dv, g.duu, g.duv, g.dvv))
+    require_finite("jets", (f0, fu, fv, fuu, fuv, fvv,
+                            g0, gu, gv, guu, guv, gvv))
     try:
-        ff = first_form(jets)
+        ff = metric(fu, fv, gu, gv)
+        E, F, G, W2, A, B, C = ff
         # EG - F^2 >= 1 holds exactly; below 1, cancellation between
         # products of huge slopes has destroyed it (and W may be 0)
-        if ff.W2 < 1.0:
-            raise jet.DomainError(f"metric lost to rounding: W^2 = {ff.W2!r}")
-        nf = normal_frame(jets, ff)
-        sf = second_form(jets, ff, nf)
-        K = gauss_curvature(sf, ff, jets)
-        KN = normal_torsion(sf, ff, jets)
-        H1, H2, Hnorm = mean_curvature(sf, ff, jets)
+        if W2 < 1.0:
+            raise jet.DomainError(f"metric lost to rounding: W^2 = {W2!r}")
+        W = math.sqrt(W2)
+        sqrt_A = math.sqrt(A)
+        n1, n2 = frame(fu, fv, gu, gv, A, B, W, sqrt_A)
+        c1 = project(n1, fuu, fuv, fvv, guu, guv, gvv)
+        c2 = project(n2, fuu, fuv, fvv, guu, guv, gvv)
+        h1 = h_from_c(c1, E, F, W, W2)
+        h2 = h_from_c(c2, E, F, W, W2)
+        K_frame = gauss_frame(c1, c2, W2)
+        K = gauss_coord(fuu, fuv, fvv, guu, guv, gvv, A, B, C, W2)
+        _check("gauss curvature paths", K, K_frame)
+        KN_frame = torsion_frame(c1, c2, E, F, G, W2)
+        KN = torsion_coord(fuu, fuv, fvv, guu, guv, gvv, E, F, G, W2)
+        _check("normal torsion paths", KN, KN_frame)
+        H1_frame, H2_frame = mean_frame(h1, h2)
+        H1, H2 = mean_coord(fuu, fuv, fvv, guu, guv, gvv, E, F, G, W2, A, B,
+                            W, sqrt_A)
+        _check("mean curvature H1 paths", H1, H1_frame)
+        _check("mean curvature H2 paths", H2, H2_frame)
+        Hnorm = math.hypot(H1, H2)
     except OverflowError:
         raise jet.DomainError("invariants overflowed") from None
     require_finite("invariants", (K, KN, H1, H2, Hnorm))
-    return PointData(jets, ff, nf, sf, InvariantSet(K, KN, H1, H2, Hnorm))
+    return (_new(FirstForm, ff), _new(NormalFrame, (n1, n2)),
+            _new(SecondForm, (c1, c2, h1, h2)),
+            _new(InvariantSet, (K, KN, H1, H2, Hnorm)))
+
+
+def point_data(jets: PatchJets) -> PointData:
+    """Forms and invariants at one point (point_kernel).
+
+    Non-finite data, and a metric ruined by rounding, is a DomainError.
+    """
+    f, g = jets
+    return _new(PointData, (jets, *point_kernel(*f, *g)))
 
 
 def invariants_at(patch: MongePatch, u: float, v: float) -> InvariantSet:
-    return point_data(eval_patch(patch, u, v)).inv
+    return point_kernel(*jet_floats(patch, u, v))[3]
 
 
 class AminovClosedForms(NamedTuple):
@@ -193,9 +259,9 @@ def translation_closed_forms(patch: MongePatch, u: float, v: float):
     """K, K_N, H1, H2 of f = f3(u)+g3(v), g = f4(u)+g4(v) from the profiles."""
     if patch.family != "translation":
         raise ValueError("not a translation patch")
-    fns = patch.fns
-    f3, f4 = eval_1d(fns["f3"], u), eval_1d(fns["f4"], u)
-    g3, g4 = eval_1d(fns["g3"], v, "v"), eval_1d(fns["g4"], v, "v")
+    fields = patch.kernel.fields
+    f3, f4 = jet1(fields["f3"], u), jet1(fields["f4"], u)
+    g3, g4 = jet1(fields["g3"], v), jet1(fields["g4"], v)
 
     try:
         E = 1.0 + f3.d1 ** 2 + f4.d1 ** 2
@@ -222,6 +288,7 @@ def translation_closed_forms(patch: MongePatch, u: float, v: float):
 __all__ = [
     "AminovClosedForms", "CHECK_TOL", "ConsistencyError", "InvariantSet",
     "PointData", "aminov_closed_forms", "gauss_curvature", "invariants_at",
-    "mean_curvature", "normal_torsion", "point_data", "relative_gap",
+    "mean_curvature", "normal_torsion", "point_data", "point_kernel",
+    "relative_gap",
     "require_finite", "translation_closed_forms",
 ]

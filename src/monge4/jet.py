@@ -5,9 +5,13 @@ partial derivatives of the patch functions.  A jet carries those derivatives
 through arithmetic and elementary functions by the chain rule, so the exact
 pipeline involves no numerical differentiation at all.
 
-Jet2 is the only jet arithmetic.  Its second-order rules do not depend on
-the number of variables, so a one-variable profile r(u) is a Jet2 seeded in
-u; Jet1 is the record (r, r', r'') read back from it.
+Jet2 arithmetic defines the jet rules.  Its second-order rules do not
+depend on the number of variables, so a one-variable profile r(u) is a
+Jet2 seeded in u; Jet1 is the record (r, r', r'') read back from it.
+Patches and profiles do not build Jet2s while they evaluate: expr.JetCode
+writes the same rules out as straight-line float code, and calls the
+coefficient functions below (the _UNARY table, reciprocal, int_power and
+real_power) for every derivative and domain guard.
 
 Jets are tuple-backed records (typing.NamedTuple): immutable, cheap to
 build, and compared and hashed as the plain tuple of their components.
@@ -123,12 +127,16 @@ def _lift2(x):
     raise TypeError(f"cannot mix Jet2 with {type(x).__name__}")
 
 
-def _reciprocal(a):
-    x = a.val
+def reciprocal(x: float):
+    """Value, first and second derivative of 1/x at x."""
     if x == 0.0:
         raise DomainError("division by zero")
     inv = 1.0 / x
-    return a.chain(inv, -inv * inv, 2.0 * inv * inv * inv)
+    return inv, -inv * inv, 2.0 * inv * inv * inv
+
+
+def _reciprocal(a):
+    return a.chain(*reciprocal(a.val))
 
 
 def seed_u(u0: float, v0: float) -> Jet2:
@@ -210,12 +218,23 @@ _UNARY = {
 UNARY_NAMES = frozenset(_UNARY)
 
 
+def unary_error(fn: str, x: float, err: Exception) -> DomainError:
+    """The DomainError for an elementary function that raised err at x.
+
+    err is the ArithmeticError (OverflowError, ZeroDivisionError) or
+    ValueError of a value or derivative that left the floats, such as
+    exp(710) or the second derivative of log at 1e-200, or of a function
+    undefined at its argument, such as sin(inf).
+    """
+    if isinstance(err, ArithmeticError):
+        return DomainError(f"{fn} overflowed at {x!r}")
+    return DomainError(f"{fn} is undefined at {x!r}")
+
+
 def apply_unary(fn: str, a):
     """Apply a named elementary function to a Jet2 by the chain rule.
 
-    A value or derivative that leaves the floats, such as exp(710) or the
-    second derivative of log at 1e-200, and a function undefined at its
-    argument, such as sin(inf), raise DomainError.
+    A failure of the function at a.val is a DomainError (unary_error).
     """
     try:
         table = _UNARY[fn]
@@ -225,37 +244,59 @@ def apply_unary(fn: str, a):
         f0, f1, f2 = table(a.val)
     except DomainError:
         raise
-    except ArithmeticError:  # OverflowError, ZeroDivisionError
-        raise DomainError(f"{fn} overflowed at {a.val!r}") from None
-    except ValueError:
-        raise DomainError(f"{fn} is undefined at {a.val!r}") from None
+    except (ArithmeticError, ValueError) as err:
+        raise unary_error(fn, a.val, err) from None
     return a.chain(f0, f1, f2)
+
+
+def int_power(x: float, n: int):
+    """Value, first and second derivative of x^n at x, for an integer n.
+
+    The exact power rule, valid for negative bases; an overflow is a
+    DomainError.
+    """
+    if n == 0:
+        return 1.0, 0.0, 0.0
+    if n < 0 and x == 0.0:
+        raise DomainError("zero base with a negative exponent")
+    try:
+        f0 = x ** n
+        f1 = n * x ** (n - 1)
+        coef2 = n * (n - 1)
+        f2 = coef2 * x ** (n - 2) if coef2 != 0 else 0.0
+    except OverflowError:
+        raise _power_overflow(x) from None
+    return f0, f1, f2
+
+
+def real_power(x: float, p: float):
+    """Value, first and second derivative of x^p at x, for a real p.
+
+    Requires a positive base; an overflow is a DomainError.
+    """
+    if x <= 0.0:
+        raise DomainError(f"x^{p!r} requires a positive base, got {x!r}")
+    try:
+        f0 = x ** p
+        f1 = p * x ** (p - 1.0)
+        f2 = p * (p - 1.0) * x ** (p - 2.0)
+    except OverflowError:
+        raise _power_overflow(x) from None
+    return f0, f1, f2
+
+
+def _power_overflow(x: float) -> DomainError:
+    return DomainError(f"power overflowed at base {x!r}")
 
 
 def pow_int(a, n: int):
-    """Integer power by the exact power rule; valid for negative bases."""
-    n = int(n)
-    if n == 0:
-        return a.chain(1.0, 0.0, 0.0)
-    x = a.val
-    if n < 0 and x == 0.0:
-        raise DomainError("zero base with a negative exponent")
-    f0 = x ** n
-    f1 = n * x ** (n - 1)
-    coef2 = n * (n - 1)
-    f2 = coef2 * x ** (n - 2) if coef2 != 0 else 0.0
-    return a.chain(f0, f1, f2)
+    """Integer power of a Jet2 by int_power."""
+    return a.chain(*int_power(a.val, int(n)))
 
 
 def pow_real(a, p: float):
-    """Real power by the power rule; requires a positive base."""
-    x = a.val
-    if x <= 0.0:
-        raise DomainError(f"x^{p!r} requires a positive base, got {x!r}")
-    f0 = x ** p
-    f1 = p * x ** (p - 1.0)
-    f2 = p * (p - 1.0) * x ** (p - 2.0)
-    return a.chain(f0, f1, f2)
+    """Real power of a Jet2 by real_power; requires a positive base."""
+    return a.chain(*real_power(a.val, p))
 
 
 def jet_pow(a, b):
@@ -277,7 +318,7 @@ def jet_pow(a, b):
         try:
             if float(b).is_integer():
                 return pow_int(a, int(b))
-            return pow_real(a, float(b))
-        except OverflowError:
-            raise DomainError(f"power overflowed at base {a.val!r}") from None
+        except OverflowError:  # float(b) of an int beyond the floats
+            raise _power_overflow(a.val) from None
+        return pow_real(a, float(b))
     raise TypeError(f"unsupported exponent type {type(b).__name__}")

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import jet
-from .expr import compile_expr, compile_jet, eval_1d
+from .expr import JetCode, compile_expr, compile_field, jet1, seeds
+from .jet import Jet2, _new
 
 # the expression fields of each family, in its constructor's argument order
 FIELDS = {"explicit": ("f", "g"), "translation": ("f3", "f4", "g3", "g4"),
@@ -31,8 +32,50 @@ DEFAULT_SAMPLE_BOX = (-1.0, 1.0, -1.0, 1.0)
 class PatchJets(NamedTuple):
     """Second-order jets of the two graph functions at one point."""
 
-    f: jet.Jet2
-    g: jet.Jet2
+    f: Jet2
+    g: Jet2
+
+
+class PatchKernel(NamedTuple):
+    """A patch's generated code, compiled once when the patch is made.
+
+    jets maps (u, v) to the twelve floats of the f and g jets.  fields
+    maps each one-variable expression of an aminov or translation patch
+    to its function of a seed jet (six floats), which jets calls too.
+    source is the generated Python text (see expr.KERNEL_NAMES).
+    """
+
+    jets: Callable
+    fields: dict
+    source: str
+
+
+def _compile(family: str, asts: dict) -> PatchKernel:
+    """One function (u, v) -> 12 floats for the family's composition."""
+    code = JetCode()
+    fields = {}
+    if family in ("aminov", "translation"):
+        for name, ast in asts.items():
+            variable = "v" if name in ("g3", "g4") else "u"
+            fields[name] = compile_field(code, ast, variable)
+    fname, (u, v) = code.define(2)
+    code.emit(f"{u} = _float({u})")
+    code.emit(f"{v} = _float({v})")
+    U, V = seeds(u, v)
+    if family == "aminov":
+        r = code.apply(fields["r"], U)
+        f = code.mul(r, code.call("cos", V, None))
+        g = code.mul(r, code.call("sin", V, None))
+    elif family == "translation":
+        f = code.add(code.apply(fields["f3"], U), code.apply(fields["g3"], V))
+        g = code.add(code.apply(fields["f4"], U), code.apply(fields["g4"], V))
+    else:
+        f, g = (code.jet(ast, {"u": U, "v": V}) for ast in asts.values())
+    code.finish(f, g)
+    namespace = code.build()
+    return PatchKernel(namespace[fname],
+                       {name: namespace[f] for name, f in fields.items()},
+                       code.source())
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +85,8 @@ class MongePatch:
     domain: tuple | None = None
     integrability_residual: float | None = None
     gradient_warning: str | None = None
-    asts: dict = field(default=None, repr=False, compare=False)
-    # asts compiled once (expr.compile_jet); eval_patch walks no AST
-    fns: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fns", {name: compile_jet(ast)
-                                         for name, ast in (self.asts or {}).items()})
+    # generated and compiled once (_compile); evaluation walks no AST
+    kernel: PatchKernel = field(default=None, repr=False, compare=False)
 
     def in_domain(self, u: float, v: float) -> bool:
         if self.domain is None:
@@ -76,7 +114,7 @@ def _check_domain(domain):
 def make_explicit(f_expr: str, g_expr: str, domain=None) -> MongePatch:
     asts = {"f": compile_expr(f_expr), "g": compile_expr(g_expr)}
     return MongePatch("explicit", {"f": f_expr, "g": g_expr},
-                      _check_domain(domain), asts=asts)
+                      _check_domain(domain), kernel=_compile("explicit", asts))
 
 
 def make_translation(f3: str, f4: str, g3: str, g4: str, domain=None) -> MongePatch:
@@ -87,7 +125,8 @@ def make_translation(f3: str, f4: str, g3: str, g4: str, domain=None) -> MongePa
         "g4": compile_expr(g4, variables=("v",)),
     }
     exprs = {"f3": f3, "f4": f4, "g3": g3, "g4": g4}
-    return MongePatch("translation", exprs, _check_domain(domain), asts=asts)
+    return MongePatch("translation", exprs, _check_domain(domain),
+                      kernel=_compile("translation", asts))
 
 
 def make_aminov(r_expr: str, u_range, v_range=None) -> MongePatch:
@@ -95,19 +134,20 @@ def make_aminov(r_expr: str, u_range, v_range=None) -> MongePatch:
     u0, u1 = u_range
     if not u0 < u1:
         raise ValueError("empty u-range")
+    kernel = _compile("aminov", {"r": ast})
     # probe the profile across the declared range so domain failures
     # (log of a nonpositive value, poles) surface at construction
-    r = compile_jet(ast)
     for k in range(9):
-        eval_1d(r, u0 + (u1 - u0) * k / 8)
+        jet1(kernel.fields["r"], u0 + (u1 - u0) * k / 8)
     v0, v1 = v_range if v_range is not None else (None, None)
     domain = _check_domain((u0, u1, v0, v1))
-    return MongePatch("aminov", {"r": r_expr}, domain, asts={"r": ast})
+    return MongePatch("aminov", {"r": r_expr}, domain, kernel=kernel)
 
 
 def make_gradient(p_expr: str, q_expr: str, domain=None) -> MongePatch:
-    asts = {"p": compile_expr(p_expr), "q": compile_expr(q_expr)}
-    p_fn, q_fn = compile_jet(asts["p"]), compile_jet(asts["q"])
+    # (f, g) = (p, q) in either family, so one kernel serves both
+    kernel = _compile("gradient", {"p": compile_expr(p_expr),
+                                   "q": compile_expr(q_expr)})
     domain = _check_domain(domain)
     box = DEFAULT_SAMPLE_BOX
     if domain is not None:
@@ -120,42 +160,36 @@ def make_gradient(p_expr: str, q_expr: str, domain=None) -> MongePatch:
         u = box[0] + (box[1] - box[0]) * i / (n - 1)
         for j in range(n):
             v = box[2] + (box[3] - box[2]) * j / (n - 1)
-            env = {"u": jet.seed_u(u, v), "v": jet.seed_v(u, v)}
-            p, q = p_fn(env), q_fn(env)
-            residual = max(residual, abs(p.dv - q.du))
+            jets = kernel.jets(u, v)
+            residual = max(residual, abs(jets[2] - jets[7]))  # p_v - q_u
     if residual < INTEG_TOL:
         return MongePatch("gradient", {"p": p_expr, "q": q_expr}, domain,
-                          integrability_residual=residual, asts=asts)
+                          integrability_residual=residual, kernel=kernel)
     warning = (f"integrability residual {residual:.3g} exceeds {INTEG_TOL:.3g}; "
                "treating the pair as an explicit patch")
     return MongePatch("explicit", {"f": p_expr, "g": q_expr}, domain,
                       integrability_residual=residual, gradient_warning=warning,
-                      asts={"f": asts["p"], "g": asts["q"]})
+                      kernel=kernel)
+
+
+def jet_floats(patch: MongePatch, u: float, v: float) -> tuple:
+    """The twelve floats of the f and g jets at (u, v), jets' field order."""
+    if not patch.in_domain(u, v):
+        raise jet.DomainError(f"point ({u}, {v}) outside patch domain")
+    return patch.kernel.jets(u, v)
 
 
 def eval_patch(patch: MongePatch, u: float, v: float) -> PatchJets:
     """Exact second-order jets of (f, g) at (u, v)."""
-    if not patch.in_domain(u, v):
-        raise jet.DomainError(f"point ({u}, {v}) outside patch domain")
-    fns = patch.fns
-    if patch.family == "aminov":
-        r = fns["r"]({"u": jet.seed_u(u, v)})
-        jv = jet.seed_v(u, v)
-        return PatchJets(r * jet.apply_unary("cos", jv),
-                         r * jet.apply_unary("sin", jv))
-    env = {"u": jet.seed_u(u, v), "v": jet.seed_v(u, v)}
-    if patch.family == "translation":
-        return PatchJets(fns["f3"](env) + fns["g3"](env),
-                         fns["f4"](env) + fns["g4"](env))
-    kf, kg = ("p", "q") if patch.family == "gradient" else ("f", "g")
-    return PatchJets(fns[kf](env), fns[kg](env))
+    j = jet_floats(patch, u, v)
+    return _new(PatchJets, (_new(Jet2, j[:6]), _new(Jet2, j[6:])))
 
 
 def profile_at(patch: MongePatch, u: float) -> jet.Jet1:
     """r, r' and r'' of an aminov patch's profile at u."""
     if patch.family != "aminov":
         raise ValueError("not an aminov patch")
-    return eval_1d(patch.fns["r"], u)
+    return jet1(patch.kernel.fields["r"], u)
 
 
 def patch_to_json(patch: MongePatch) -> str:
@@ -208,7 +242,8 @@ def patch_from_json(text: str) -> MongePatch:
 
 
 __all__ = [
-    "FAMILIES", "FIELDS", "MongePatch", "PatchJets", "eval_patch",
+    "FAMILIES", "FIELDS", "MongePatch", "PatchJets", "PatchKernel",
+    "eval_patch", "jet_floats",
     "make_aminov", "make_explicit", "make_gradient", "make_patch",
     "make_translation", "patch_from_json", "patch_to_json", "profile_at",
 ]

@@ -1,11 +1,12 @@
 """Recursive reference interpreter for expression ASTs.
 
-monge4 evaluates an expression through expr.compile_jet, which turns the
-AST into closures once per patch.  This module keeps the tree-walking
-interpreter those closures replaced (isinstance dispatch per node, a
-constant seeded per visit, the binary operator chosen by name) so tests
-can compare the two on random ASTs.  It also holds the random-AST and
-coordinate strategies shared by the CLI fuzz gate and that differential test.
+monge4 evaluates an expression through code that expr.JetCode generates
+once per patch: the jet rules written out as straight-line float
+statements.  This module keeps a tree-walking interpreter over Jet2
+arithmetic (isinstance dispatch per node, a constant seeded per visit,
+the binary operator chosen by name) so tests can compare the two on
+random ASTs.  It also holds the random-AST and coordinate strategies
+shared by the CLI fuzz gate and those differential tests.
 """
 
 from hypothesis import strategies as st
@@ -61,14 +62,17 @@ def reference_eval(node, env):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-random_ast = st.recursive(
-    st.one_of(st.builds(Num, st.floats(0.0, 800.0)),
-              st.sampled_from([Var("u"), Var("v")])),
-    lambda children: st.one_of(
+def random_asts(leaves, max_leaves=8):
+    """Random ASTs over the leaf strategy, with every node kind."""
+    return st.recursive(leaves, lambda children: st.one_of(
         st.builds(Neg, children),
         st.builds(BinOp, st.sampled_from(["add", "sub", "mul", "div", "pow"]),
                   children, children),
         st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children)),
-    max_leaves=8)
+        max_leaves=max_leaves)
+
+
+random_ast = random_asts(st.one_of(st.builds(Num, st.floats(0.0, 800.0)),
+                                   st.sampled_from([Var("u"), Var("v")])))
 random_coord = st.one_of(st.floats(-3.0, 3.0),
                          st.sampled_from([0.0, 1e-200, -1e-300, 700.0]))

@@ -136,6 +136,31 @@ def test_eval_from_patch_file(tmp_path, capsys):
     assert code == 4
 
 
+def test_gradient_warning_from_flags_and_patch_file(tmp_path, capsys):
+    doc = tmp_path / "pair.json"
+    doc.write_text(json.dumps({"family": "gradient",
+                               "exprs": {"p": "u*v", "q": "u+v"}}))
+    warning = ("warning: integrability residual 2 exceeds 1e-08; treating "
+               "the pair as an explicit patch\n")
+    for source in (["--p", "u*v", "--q", "u+v"], ["--patch", str(doc)]):
+        code, out, err = run(capsys, "eval", *source, "-u", "0.6", "-v", "0.2")
+        assert code == 0 and json.loads(out) and err == warning
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["grid", "--f", "u", "--g", "v", "--u0", "-1e-05", "--nu", "2",
+      "--nv", "2"], "-1e-05,-1.0,"),
+    (["grid", "--f", "u", "--g", "v", "--v0", "-3E+2", "--v1", "-1e2",
+      "--nu", "2", "--nv", "2"], "-1.0,-300.0,"),
+    (["ode", "--a", "1", "--range", "-1e-05", "1", "--steps", "4"], "-1e-05,"),
+    (["ode", "--a", "1", "--range", "-1", "-.5e-1", "--steps", "4"], "-1.0,"),
+])
+def test_negative_exponent_form_numbers_are_values(capsys, argv, row):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].startswith(row)
+
+
 def test_grid_writes_csv(tmp_path, capsys):
     out = tmp_path / "table.csv"
     code, stdout, _ = run(capsys, "grid", "--f", "u^2", "--g", "u*v",

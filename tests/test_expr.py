@@ -1,15 +1,19 @@
+import ast as pyast
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monge4 import jet
-from monge4.expr import (BinOp, Call, ExprError, Neg, Num, Var, compile_expr,
+from monge4.expr import (GENERATED_NAME, KERNEL_NAMES, BinOp, Call,
+                         ExprError, JetCode, Neg, Num, Var, compile_expr,
                          compile_jet, compile_profile, eval_expr, parse, pretty,
                          profile_eval, tokenize)
-from monge4.patch import eval_patch, make_explicit
+from monge4.patch import (eval_patch, make_aminov, make_explicit,
+                          make_gradient, make_translation)
 
-from expr_reference import random_ast, random_coord, reference_eval
+from expr_reference import (random_ast, random_asts, random_coord,
+                            reference_eval)
 
 
 def kinds(text):
@@ -140,10 +144,98 @@ def _outcome(evaluate):
 @given(random_ast, random_coord, random_coord)
 def test_compiled_matches_reference_interpreter(ast, u, v):
     # parsing the printed AST gives every node a real source position
-    ast = compile_expr(pretty(ast))
+    text = pretty(ast)
+    ast = compile_expr(text)
     env = _env(u, v)
-    assert (_outcome(lambda: eval_expr(ast, env))
-            == _outcome(lambda: reference_eval(ast, env)))
+    want = _outcome(lambda: reference_eval(ast, env))
+    assert _outcome(lambda: eval_expr(ast, env)) == want
+    # the patch's generated kernel, with a g that cannot fail
+    assert _outcome(lambda: eval_patch(make_explicit(text, "0"), u, v).f) == want
+
+
+_profile_ast = random_asts(st.one_of(st.builds(Num, st.floats(0.0, 800.0)),
+                                    st.just(Var("u"))), max_leaves=6)
+
+
+def _profile_text(ast, variable):
+    return pretty(ast).replace("u", variable)  # no function name holds a u
+
+
+@settings(max_examples=150, deadline=None)
+@given(_profile_ast, _profile_ast, random_coord, random_coord)
+def test_family_compositions_match_jet_arithmetic(a, b, u, v):
+    # the aminov and translation compositions live in the generated body
+    r, s = compile_expr(pretty(a), ("u",)), compile_expr(pretty(b), ("u",))
+
+    def aminov():
+        jr = reference_eval(r, {"u": jet.seed_u(u, v)})
+        jv = jet.seed_v(u, v)
+        return jr * jet.apply_unary("cos", jv), jr * jet.apply_unary("sin", jv)
+
+    def translation():
+        ju, jv = {"u": jet.seed_u(u, v)}, {"u": jet.seed_v(u, v)}
+        return (reference_eval(r, ju) + reference_eval(s, jv),
+                reference_eval(s, ju) + reference_eval(r, jv))
+
+    try:
+        patch = make_aminov(pretty(a), (u - 1.0, u + 1.0))
+    except jet.DomainError:
+        pass  # the construction probe failed; nothing to compare
+    else:
+        assert _outcome(lambda: eval_patch(patch, u, v)) == _outcome(aminov)
+    patch = make_translation(pretty(a), pretty(b), _profile_text(b, "v"),
+                             _profile_text(a, "v"))
+    assert _outcome(lambda: eval_patch(patch, u, v)) == _outcome(translation)
+
+
+# Var names are arbitrary text here: an unbound one must reach its error
+# message from the kernel's tables, never through the generated source
+_hostile_ast = random_asts(st.one_of(
+    st.builds(Num, st.floats()), st.sampled_from([Var("u"), Var("v")]),
+    st.builds(Var, st.text(min_size=1, max_size=12))))
+
+_SOURCE_NODES = (pyast.Module, pyast.FunctionDef, pyast.arguments, pyast.arg,
+                 pyast.Assign, pyast.Return, pyast.Tuple, pyast.Name,
+                 pyast.Load, pyast.Store, pyast.BinOp, pyast.Add, pyast.Sub,
+                 pyast.Mult, pyast.UnaryOp, pyast.USub, pyast.Constant,
+                 pyast.Try, pyast.ExceptHandler, pyast.Raise, pyast.Call)
+
+
+def _check_kernel_source(source):
+    """Generated source holds generated identifiers, the fixed names of
+    KERNEL_NAMES and float or int constants, and nothing else."""
+    for node in pyast.walk(pyast.parse(source)):
+        assert isinstance(node, _SOURCE_NODES), pyast.dump(node)
+        name = {pyast.Name: "id", pyast.arg: "arg", pyast.FunctionDef: "name",
+                pyast.ExceptHandler: "name"}.get(type(node))
+        if name is not None:
+            name = getattr(node, name)
+            assert GENERATED_NAME.fullmatch(name) or name in KERNEL_NAMES, name
+        if isinstance(node, pyast.Constant):
+            assert type(node.value) in (int, float), node.value
+        if isinstance(node, pyast.FunctionDef):
+            assert not node.decorator_list
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hostile_ast, random_coord, random_coord)
+def test_generated_source_holds_no_user_text(node, u, v):
+    code = JetCode()
+    name, params = code.define(12)
+    code.finish(code.jet(node, {"u": params[:6], "v": params[6:]}))
+    _check_kernel_source(code.source())
+    kernel = code.build()[name]
+    env = _env(u, v)
+    assert (_outcome(lambda: jet.Jet2._make(kernel(*env["u"], *env["v"])))
+            == _outcome(lambda: reference_eval(node, env)))
+
+
+def test_patch_kernel_sources_hold_no_user_text():
+    for patch in (make_explicit("u^-2 + log(v)", "2^u / sqrt(v)"),
+                  make_translation("u", "exp(u)^1.5", "abs(v)", "v^v"),
+                  make_aminov("u^2 + 1e999 - 1e999*0", (0.5, 1.0)),
+                  make_gradient("u*v", "u+v")):
+        _check_kernel_source(patch.kernel.source)
 
 
 def test_constants_only_matches_arithmetic():

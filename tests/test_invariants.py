@@ -1,13 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monge4 import jet
 from monge4.forms import first_form, normal_frame, rotate_normal_frame, second_form
-from monge4.invariants import (ConsistencyError, aminov_closed_forms,
-                               gauss_curvature, invariants_at, mean_curvature,
-                               normal_torsion, point_data, relative_gap,
+from monge4.invariants import (ConsistencyError, InvariantSet, PointData,
+                               aminov_closed_forms, gauss_curvature,
+                               invariants_at, mean_curvature, normal_torsion,
+                               point_data, relative_gap, require_finite,
                                translation_closed_forms)
 from monge4.patch import (PatchJets, eval_patch, make_aminov, make_explicit,
                           make_gradient, make_translation, profile_at)
@@ -259,3 +260,66 @@ def test_point_data_rejects_non_finite_values(fu, message):
     jets = PatchJets(jet.Jet2(0.0, fu, 0.0, 1.0, 0.0, 0.0), jet.Jet2(0.0))
     with pytest.raises(jet.DomainError, match=message):
         point_data(jets)
+
+
+def staged_point_data(jets):
+    """point_data as the composition of the public stage functions."""
+    f, g = jets
+    require_finite("jets", (*f, *g))
+    try:
+        ff = first_form(jets)
+        if ff.W2 < 1.0:
+            raise jet.DomainError(f"metric lost to rounding: W^2 = {ff.W2!r}")
+        nf = normal_frame(jets, ff)
+        sf = second_form(jets, ff, nf)
+        K = gauss_curvature(sf, ff, jets)
+        KN = normal_torsion(sf, ff, jets)
+        H1, H2, Hnorm = mean_curvature(sf, ff, jets)
+    except OverflowError:
+        raise jet.DomainError("invariants overflowed") from None
+    require_finite("invariants", (K, KN, H1, H2, Hnorm))
+    return PointData(jets, ff, nf, sf, InvariantSet(K, KN, H1, H2, Hnorm))
+
+
+def _point_outcome(evaluate, jets):
+    try:
+        return repr(evaluate(jets))
+    except (jet.DomainError, ConsistencyError) as err:
+        return (type(err), str(err))
+
+
+_component = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e160, 1e160),
+                       st.floats(), st.sampled_from([0.0, -0.0, 1e150, 1e200]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.tuples(*[_component] * 12))
+# each dual-path check firing on rounding, and each DomainError
+@example((1.7489592054744065, 2.382889533834142, 0.3005813358305969,
+          0.6449694943360917, -2.919985566407261, 4.1215515654830306e+133,
+          -2.359754827121935e+53, 8575635.794310046, -1.1482856557207915e+58,
+          1.2565320608732847e+38, 2.48310939110395, 0.07938261122804358))
+@example((-2.1985779613454106, -0.836911855243816, -0.6982022311460097,
+          -1.0297346900916988e+29, -2.747053283439369, -1.6373055259777637e+129,
+          3.0799478160157473e+68, 1.9550978380818872e+56, -0.5316832317621079,
+          -2.608247497164069, 1.0167707827793917, -2.674854345367123))
+@example((0.8975015811455589, 2.4998217622343635, -0.5490803450162582,
+          -2.3839450522531314, 1.0046081168903431e+30, -2.612169504553355,
+          -1.2098462338566798, 0.4410849519973157, 7.298449038493169e+153,
+          -2.0005056910000213e+134, -1.5756136402039484e+134,
+          -2.3461246164312537e+68))
+@example((-2.988395847922462, -1.0015297946745446e+77, -2.6846264043431605,
+          3.427971379449828e+58, 1.425697548615519e+56, -2.478935127193829,
+          5.186431749651598e+55, -1.1295421105869863, 0.30354486483269927,
+          -0.4737014552774408, -3.2286456562833693e+25, 0.00285099710341056))
+@example((-1.7739315363005894, -7.375991211274681e+30, 5.461233476949801e+55,
+          -1.6803908545696071, -2.9788986435994025e+106, 2.067006362104765e+129,
+          1.6563961821694641e+118, -2.541522440146965, -0.889042369225252,
+          2.7631318553993527, 3.6405974419327286e+79, 2.7333436376466945e+84))
+@example((0.0, 1e150, 0.0, 1.0, 0.0, 0.0) + (0.0,) * 6)
+@example((0.0, 1e200, 0.0, 1.0, 0.0, 0.0) + (0.0,) * 6)
+@example((0.0, math.nan, 0.0, 1.0, 0.0, 0.0) + (0.0,) * 6)
+def test_fused_point_data_matches_stage_functions(values):
+    jets = PatchJets(jet.Jet2(*values[:6]), jet.Jet2(*values[6:]))
+    assert (_point_outcome(point_data, jets)
+            == _point_outcome(staged_point_data, jets))

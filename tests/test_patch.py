@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monge4 import jet
-from monge4.expr import ExprError
+from monge4.expr import ExprError, JetCode
+from monge4.invariants import invariants_at, translation_closed_forms
 from monge4.patch import (FAMILIES, FIELDS, eval_patch, make_aminov,
                           make_explicit, make_gradient, make_patch,
                           make_translation, patch_from_json, patch_to_json,
@@ -202,3 +203,28 @@ def test_profile_accessor():
     assert profile_at(p, 0.0) == jet.Jet1(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         profile_at(make_explicit("0", "0"), 0.0)
+
+
+def test_each_patch_compiles_once(monkeypatch):
+    builds = []
+    build = JetCode.build
+    monkeypatch.setattr(JetCode, "build",
+                        lambda code: builds.append(code) or build(code))
+    cases = [
+        (lambda: make_explicit("u^3+sin(v)", "exp(u)*v"), None),
+        (lambda: make_translation("u^2", "sin(u)", "cos(v)", "v^3"),
+         lambda p: translation_closed_forms(p, 0.3, 0.4)),
+        # the construction probe reuses the patch's kernel
+        (lambda: make_aminov("u^2+1", (0.2, 1.5)), lambda p: profile_at(p, 0.5)),
+        # the integrability sampling too, kept or demoted
+        (lambda: make_gradient("2*u*v^2", "2*u^2*v"), None),
+        (lambda: make_gradient("u*v", "u+v"), None),
+    ]
+    for make, closed_form in cases:
+        builds.clear()
+        patch = make()
+        eval_patch(patch, 0.3, 0.4)
+        invariants_at(patch, 0.3, 0.4)
+        if closed_form is not None:
+            closed_form(patch)
+        assert len(builds) == 1, patch.family
