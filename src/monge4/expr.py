@@ -14,11 +14,13 @@ supported.  The constants pi and e resolve at parse time.
 JetCode turns ASTs into straight-line Python source, once per patch or
 profile: forward-mode differentiation by source transformation (Griewank
 and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 6 and 13).
-Each AST node becomes six local float expressions, the jet rules of
-jet.Jet2 written out operation for operation, so a generated function
-returns the same floats as Jet2 arithmetic, bit for bit, and raises the
-same DomainError with the same message and position.  Evaluating at a
-point then walks no AST and builds no jet.
+Each AST node becomes six local float statements.  These are the only
+jet rules in the package: sum, product, quotient, the chain rule through
+jet's coefficient functions, and powers, where an exponent that is not a
+literal picks exp(b log a) or a constant power at run time.  Evaluating
+at a point then walks no AST and builds no jet.  The tests check the
+generated code, bit for bit and error for error, against a reference
+interpreter over Jet2 arithmetic kept with them.
 """
 
 from __future__ import annotations
@@ -331,8 +333,8 @@ def _int_literal(n: int) -> str:
 def _constant(node):
     """The value of a number, or of minus signs applied to one, else None.
 
-    Such an exponent is a constant jet at every point, so jet_pow would
-    take its constant branch; the branch is chosen here instead.
+    Such an exponent's jet is constant at every point, so its power rule
+    is chosen when the code is generated (JetCode.power).
     """
     if isinstance(node, Num):
         return float(node.value)
@@ -340,11 +342,6 @@ def _constant(node):
         value = _constant(node.child)
         return None if value is None else -value
     return None
-
-
-def _jet_pow(*c):
-    """jet.jet_pow of two jets given as twelve floats: a variable exponent."""
-    return jet.jet_pow(jet.Jet2._make(c[:6]), jet.Jet2._make(c[6:]))
 
 
 def _site_error(sites, err, k, x):
@@ -378,7 +375,8 @@ _KERNEL_GLOBALS = {
     "__builtins__": {}, "_float": float, "_errors": (ArithmeticError, ValueError),
     "_inf": math.inf, "_nan": math.nan, "_reciprocal": jet.reciprocal,
     "_int_power": jet.int_power, "_real_power": jet.real_power,
-    "_jet_pow": _jet_pow, **{"_" + fn: f for fn, f in jet._UNARY.items()}}
+    "_constant_power": jet.constant_power, "_variable_base": jet.variable_base,
+    **{"_" + fn: f for fn, f in jet._UNARY.items()}}
 KERNEL_NAMES = frozenset(_KERNEL_GLOBALS) - {"__builtins__"} | {"_fail", "_unbound"}
 GENERATED_NAME = re.compile(r"_[tf]\d+|_e")
 
@@ -387,12 +385,12 @@ class JetCode:
     """Straight-line source for the jets of expressions, one node at a time.
 
     A jet is six operands, each a generated local or a float literal.
-    Calls to jet's coefficient functions (the _UNARY table, reciprocal,
-    int_power, real_power and, for a variable exponent, jet_pow) are
-    the only statements that can raise; each converts its error as
-    apply_unary does and attaches the node's position to a DomainError.
-    build() compiles the functions defined so far with a single
-    compile().
+    Calls to jet's coefficient functions (the _UNARY table, reciprocal
+    and the power functions) are the only statements that can raise;
+    each has its own site, which turns the failure of a named elementary
+    function into its DomainError (jet.unary_error) and attaches the
+    node's position to a DomainError.  build() compiles the functions
+    defined so far with a single compile().
     """
 
     def __init__(self):
@@ -401,13 +399,14 @@ class JetCode:
         self.unbound = []  # (name, position) of each unbound variable
         self.count = 0
         self.functions = 0
+        self.depth = 1  # indentation level of emitted statements
 
     def _local(self) -> str:
         self.count += 1
         return f"_t{self.count - 1}"
 
     def emit(self, line: str) -> None:
-        self.lines.append("    " + line)
+        self.lines.append("    " * self.depth + line)
 
     def let(self, expression: str) -> str:
         name = self._local()
@@ -470,7 +469,7 @@ class JetCode:
             return self.call(node.fn, self.jet(node.arg, bound), node.position)
         raise TypeError(f"not an AST node: {node!r}")
 
-    # the rules of jet.Jet2, operation for operation
+    # the jet rules
 
     def neg(self, a) -> tuple:
         return tuple(self.let(f"-{x}") for x in a)
@@ -511,14 +510,39 @@ class JetCode:
     def power(self, a, exponent, bound: dict, position) -> tuple:
         p = _constant(exponent)
         if p is None:
-            b = self.jet(exponent, bound)
-            return self._raising(6, f"_jet_pow({', '.join(a + b)})", a[0],
-                                 (None, position))
+            return self.variable_power(a, self.jet(exponent, bound), position)
         if p.is_integer():
             call = f"_int_power({a[0]}, {_int_literal(int(p))})"
         else:
             call = f"_real_power({a[0]}, {_literal(p)})"
         return self.chain(a, *self._raising(3, call, a[0], (None, position)))
+
+    def variable_power(self, a, b, position) -> tuple:
+        """a^b for an exponent jet b known only at run time.
+
+        If any derivative of b is non-zero there (NaN counts, -0.0 does
+        not), a^b is exp(b log a) and needs a positive base; otherwise b
+        is constant at the point and constant_power admits a negative
+        base under an integral exponent.
+        """
+        out = tuple(self._local() for _ in range(6))
+        self.emit(f"if {' or '.join(b[1:])}:")
+        self.depth += 1
+        log = self.chain(a, *self._raising(3, f"_variable_base({a[0]})", a[0],
+                                           ("log", position)))
+        e = self.mul(b, log)
+        self._assign(out, self.chain(e, *self._raising(
+            3, f"_exp({e[0]})", e[0], ("exp", position))))
+        self.depth -= 1
+        self.emit("else:")
+        self.depth += 1
+        self._assign(out, self.chain(a, *self._raising(
+            3, f"_constant_power({a[0]}, {b[0]})", a[0], (None, position))))
+        self.depth -= 1
+        return out
+
+    def _assign(self, names, operands) -> None:
+        self.emit(f"{', '.join(names)} = {', '.join(operands)}")
 
     def call(self, fn: str, a, position) -> tuple:
         if fn not in jet.UNARY_NAMES:
@@ -555,36 +579,6 @@ def jet1(field, x: float) -> jet.Jet1:
     """Value and first two derivatives at x of a compiled field."""
     r = field(float(x), 1.0, 0.0, 0.0, 0.0, 0.0)
     return jet.Jet1(r[0], r[1], r[3])
-
-
-def compile_jet(node):
-    """Compile an AST into a function env -> Jet2, where env maps variable
-    names to seeded jets.  The variables of node that env binds are the
-    parameters of a generated kernel, built once per set of bound names.
-    """
-    names = sorted({var.name for var in _walk_vars(node)})
-    kernels = {}
-
-    def kernel(bound_names):
-        code = JetCode()
-        fname, params = code.define(6 * len(bound_names))
-        code.finish(code.jet(node, {name: params[6 * k:6 * k + 6]
-                                    for k, name in enumerate(bound_names)}))
-        kernels[bound_names] = fn = code.build()[fname]
-        return fn
-
-    kernel(tuple(names))  # unknown operations fail here, not at a call
-
-    def evaluate(env):
-        bound_names = tuple(name for name in names if name in env)
-        fn = kernels.get(bound_names) or kernel(bound_names)
-        return jet.Jet2._make(fn(*[c for name in bound_names for c in env[name]]))
-    return evaluate
-
-
-def eval_expr(node, env):
-    """Evaluate an AST over Jet2s once; patches keep their compiled kernel."""
-    return compile_jet(node)(env)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from typing import NamedTuple
 from . import jet
 from .classify import chen_residual, wintgen_deficit
 from .invariants import point_kernel, require_finite
+from .jet import Jet2, _new
 from .patch import MongePatch, PatchJets, jet_floats
 
 SPACING_RTOL = 1e-9
@@ -155,48 +156,56 @@ def sample_values(patch: MongePatch, spec: GridSpec, mode: str = "monge4") -> Di
                          f, g, mode=mode)
 
 
+def _stencil(z, i: int, j: int, hu: float, hv: float) -> tuple:
+    """The six jet floats of the samples z at interior node (i, j), by
+    second-order central differences; a ValueError if any of the nine
+    samples around the node is not finite."""
+    block = [z[i + a][j + b] for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    if not all(math.isfinite(x) for x in block):
+        raise ValueError(f"non-finite sample near node ({i}, {j})")
+    val = z[i][j]
+    du = (z[i + 1][j] - z[i - 1][j]) / (2 * hu)
+    dv = (z[i][j + 1] - z[i][j - 1]) / (2 * hv)
+    duu = (z[i + 1][j] - 2 * val + z[i - 1][j]) / hu**2
+    dvv = (z[i][j + 1] - 2 * val + z[i][j - 1]) / hv**2
+    duv = (z[i + 1][j + 1] - z[i + 1][j - 1]
+           - z[i - 1][j + 1] + z[i - 1][j - 1]) / (4 * hu * hv)
+    return val, du, dv, duu, duv, dvv
+
+
 def fd_jets(dp: DiscretePatch, i: int, j: int) -> PatchJets:
     """Second-order central-difference jets at an interior node."""
     if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
         raise ValueError(f"node ({i}, {j}) is not interior")
-
-    def stencil(z):
-        block = [z[i + a][j + b] for a in (-1, 0, 1) for b in (-1, 0, 1)]
-        if not all(math.isfinite(x) for x in block):
-            raise ValueError(f"non-finite sample near node ({i}, {j})")
-        hu, hv = dp.hu, dp.hv
-        val = z[i][j]
-        du = (z[i + 1][j] - z[i - 1][j]) / (2 * hu)
-        dv = (z[i][j + 1] - z[i][j - 1]) / (2 * hv)
-        duu = (z[i + 1][j] - 2 * val + z[i - 1][j]) / hu**2
-        dvv = (z[i][j + 1] - 2 * val + z[i][j - 1]) / hv**2
-        duv = (z[i + 1][j + 1] - z[i + 1][j - 1]
-               - z[i - 1][j + 1] + z[i - 1][j - 1]) / (4 * hu * hv)
-        return jet.Jet2(val, du, dv, duu, duv, dvv)
-
-    return PatchJets(f=stencil(dp.f), g=stencil(dp.g))
+    return PatchJets(_new(Jet2, _stencil(dp.f, i, j, dp.hu, dp.hv)),
+                     _new(Jet2, _stencil(dp.g, i, j, dp.hu, dp.hv)))
 
 
 def evaluate_discrete(dp: DiscretePatch) -> GridResult:
     """Run the pipeline over interior nodes; boundary ring is flagged."""
     spec = dp.spec()
+    f, g, hu, hv = dp.f, dp.g, dp.hu, dp.hv
     rows = []
     for i, j, u, v in spec.points():
         if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
             rows.append(Row(u, v, flag="boundary"))
             continue
         try:
-            f, g = fd_jets(dp, i, j)
-            rows.append(_row(u, v, (*f, *g)))
+            rows.append(_row(u, v, _stencil(f, i, j, hu, hv)
+                             + _stencil(g, i, j, hu, hv)))
         except jet.DomainError as err:
             rows.append(Row(u, v, flag=f"domain-error: {err}"))
-        except ValueError as err:  # fd_jets: a non-finite sample in the stencil
+        except ValueError as err:  # _stencil: a non-finite sample
             rows.append(Row(u, v, flag=f"bad-sample: {err}"))
     return GridResult(spec, rows)
 
 
 def _uniform_axis(values, name: str):
-    axis = sorted(set(values))
+    axis = set(values)
+    bad = sorted(repr(x) for x in axis if not math.isfinite(x))
+    if bad:  # sorted reprs: NaN hashes by identity, so set order varies
+        raise ValueError(f"non-finite {name} coordinate {bad[0]}")
+    axis = sorted(axis)
     if len(axis) < 2:
         raise ValueError(f"need at least 2 distinct {name} values")
     steps = [b - a for a, b in zip(axis, axis[1:])]

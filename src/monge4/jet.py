@@ -1,21 +1,19 @@
-"""Second-order forward-mode jets.
+"""Second-order jets: the records and the coefficient functions.
 
 Every curvature formula in this package consumes exact first and second
 partial derivatives of the patch functions.  A jet carries those derivatives
 through arithmetic and elementary functions by the chain rule, so the exact
 pipeline involves no numerical differentiation at all.
 
-Jet2 arithmetic defines the jet rules.  Its second-order rules do not
-depend on the number of variables, so a one-variable profile r(u) is a
-Jet2 seeded in u; Jet1 is the record (r, r', r'') read back from it.
-Patches and profiles do not build Jet2s while they evaluate: expr.JetCode
-writes the same rules out as straight-line float code, and calls the
-coefficient functions below (the _UNARY table, reciprocal, int_power and
-real_power) for every derivative and domain guard.
+The jet rules are written once, by expr.JetCode, as straight-line float
+code generated per patch or profile.  This module holds what that code
+calls: the value, first and second derivative, with the domain guards,
+of each elementary function (the _UNARY table), of 1/x (reciprocal) and
+of powers (int_power, real_power, constant_power and variable_base).
 
-Jets are tuple-backed records (typing.NamedTuple): immutable, cheap to
-build, and compared and hashed as the plain tuple of their components.
-The arithmetic unpacks its operands into locals once per operation.
+Jet2 and Jet1 are plain tuple-backed records (typing.NamedTuple) with no
+arithmetic: immutable, cheap to build, and compared and hashed as the
+plain tuple of their components.
 """
 
 from __future__ import annotations
@@ -48,83 +46,17 @@ class Jet2(NamedTuple):
     duv: float = 0.0
     dvv: float = 0.0
 
-    @property
-    def is_constant(self) -> bool:
-        return not any(self[1:])
-
-    def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
-        """Compose with a scalar function given its value and derivatives."""
-        _, du, dv, duu, duv, dvv = self
-        return _new(Jet2, (
-            f0,
-            f1 * du,
-            f1 * dv,
-            f2 * du * du + f1 * duu,
-            f2 * du * dv + f1 * duv,
-            f2 * dv * dv + f1 * dvv,
-        ))
-
-    def __add__(self, other):
-        a0, a1, a2, a3, a4, a5 = self
-        b0, b1, b2, b3, b4, b5 = _lift2(other)
-        return _new(Jet2, (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a0, a1, a2, a3, a4, a5 = self
-        b0, b1, b2, b3, b4, b5 = _lift2(other)
-        return _new(Jet2, (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5))
-
-    def __rsub__(self, other):
-        return _lift2(other).__sub__(self)
-
-    def __mul__(self, other):
-        a0, a1, a2, a3, a4, a5 = self
-        b0, b1, b2, b3, b4, b5 = _lift2(other)
-        return _new(Jet2, (
-            a0 * b0,
-            a1 * b0 + a0 * b1,
-            a2 * b0 + a0 * b2,
-            a3 * b0 + 2.0 * a1 * b1 + a0 * b3,
-            a4 * b0 + a1 * b2 + a2 * b1 + a0 * b4,
-            a5 * b0 + 2.0 * a2 * b2 + a0 * b5,
-        ))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * _reciprocal(_lift2(other))
-
-    def __rtruediv__(self, other):
-        return _lift2(other) * _reciprocal(self)
-
-    def __neg__(self):
-        a0, a1, a2, a3, a4, a5 = self
-        return _new(Jet2, (-a0, -a1, -a2, -a3, -a4, -a5))
-
-    def __pow__(self, other):
-        return jet_pow(self, other)
-
 
 class Jet1(NamedTuple):
     """r, r' and r'' of a one-variable function at a point.
 
-    A plain record read by the profile formulas; the derivatives are
-    computed in Jet2 arithmetic (see expr.eval_1d).
+    A plain record read by the profile formulas, filled from the jet of a
+    compiled one-variable field (see expr.jet1).
     """
 
     val: float
     d1: float = 0.0
     d2: float = 0.0
-
-
-def _lift2(x):
-    if isinstance(x, Jet2):
-        return x
-    if isinstance(x, (int, float)):
-        return Jet2(float(x))
-    raise TypeError(f"cannot mix Jet2 with {type(x).__name__}")
 
 
 def reciprocal(x: float):
@@ -133,27 +65,6 @@ def reciprocal(x: float):
         raise DomainError("division by zero")
     inv = 1.0 / x
     return inv, -inv * inv, 2.0 * inv * inv * inv
-
-
-def _reciprocal(a):
-    return a.chain(*reciprocal(a.val))
-
-
-def seed_u(u0: float, v0: float) -> Jet2:
-    """Jet of the coordinate function u at (u0, v0)."""
-    del v0
-    return Jet2(float(u0), 1.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def seed_v(u0: float, v0: float) -> Jet2:
-    """Jet of the coordinate function v at (u0, v0)."""
-    del u0
-    return Jet2(float(v0), 0.0, 1.0, 0.0, 0.0, 0.0)
-
-
-def seed_const(c: float) -> Jet2:
-    """Jet of a constant in two variables."""
-    return Jet2(float(c))
 
 
 def _fn_sin(x):
@@ -231,24 +142,6 @@ def unary_error(fn: str, x: float, err: Exception) -> DomainError:
     return DomainError(f"{fn} is undefined at {x!r}")
 
 
-def apply_unary(fn: str, a):
-    """Apply a named elementary function to a Jet2 by the chain rule.
-
-    A failure of the function at a.val is a DomainError (unary_error).
-    """
-    try:
-        table = _UNARY[fn]
-    except KeyError:
-        raise ValueError(f"unknown function {fn!r}") from None
-    try:
-        f0, f1, f2 = table(a.val)
-    except DomainError:
-        raise
-    except (ArithmeticError, ValueError) as err:
-        raise unary_error(fn, a.val, err) from None
-    return a.chain(f0, f1, f2)
-
-
 def int_power(x: float, n: int):
     """Value, first and second derivative of x^n at x, for an integer n.
 
@@ -285,40 +178,24 @@ def real_power(x: float, p: float):
     return f0, f1, f2
 
 
+def constant_power(x: float, p: float):
+    """Value, first and second derivative of x^p at x, for an exponent
+    whose derivatives all vanish at the point: int_power when p is
+    integral (negative bases allowed), real_power otherwise.
+    """
+    if p.is_integer():
+        return int_power(x, int(p))
+    return real_power(x, p)
+
+
+def variable_base(x: float):
+    """Value, first and second derivative of log at the base x of a
+    variable exponent, x^b = exp(b log x); the base must be positive.
+    """
+    if x <= 0.0:
+        raise DomainError(f"variable exponent requires a positive base, got {x!r}")
+    return _fn_log(x)
+
+
 def _power_overflow(x: float) -> DomainError:
     return DomainError(f"power overflowed at base {x!r}")
-
-
-def pow_int(a, n: int):
-    """Integer power of a Jet2 by int_power."""
-    return a.chain(*int_power(a.val, int(n)))
-
-
-def pow_real(a, p: float):
-    """Real power of a Jet2 by real_power; requires a positive base."""
-    return a.chain(*real_power(a.val, p))
-
-
-def jet_pow(a, b):
-    """General power a^b for a Jet2 base and a Jet2 or scalar exponent.
-
-    Constant exponents use the power rule (integer exponents admit negative
-    bases); a genuinely variable exponent requires a positive base and goes
-    through exp(b*log(a)).
-    """
-    if isinstance(b, Jet2):
-        if b.is_constant:
-            b = b.val
-        else:
-            if a.val <= 0.0:
-                raise DomainError(
-                    f"variable exponent requires a positive base, got {a.val!r}")
-            return apply_unary("exp", b * apply_unary("log", a))
-    if isinstance(b, (int, float)):
-        try:
-            if float(b).is_integer():
-                return pow_int(a, int(b))
-        except OverflowError:  # float(b) of an int beyond the floats
-            raise _power_overflow(a.val) from None
-        return pow_real(a, float(b))
-    raise TypeError(f"unsupported exponent type {type(b).__name__}")

@@ -389,6 +389,18 @@ def test_bad_input_exits_without_traceback(argv, code):
     assert proc.stderr.startswith("error: ") or code == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_ingest_non_finite_coordinate_exits_without_traceback(tmp_path, bad):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("u,v,f,g\n" + "".join(
+        f"{u},{v},1,1\n" for u, v in [(bad, 0), (bad, 1), (0, 0), (0, 1),
+                                       (1, 0), (1, 1)]))
+    proc = run_python("-m", "monge4.cli", "ingest", str(samples))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: non-finite u coordinate {bad}\n"
+
+
 def test_classify_overflow_surface_is_indeterminate(capsys):
     code, out, _ = run(capsys, "classify", *OVERFLOW_SURFACE,
                        "--nu", "5", "--nv", "5")

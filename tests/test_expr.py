@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from monge4 import jet
 from monge4.expr import (GENERATED_NAME, KERNEL_NAMES, BinOp, Call,
                          ExprError, JetCode, Neg, Num, Var, compile_expr,
-                         compile_jet, compile_profile, eval_expr, parse, pretty,
-                         profile_eval, tokenize)
+                         compile_profile, parse, pretty, profile_eval, seeds,
+                         tokenize)
 from monge4.patch import (eval_patch, make_aminov, make_explicit,
                           make_gradient, make_translation)
 
-from expr_reference import (random_ast, random_asts, random_coord,
-                            reference_eval)
+from expr_reference import (apply_unary, random_ast, random_asts,
+                            random_coord, reference_eval, seed_u, seed_v)
 
 
 def kinds(text):
@@ -52,10 +52,19 @@ def test_unary_minus_binds_looser_than_power():
     assert ast == Neg(BinOp("pow", Var("u"), Num(2.0)))
 
 
+def generated(node, u, v):
+    """The jet of node at (u, v) from a kernel that JetCode generates for
+    it, with u and v seeded as in a patch's kernel."""
+    code = JetCode()
+    name, params = code.define(2)
+    U, V = seeds(*params)
+    code.finish(code.jet(node, {"u": U, "v": V}))
+    return jet.Jet2._make(code.build()[name](float(u), float(v)))
+
+
 def test_power_right_associative():
     ast = compile_expr("2^3^2", variables=())
-    j = eval_expr(ast, {"u": jet.seed_u(0, 0)})
-    assert j.val == 512.0
+    assert generated(ast, 0, 0).val == 512.0
 
 
 def test_unclosed_paren():
@@ -90,37 +99,37 @@ def test_unknown_identifier_binding():
 
 
 def _env(u, v):
-    return {"u": jet.seed_u(u, v), "v": jet.seed_v(u, v)}
+    return {"u": seed_u(u, v), "v": seed_v(u, v)}
 
 
 def test_eval_polynomial():
-    j = eval_expr(compile_expr("u^2+v^2"), _env(1, 2))
+    j = generated(compile_expr("u^2+v^2"), 1, 2)
     assert j == jet.Jet2(5.0, 2.0, 4.0, 2.0, 0.0, 2.0)
 
 
 def test_eval_exp_cos():
-    j = eval_expr(compile_expr("exp(u)*cos(v)"), _env(0, 0))
+    j = generated(compile_expr("exp(u)*cos(v)"), 0, 0)
     assert j == jet.Jet2(1.0, 1.0, 0.0, 1.0, 0.0, -1.0)
 
 
 def test_domain_error_carries_call_position():
     ast = compile_expr("log(u-1)")
     with pytest.raises(jet.DomainError) as err:
-        eval_expr(ast, _env(1, 0))
+        generated(ast, 1, 0)
     assert err.value.position == 0
 
 
 def test_division_by_zero_position():
     ast = compile_expr("1/(u-1)")
     with pytest.raises(jet.DomainError) as err:
-        eval_expr(ast, _env(1, 0))
+        generated(ast, 1, 0)
     assert err.value.position == 1
 
 
 def test_unbound_variable():
     ast = parse(tokenize("q"))
-    with pytest.raises(ExprError):
-        eval_expr(ast, _env(0, 0))
+    with pytest.raises(ExprError, match="unbound variable 'q'"):
+        generated(ast, 0, 0)
 
 
 def test_compiled_binary_dispatch():
@@ -128,9 +137,9 @@ def test_compiled_binary_dispatch():
     a, b = env["u"], env["v"]
     for op, want in (("add", a + b), ("sub", a - b), ("mul", a * b),
                      ("div", a / b), ("pow", a ** b)):
-        assert compile_jet(BinOp(op, Var("u"), Var("v")))(env) == want
+        assert generated(BinOp(op, Var("u"), Var("v")), 3, 1) == want
     with pytest.raises(ValueError, match="unknown binary operation 'mod'"):
-        compile_jet(BinOp("mod", Var("u"), Var("v")))
+        generated(BinOp("mod", Var("u"), Var("v")), 3, 1)
 
 
 def _outcome(evaluate):
@@ -146,11 +155,45 @@ def test_compiled_matches_reference_interpreter(ast, u, v):
     # parsing the printed AST gives every node a real source position
     text = pretty(ast)
     ast = compile_expr(text)
-    env = _env(u, v)
-    want = _outcome(lambda: reference_eval(ast, env))
-    assert _outcome(lambda: eval_expr(ast, env)) == want
+    want = _outcome(lambda: reference_eval(ast, _env(u, v)))
     # the patch's generated kernel, with a g that cannot fail
     assert _outcome(lambda: eval_patch(make_explicit(text, "0"), u, v).f) == want
+
+
+# a^b for an exponent that is not a literal, one case per branch of the
+# generated code: the outcome and, from the reference, the expected value
+# or error message
+@pytest.mark.parametrize("text, u, v, expected", [
+    # derivatives of the exponent all zero: int_power admits a negative base
+    ("(0-2)^(u-u)", 0.5, 0.5, 1.0),
+    ("u^(v*0)", -2.0, 1.0, 1.0),
+    ("u^(v-v+2)", -3.0, 1.0, 9.0),
+    ("u^(-(v-v))", -2.0, 1.0, 1.0),  # -0.0 derivatives count as zero
+    # ... and real_power does not
+    ("u^(v-v+0.5)", -3.0, 1.0, "x^0.5 requires a positive base, got -3.0"),
+    # a varying exponent: exp(b log a) behind the positive-base guard
+    ("u^v", -2.0, 0.5, "variable exponent requires a positive base, got -2.0"),
+    ("u^(v*0)", -2.0, math.inf,  # NaN derivatives count as non-zero
+     "variable exponent requires a positive base, got -2.0"),
+    # each derivative alone makes the exponent vary: at (0, 0) only d1,
+    # d2, d11, d12 or d22 of these exponents is non-zero
+    *[(f"(0-2)^({b})", 0.0, 0.0,
+       "variable exponent requires a positive base, got -2.0")
+      for b in ("u", "v", "u*u", "u*v", "v*v")],
+    ("u^v", 1e-200, 0.5, "log overflowed at 1e-200"),
+    ("u^(v*1000)", 10.0, 1.0, "exp overflowed at 2302.5850929940457"),
+    # the exponent fails first
+    ("u^(0*log(v))", 1.0, 0.0, "log requires a positive argument, got 0.0"),
+])
+def test_variable_exponent_branches(text, u, v, expected):
+    ast = compile_expr(text)
+    want = _outcome(lambda: reference_eval(ast, _env(u, v)))
+    assert _outcome(lambda: eval_patch(make_explicit(text, "0"), u, v).f) == want
+    assert _outcome(lambda: generated(ast, u, v)) == want
+    if isinstance(expected, str):
+        assert want[:2] == (jet.DomainError, expected)
+    else:
+        assert reference_eval(ast, _env(u, v)).val == expected
 
 
 _profile_ast = random_asts(st.one_of(st.builds(Num, st.floats(0.0, 800.0)),
@@ -168,12 +211,12 @@ def test_family_compositions_match_jet_arithmetic(a, b, u, v):
     r, s = compile_expr(pretty(a), ("u",)), compile_expr(pretty(b), ("u",))
 
     def aminov():
-        jr = reference_eval(r, {"u": jet.seed_u(u, v)})
-        jv = jet.seed_v(u, v)
-        return jr * jet.apply_unary("cos", jv), jr * jet.apply_unary("sin", jv)
+        jr = reference_eval(r, {"u": seed_u(u, v)})
+        jv = seed_v(u, v)
+        return jr * apply_unary("cos", jv), jr * apply_unary("sin", jv)
 
     def translation():
-        ju, jv = {"u": jet.seed_u(u, v)}, {"u": jet.seed_v(u, v)}
+        ju, jv = {"u": seed_u(u, v)}, {"u": seed_v(u, v)}
         return (reference_eval(r, ju) + reference_eval(s, jv),
                 reference_eval(s, ju) + reference_eval(r, jv))
 
@@ -194,11 +237,14 @@ _hostile_ast = random_asts(st.one_of(
     st.builds(Num, st.floats()), st.sampled_from([Var("u"), Var("v")]),
     st.builds(Var, st.text(min_size=1, max_size=12))))
 
+# If, BoolOp and Or: a non-literal exponent tests its derivatives with
+# `if d1 or ... or d5:` to choose its power rule at run time
 _SOURCE_NODES = (pyast.Module, pyast.FunctionDef, pyast.arguments, pyast.arg,
                  pyast.Assign, pyast.Return, pyast.Tuple, pyast.Name,
                  pyast.Load, pyast.Store, pyast.BinOp, pyast.Add, pyast.Sub,
                  pyast.Mult, pyast.UnaryOp, pyast.USub, pyast.Constant,
-                 pyast.Try, pyast.ExceptHandler, pyast.Raise, pyast.Call)
+                 pyast.Try, pyast.ExceptHandler, pyast.Raise, pyast.Call,
+                 pyast.If, pyast.BoolOp, pyast.Or)
 
 
 def _check_kernel_source(source):
@@ -247,7 +293,7 @@ def test_constants_only_matches_arithmetic():
         "-3^2": -9.0,
     }
     for text, want in cases.items():
-        got = eval_expr(compile_expr(text, variables=()), _env(0, 0)).val
+        got = generated(compile_expr(text, variables=()), 0, 0).val
         assert math.isclose(got, want, rel_tol=1e-15)
 
 

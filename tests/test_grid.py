@@ -123,6 +123,20 @@ def test_ingest_reports_missing_node():
     assert "(2, 3)" in str(err.value)
 
 
+@pytest.mark.parametrize("axis, bad", [(0, math.nan), (0, math.inf),
+                                       (1, -math.inf), (1, math.nan)])
+def test_ingest_rejects_non_finite_coordinates(axis, bad):
+    good = [(u, v, 0.0, 0.0) for u in (0.0, 0.5, 1.0) for v in (0.0, 0.5)]
+    # two records on the bad coordinate: as float("nan") from a CSV, each
+    # NaN is its own object, so the set of distinct values holds both
+    records = good + [tuple(float(bad) if k == axis else x
+                            for k, x in enumerate(r)) for r in good[:2]]
+    name = "uv"[axis]
+    with pytest.raises(ValueError,
+                       match=f"^non-finite {name} coordinate {bad!r}$"):
+        ingest_samples(records)
+
+
 def test_ingest_rejects_duplicates_and_ragged_rows():
     records = [(0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 1.0, 0.0),
                (1.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 0.0),

@@ -3,9 +3,21 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monge4 import jet
 from monge4.expr import compile_profile, profile_eval
-from monge4.jet import (DomainError, Jet1, Jet2, apply_unary, jet_pow,
-                        pow_int, pow_real, seed_const, seed_u, seed_v)
+from monge4.jet import DomainError, Jet1
+from monge4.patch import eval_patch, make_explicit
+
+from expr_reference import (Jet2, apply_unary, jet_pow, pow_int, pow_real,
+                            seed_const, seed_u, seed_v)
+
+# The jet rules are checked twice: in the reference arithmetic of
+# expr_reference, and in the generated kernel that patches evaluate.
+
+
+def kernel(text, u, v):
+    """The jet of f = text at (u, v), from a patch's generated kernel."""
+    return eval_patch(make_explicit(text, "0"), u, v).f
 
 
 def test_seeds():
@@ -19,11 +31,13 @@ def test_polynomial_product():
     v = seed_v(2, 3)
     j = u * u * v
     assert j == Jet2(12.0, 12.0, 4.0, 6.0, 4.0, 0.0)
+    assert kernel("u*u*v", 2, 3) == j
 
 
 def test_identity_quotient():
     u = seed_u(2, 7)
     assert u / u == Jet2(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert kernel("u/u", 2, 7) == u / u
 
 
 def test_difference_of_squares_identity():
@@ -32,6 +46,7 @@ def test_difference_of_squares_identity():
     lhs = (u + v) * (u - v)
     rhs = u * u - v * v
     assert lhs == rhs
+    assert kernel("(u+v)*(u-v)", 1, 2) == kernel("u*u-v*v", 1, 2) == lhs
 
 
 def test_exp_cos_at_origin():
@@ -39,46 +54,61 @@ def test_exp_cos_at_origin():
     v = seed_v(0, 0)
     j = apply_unary("exp", u) * apply_unary("cos", v)
     assert j == Jet2(1.0, 1.0, 0.0, 1.0, 0.0, -1.0)
+    assert kernel("exp(u)*cos(v)", 0, 0) == j
+
+
+def _same_domain_error(reference, text, u, v):
+    with pytest.raises(DomainError) as want:
+        reference()
+    with pytest.raises(DomainError) as got:
+        kernel(text, u, v)
+    assert str(got.value) == str(want.value)
 
 
 def test_sqrt_jet():
-    j = apply_unary("sqrt", seed_u(4, 0))
-    assert j.val == 2.0
-    assert j.du == 0.25
-    assert j.duu == -0.03125
+    for j in (apply_unary("sqrt", seed_u(4, 0)), kernel("sqrt(u)", 4, 0)):
+        assert j.val == 2.0
+        assert j.du == 0.25
+        assert j.duu == -0.03125
+    for x in (0, -1):
+        _same_domain_error(lambda: apply_unary("sqrt", seed_u(x, 0)), "sqrt(u)", x, 0)
 
 
 def test_log_domain_error():
-    with pytest.raises(DomainError):
-        apply_unary("log", seed_u(0, 0))
-    with pytest.raises(DomainError):
-        apply_unary("log", seed_u(-1, 0))
+    for x in (0, -1):
+        _same_domain_error(lambda: apply_unary("log", seed_u(x, 0)), "log(u)", x, 0)
 
 
 def test_division_by_zero():
-    with pytest.raises(DomainError):
-        seed_u(1, 0) / seed_const(0)
+    _same_domain_error(lambda: seed_u(1, 0) / seed_const(0), "u/0", 1, 0)
     with pytest.raises(DomainError):
         profile_eval(compile_profile("1/(u-u)"), 1.0)
 
 
 def test_abs_at_zero():
-    with pytest.raises(DomainError):
-        apply_unary("abs", seed_u(0, 0))
+    _same_domain_error(lambda: apply_unary("abs", seed_u(0, 0)), "abs(u)", 0, 0)
     j = apply_unary("abs", seed_u(-3, 0))
     assert j == Jet2(3.0, -1.0, 0.0, 0.0, 0.0, 0.0)
+    assert kernel("abs(u)", -3, 0) == j
 
 
 def test_jet2_is_an_immutable_tuple_record():
-    j = Jet2(1.5, 2.0)
+    record = jet.Jet2
+    j = record(1.5, 2.0)
     with pytest.raises(AttributeError):
         j.val = 0.0
-    assert j == Jet2(1.5, 2.0, 0.0, 0.0, 0.0, 0.0) == (1.5, 2.0, 0.0, 0.0, 0.0, 0.0)
-    assert hash(j) == hash(Jet2(1.5, 2.0, 0.0, 0.0, 0.0, 0.0))
-    assert len({j, Jet2(1.5, 2.0)}) == 1
+    assert j == record(1.5, 2.0, 0.0, 0.0, 0.0, 0.0) == (1.5, 2.0, 0.0, 0.0, 0.0, 0.0)
+    assert hash(j) == hash(record(1.5, 2.0, 0.0, 0.0, 0.0, 0.0))
+    assert len({j, record(1.5, 2.0)}) == 1
     assert repr(j) == "Jet2(val=1.5, du=2.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0)"
-    assert j._replace(dv=3.0) == Jet2(1.5, 2.0, 3.0)
+    assert j._replace(dv=3.0) == record(1.5, 2.0, 3.0)
     assert repr(Jet1(1.0)) == "Jet1(val=1.0, d1=0.0, d2=0.0)"
+    # a plain record: the jet rules are the generated kernels'
+    assert not set(vars(record)) & {"__add__", "__sub__", "__mul__",
+                                    "__truediv__", "__neg__", "__pow__",
+                                    "chain", "is_constant"}
+    with pytest.raises(TypeError):
+        j + 1.0
 
 
 @pytest.mark.parametrize("c", [2, -3.5])
@@ -95,14 +125,13 @@ def test_jet2_scalars_on_either_side(c):
 
 def test_pow_int_cases():
     u = seed_u(2, 0)
-    assert pow_int(u, 0) == Jet2(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert pow_int(u, 3) == Jet2(8.0, 12.0, 0.0, 12.0, 0.0, 0.0)
+    assert pow_int(u, 0) == Jet2(1.0, 0.0, 0.0, 0.0, 0.0, 0.0) == kernel("u^0", 2, 0)
+    assert pow_int(u, 3) == Jet2(8.0, 12.0, 0.0, 12.0, 0.0, 0.0) == kernel("u^3", 2, 0)
     neg = pow_int(seed_u(-2, 0), 2)
-    assert neg == Jet2(4.0, -4.0, 0.0, 2.0, 0.0, 0.0)
+    assert neg == Jet2(4.0, -4.0, 0.0, 2.0, 0.0, 0.0) == kernel("u^2", -2, 0)
     at_zero = pow_int(seed_u(0, 0), 2)
-    assert at_zero == Jet2(0.0, 0.0, 0.0, 2.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        pow_int(seed_u(0, 0), -1)
+    assert at_zero == Jet2(0.0, 0.0, 0.0, 2.0, 0.0, 0.0) == kernel("u^2", 0, 0)
+    _same_domain_error(lambda: pow_int(seed_u(0, 0), -1), "u^-1", 0, 0)
 
 
 def test_pow_real_domain():
@@ -110,8 +139,8 @@ def test_pow_real_domain():
     assert math.isclose(j.val, 2.0)
     assert math.isclose(j.du, 0.25)
     assert math.isclose(j.duu, -0.03125)
-    with pytest.raises(DomainError):
-        pow_real(seed_u(-1, 0), 0.5)
+    assert kernel("u^0.5", 4, 0) == j
+    _same_domain_error(lambda: pow_real(seed_u(-1, 0), 0.5), "u^0.5", -1, 0)
 
 
 def test_variable_exponent():
@@ -125,13 +154,12 @@ def test_variable_exponent():
     assert math.isclose(j.duu, 12.0, rel_tol=1e-14)
     assert math.isclose(j.duv, 4.0 + 12.0 * ln2, rel_tol=1e-14)
     assert math.isclose(j.dvv, 8.0 * ln2 * ln2, rel_tol=1e-14)
-    with pytest.raises(DomainError):
-        jet_pow(seed_u(-2, 3), v)
+    assert kernel("u^v", 2, 3) == j
+    _same_domain_error(lambda: jet_pow(seed_u(-2, 3), v), "u^v", -2, 3)
 
 
 def test_exp_overflow_is_domain_error():
-    with pytest.raises(DomainError):
-        apply_unary("exp", seed_u(1e6, 0))
+    _same_domain_error(lambda: apply_unary("exp", seed_u(1e6, 0)), "exp(u)", 1e6, 0)
 
 
 def _sample_field(u, v):
@@ -143,6 +171,11 @@ def _sample_field(u, v):
     t = t - apply_unary("log", ju * ju + jv * jv + 2.0)
     t = t + pow_int(ju, 3) / (apply_unary("cos", jv) + 3.0)
     return t + apply_unary("sqrt", ju * ju + 1.5) + apply_unary("tan", jv / 5.0)
+
+
+# _sample_field as an expression, operation for operation
+SAMPLE_FIELD = ("sin(u)*exp(v/3.0) + cosh(u*v/4.0) - log(u*u + v*v + 2.0)"
+                " + u^3/(cos(v) + 3.0) + sqrt(u*u + 1.5) + tan(v/5.0)")
 
 
 def _fd_jet(fn, u, v, h=1e-4):
@@ -159,6 +192,7 @@ def _fd_jet(fn, u, v, h=1e-4):
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_jets_match_finite_differences(u, v):
     j = _sample_field(u, v)
+    assert repr(tuple(kernel(SAMPLE_FIELD, u, v))) == repr(tuple(j))
     du, dv, duu, duv, dvv = _fd_jet(_sample_field, u, v)
     scale = 1.0 + max(abs(j.du), abs(j.dv), abs(j.duu), abs(j.duv), abs(j.dvv))
     assert abs(j.du - du) / scale < 1e-6
