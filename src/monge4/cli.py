@@ -14,16 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
+import stat
 import sys
+from itertools import islice
 
 from . import jet
 from .classify import (DEFAULT_TOL, PREDICATES, classify_surface,
                        integrate_profile_ode, minimal_aminov_profile,
                        profile_row, report_to_json)
 from .expr import ExprError, profile_eval
-from .grid import (RESULT_HEADER, GridSpec, csv_text, evaluate_discrete,
-                   export_csv, ingest_samples, read_samples_csv, sample_grid,
+from .grid import (RESULT_HEADER, GridSpec, _csv_chunks, csv_text,
+                   discrete_rows, grid_rows, ingest_samples, read_samples_csv,
                    write_text)
 from .invariants import ConsistencyError, invariants_at
 from .patch import FIELDS, make_patch, patch_from_json
@@ -41,6 +44,11 @@ PREDICATE_ALIASES = {"wintgen": "wintgen_ideal", "pseudo": "pseudo_umbilical",
                      "k+kn": "k_plus_kn_zero"}
 
 ODE_HEADER = ("u", "r", "rp", "residual")
+
+# rows per encoder call in JSON output: enough to spread the encoder's
+# per-call set-up (one call per row made a 201x201 grid about 0.5 s
+# slower), few enough that the pieces it joins stay small
+JSON_ROWS = 64
 
 
 # one flag per expression field of patch.FIELDS, in help order
@@ -225,8 +233,13 @@ def _grid_spec(args) -> GridSpec:
     return GridSpec(args.u0, args.u1, args.v0, args.v1, args.nu, args.nv)
 
 
-def _emit(text: str, out) -> None:
-    write_text(sys.stdout if out is None else out, text)
+def _emit(text, out) -> None:
+    """Write a string, or an iterable of strings, to stdout or to the file
+    named by --out (see _replace_file)."""
+    if out is None:
+        write_text(sys.stdout, text)
+    else:
+        _replace_file(text, out)
 
 
 def _note(message: str, out) -> None:
@@ -235,11 +248,68 @@ def _note(message: str, out) -> None:
     print(message, file=stream)
 
 
+def _replace_file(text, path) -> None:
+    """Write a string, or an iterable of strings, to the file at path so
+    that it changes only if all of it is written: a new file beside it
+    takes the text and then replaces it, with the mode a plain
+    open(path, "w") would leave.
+
+    A path that exists but is not a regular file (a device, a pipe) is
+    written in place, and so is one whose directory takes no new file.
+    If open() fails there, the strings are still made first, so that an
+    evaluation error is reported ahead of the I/O error.
+    """
+    target = os.path.realpath(path)
+    try:
+        old = os.stat(target)
+    except OSError:
+        old = None
+    tmp = os.path.join(os.path.dirname(target),
+                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    fd = None
+    if old is None or stat.S_ISREG(old.st_mode):
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            pass
+    if fd is None:
+        try:
+            fh = open(path, "w", newline="")
+        except OSError:
+            for _ in text:
+                pass
+            raise
+        with fh:
+            write_text(fh, text)
+        return
+    try:
+        with open(fd, "w", newline="") as fh:
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            write_text(fh, text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _json_chunks(header, rows):
+    """A float table (last column may be a string flag) as the text of
+    json.dumps(table, indent=2), JSON_ROWS row objects at a time: each
+    batch is encoded as a list, without its opening and closing lines."""
+    encode = json.JSONEncoder(indent=2).encode
+    docs = ({name: cell if isinstance(cell, str) or math.isfinite(cell)
+             else None for name, cell in zip(header, row)} for row in rows)
+    sep = "[\n"
+    while batch := list(islice(docs, JSON_ROWS)):
+        yield sep + encode(batch)[2:-2]
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
 def _json_rows(header, rows) -> str:
     """Render a float table (last column may be a string flag) as JSON."""
-    doc = [{name: cell if isinstance(cell, str) or math.isfinite(cell) else None
-            for name, cell in zip(header, row)} for row in rows]
-    return json.dumps(doc, indent=2) + "\n"
+    return "".join(_json_chunks(header, rows))
 
 
 def cmd_eval(args) -> int:
@@ -258,35 +328,59 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+class _Tally:
+    """Counts the rows that pass through count(): all, flagged, and
+    flagged as boundary."""
+
+    def __init__(self):
+        self.nodes = self.flagged = self.boundary = 0
+
+    def count(self, rows):
+        for row in rows:
+            self.nodes += 1
+            if row.flag:
+                self.flagged += 1
+                self.boundary += row.flag == "boundary"
+            yield row
+
+
+def _text_summary(spec, rows, tally):
+    """The text report of a result table: its size, flags and the largest
+    |K|, |KN| and |H| over unflagged rows, as builtin max would pick them."""
+    best = None
+    for r in rows:
+        if not r.flag:
+            values = (abs(r.K), abs(r.KN), r.Hnorm)
+            best = values if best is None else tuple(
+                x if x > top else top for x, top in zip(values, best))
+    lines = [f"grid: {spec.u0} .. {spec.u1} x {spec.v0} .. {spec.v1}, "
+             f"{spec.nu} x {spec.nv}",
+             f"rows: {tally.nodes} (flagged: {tally.flagged})"]
+    for k, label in enumerate(("max |K|", "max |KN|", "max |H|")):
+        lines.append(f"{label}: {'n/a' if best is None else repr(best[k])}")
+    yield "\n".join(lines) + "\n"
+
+
+def _write_table(spec, rows, args) -> _Tally:
+    """Stream result rows to --out or stdout in --format; their tally."""
+    tally = _Tally()
+    rows = tally.count(rows)
+    if args.format == "csv":
+        chunks = _csv_chunks(RESULT_HEADER, rows)
+    elif args.format == "json":
+        chunks = _json_chunks(RESULT_HEADER, rows)
+    else:
+        chunks = _text_summary(spec, rows, tally)
+    _emit(chunks, args.out)
+    return tally
+
+
 def cmd_grid(args) -> int:
     patch = _build_patch(args)
     spec = _grid_spec(args)
-    result = sample_grid(patch, spec)
-    _emit_grid_result(result, args)
-    flagged = sum(1 for r in result.rows if r.flag)
-    _note(f"sampled {len(result.rows)} nodes ({flagged} flagged)", args.out)
+    tally = _write_table(spec, grid_rows(patch, spec), args)
+    _note(f"sampled {tally.nodes} nodes ({tally.flagged} flagged)", args.out)
     return EXIT_OK
-
-
-def _emit_grid_result(result, args) -> None:
-    if args.format == "csv":
-        export_csv(result, sys.stdout if args.out is None else args.out)
-        return
-    if args.format == "json":
-        _emit(_json_rows(RESULT_HEADER, result.rows), args.out)
-        return
-    clean = [r for r in result.rows if not r.flag]
-    flagged = len(result.rows) - len(clean)
-    lines = [f"grid: {result.spec.u0} .. {result.spec.u1} x "
-             f"{result.spec.v0} .. {result.spec.v1}, "
-             f"{result.spec.nu} x {result.spec.nv}",
-             f"rows: {len(result.rows)} (flagged: {flagged})"]
-    for label, pick in (("max |K|", lambda r: abs(r.K)),
-                        ("max |KN|", lambda r: abs(r.KN)),
-                        ("max |H|", lambda r: r.Hnorm)):
-        value = repr(max(map(pick, clean))) if clean else "n/a"
-        lines.append(f"{label}: {value}")
-    _emit("\n".join(lines) + "\n", args.out)
 
 
 def _parse_predicates(text):
@@ -388,15 +482,12 @@ def cmd_ode(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    records = read_samples_csv(args.input)
-    dp = ingest_samples(records, hu=args.hu, hv=args.hv, mode=args.mode,
-                        source=args.input)
-    result = evaluate_discrete(dp)
-    _emit_grid_result(result, args)
-    flagged = sum(1 for r in result.rows if r.flag and
-                  r.flag != "boundary")
+    dp = ingest_samples(read_samples_csv(args.input), hu=args.hu, hv=args.hv,
+                        mode=args.mode, source=args.input)
+    tally = _write_table(dp.spec(), discrete_rows(dp), args)
     _note(f"evaluated {dp.nu} x {dp.nv} samples from {args.input} "
-          f"({flagged} flagged beyond the boundary ring)", args.out)
+          f"({tally.flagged - tally.boundary} flagged beyond the boundary "
+          f"ring)", args.out)
     return EXIT_OK
 
 

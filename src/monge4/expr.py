@@ -314,6 +314,11 @@ def _literal(x: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
+def _literal_value(text: str) -> float:
+    """The float of a _literal's text."""
+    return float(text.replace("_", "").strip("()"))
+
+
 def _times(*factors: str) -> str:
     """A left-to-right product; a factor 1.0 is dropped, since x * 1.0 is x
     for every float, NaN, infinity and signed zero included."""
@@ -523,23 +528,36 @@ class JetCode:
         If any derivative of b is non-zero there (NaN counts, -0.0 does
         not), a^b is exp(b log a) and needs a positive base; otherwise b
         is constant at the point and constant_power admits a negative
-        base under an integral exponent.
+        base under an integral exponent.  Literal derivatives decide the
+        branch here: one non-zero literal leaves only exp(b log a), five
+        zero literals only constant_power; else the kernel tests b.
         """
+        literals = [x for x in b[1:] if not GENERATED_NAME.fullmatch(x)]
+        if any(_literal_value(x) != 0.0 for x in literals):
+            return self._varying_power(a, b, position)
+        if len(literals) == 5:
+            return self._constant_power(a, b, position)
         out = tuple(self._local() for _ in range(6))
         self.emit(f"if {' or '.join(b[1:])}:")
         self.depth += 1
-        log = self.chain(a, *self._raising(3, f"_variable_base({a[0]})", a[0],
-                                           ("log", position)))
-        e = self.mul(b, log)
-        self._assign(out, self.chain(e, *self._raising(
-            3, f"_exp({e[0]})", e[0], ("exp", position))))
+        self._assign(out, self._varying_power(a, b, position))
         self.depth -= 1
         self.emit("else:")
         self.depth += 1
-        self._assign(out, self.chain(a, *self._raising(
-            3, f"_constant_power({a[0]}, {b[0]})", a[0], (None, position))))
+        self._assign(out, self._constant_power(a, b, position))
         self.depth -= 1
         return out
+
+    def _varying_power(self, a, b, position) -> tuple:
+        log = self.chain(a, *self._raising(3, f"_variable_base({a[0]})", a[0],
+                                           ("log", position)))
+        e = self.mul(b, log)
+        return self.chain(e, *self._raising(
+            3, f"_exp({e[0]})", e[0], ("exp", position)))
+
+    def _constant_power(self, a, b, position) -> tuple:
+        return self.chain(a, *self._raising(
+            3, f"_constant_power({a[0]}, {b[0]})", a[0], (None, position)))
 
     def _assign(self, names, operands) -> None:
         self.emit(f"{', '.join(names)} = {', '.join(operands)}")

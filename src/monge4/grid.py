@@ -6,7 +6,8 @@ ingest_samples validates the rectangle and evaluate_discrete estimates
 jets with second-order central differences on interior nodes; the
 boundary ring and any node with a corrupt stencil are flagged rather
 than dropped, so a result always carries nu*nv rows in a deterministic
-order (v fastest).
+order (v fastest).  grid_rows and discrete_rows yield the same rows one
+at a time, so a caller that streams them never holds the whole grid.
 """
 
 from __future__ import annotations
@@ -118,10 +119,15 @@ def _sample_point(patch: MongePatch, u: float, v: float) -> Row:
         return Row(u, v, flag=f"domain-error: {err}")
 
 
+def grid_rows(patch: MongePatch, spec: GridSpec):
+    """Yield the result row of every node in order; failures become flags."""
+    for _, _, u, v in spec.points():
+        yield _sample_point(patch, u, v)
+
+
 def sample_grid(patch: MongePatch, spec: GridSpec) -> GridResult:
     """Evaluate the full pipeline at every node; failures become flags."""
-    return GridResult(spec, [_sample_point(patch, u, v)
-                             for _, _, u, v in spec.points()])
+    return GridResult(spec, list(grid_rows(patch, spec)))
 
 
 @dataclass(frozen=True)
@@ -181,23 +187,26 @@ def fd_jets(dp: DiscretePatch, i: int, j: int) -> PatchJets:
                      _new(Jet2, _stencil(dp.g, i, j, dp.hu, dp.hv)))
 
 
-def evaluate_discrete(dp: DiscretePatch) -> GridResult:
-    """Run the pipeline over interior nodes; boundary ring is flagged."""
-    spec = dp.spec()
+def discrete_rows(dp: DiscretePatch):
+    """Yield the row of every node in order; the boundary ring is flagged."""
     f, g, hu, hv = dp.f, dp.g, dp.hu, dp.hv
-    rows = []
-    for i, j, u, v in spec.points():
+    for i, j, u, v in dp.spec().points():
         if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
-            rows.append(Row(u, v, flag="boundary"))
+            yield Row(u, v, flag="boundary")
             continue
         try:
-            rows.append(_row(u, v, _stencil(f, i, j, hu, hv)
-                             + _stencil(g, i, j, hu, hv)))
+            row = _row(u, v, _stencil(f, i, j, hu, hv)
+                       + _stencil(g, i, j, hu, hv))
         except jet.DomainError as err:
-            rows.append(Row(u, v, flag=f"domain-error: {err}"))
+            row = Row(u, v, flag=f"domain-error: {err}")
         except ValueError as err:  # _stencil: a non-finite sample
-            rows.append(Row(u, v, flag=f"bad-sample: {err}"))
-    return GridResult(spec, rows)
+            row = Row(u, v, flag=f"bad-sample: {err}")
+        yield row
+
+
+def evaluate_discrete(dp: DiscretePatch) -> GridResult:
+    """Run the pipeline over interior nodes; boundary ring is flagged."""
+    return GridResult(dp.spec(), list(discrete_rows(dp)))
 
 
 def _uniform_axis(values, name: str):
@@ -254,18 +263,18 @@ def ingest_samples(records, hu: float | None = None, hv: float | None = None,
     nu, nv = len(us), len(vs)
     f = [[math.nan] * nv for _ in range(nu)]
     g = [[0.0] * nv for _ in range(nu)]
-    seen = set()
+    seen = bytearray(nu * nv)  # node (i, j) at i*nv + j
     for r in records:
-        key = (iu[r[0]], iv[r[1]])
-        if key in seen:
-            raise ValueError(f"duplicate sample at node {key}")
-        seen.add(key)
-        f[key[0]][key[1]] = r[2]
+        i, j = iu[r[0]], iv[r[1]]
+        k = i * nv + j
+        if seen[k]:
+            raise ValueError(f"duplicate sample at node {(i, j)}")
+        seen[k] = 1
+        f[i][j] = r[2]
         if mode == "monge4":
-            g[key[0]][key[1]] = r[3]
-    if len(seen) != nu * nv:
-        missing = [(i, j) for i in range(nu) for j in range(nv)
-                   if (i, j) not in seen]
+            g[i][j] = r[3]
+    if 0 in seen:
+        missing = [divmod(k, nv) for k, hit in enumerate(seen) if not hit]
         raise ValueError(f"incomplete grid, missing nodes {missing[:8]}"
                          + ("..." if len(missing) > 8 else ""))
     return DiscretePatch(us[0], vs[0], h_u, h_v, nu, nv, f, g,
@@ -349,7 +358,7 @@ def export_samples_csv(dp: DiscretePatch, destination) -> None:
 
 __all__ = [
     "DiscretePatch", "GridResult", "GridSpec", "MODES", "RESULT_HEADER",
-    "Row", "csv_text", "evaluate_discrete", "export_csv", "export_samples_csv",
-    "fd_jets", "ingest_csv", "ingest_samples", "read_samples_csv", "sample_grid",
-    "sample_values", "write_text",
+    "Row", "csv_text", "discrete_rows", "evaluate_discrete", "export_csv",
+    "export_samples_csv", "fd_jets", "grid_rows", "ingest_csv", "ingest_samples",
+    "read_samples_csv", "sample_grid", "sample_values", "write_text",
 ]

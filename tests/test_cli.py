@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,9 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monge4.classify import PREDICATES
-from monge4.cli import main
+from monge4.cli import _json_rows, _write_table, main
 from monge4.expr import BinOp, Call, Num, Var, pretty
-from monge4.grid import GridSpec, sample_values, export_samples_csv
+from monge4.grid import (RESULT_HEADER, GridResult, GridSpec, Row, csv_text,
+                         evaluate_discrete, export_samples_csv, ingest_csv,
+                         sample_grid, sample_values)
 from monge4.invariants import invariants_at
 from monge4.patch import make_explicit, make_translation, patch_to_json
 
@@ -399,6 +404,192 @@ def test_ingest_non_finite_coordinate_exits_without_traceback(tmp_path, bad):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: non-finite u coordinate {bad}\n"
+
+
+def _rendered(fmt, result):
+    """The table of a GridResult in a --format, from its whole row list:
+    what grid and ingest wrote before their rows streamed."""
+    rows = result.rows
+    if fmt == "csv":
+        return csv_text(RESULT_HEADER, rows)
+    if fmt == "json":
+        doc = [{name: None if isinstance(x, float) and not math.isfinite(x)
+                else x for name, x in zip(RESULT_HEADER, row)} for row in rows]
+        return json.dumps(doc, indent=2) + "\n"
+    clean = [r for r in rows if not r.flag]
+    spec = result.spec
+    lines = [f"grid: {spec.u0} .. {spec.u1} x {spec.v0} .. {spec.v1}, "
+             f"{spec.nu} x {spec.nv}",
+             f"rows: {len(rows)} (flagged: {len(rows) - len(clean)})"]
+    for label, pick in (("max |K|", lambda r: abs(r.K)),
+                        ("max |KN|", lambda r: abs(r.KN)),
+                        ("max |H|", lambda r: r.Hnorm)):
+        lines.append(f"{label}: "
+                     + (repr(max(map(pick, clean))) if clean else "n/a"))
+    return "\n".join(lines) + "\n"
+
+
+# flags a log domain error on the u = -1 column and has -0.0 in K and KN
+STREAM_SURFACE = ("u^3", "0-v^3+0*log(u+1)")
+
+
+def _holed_samples(path):
+    """A 7 x 6 samples file whose table has every flag: the boundary ring,
+    bad samples around a NaN and an overflow of the invariants."""
+    f = {(i, j): 0.1 * i * j - 0.05 * j * j for i in range(7)
+         for j in range(6)}
+    f[0, 0], f[0, 1], f[5, 3] = 1e308, -1e308, math.nan
+    path.write_text(csv_text(("u", "v", "f", "g"),
+                             [(0.5 * i, 0.25 * j, z, -0.0 * i)
+                              for (i, j), z in f.items()]))
+
+
+def _flag_kinds(rows):
+    return {r.flag.split(":")[0] for r in rows}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_grid_stream_matches_list_api(tmp_path, capsys, fmt):
+    result = sample_grid(make_explicit(*STREAM_SURFACE),
+                         GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 4))
+    assert _flag_kinds(result.rows) == {"", "domain-error"}
+    assert any(r.K == 0.0 and math.copysign(1.0, r.K) < 0
+               for r in result.rows)
+    want = _rendered(fmt, result)
+    argv = ["grid", "--f", STREAM_SURFACE[0], "--g", STREAM_SURFACE[1],
+            "--nu", "5", "--nv", "4", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, want, "sampled 20 nodes (4 flagged)\n")
+    table = tmp_path / "table"
+    code, out, _ = run(capsys, *argv, "--out", str(table))
+    assert (code, out) == (0, "sampled 20 nodes (4 flagged)\n")
+    assert table.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_ingest_stream_matches_list_api(tmp_path, capsys, fmt):
+    samples = tmp_path / "samples.csv"
+    _holed_samples(samples)
+    result = evaluate_discrete(ingest_csv(samples))
+    assert _flag_kinds(result.rows) == {"", "boundary", "bad-sample",
+                                        "domain-error"}
+    flagged = sum(1 for r in result.rows if r.flag not in ("", "boundary"))
+    note = (f"evaluated 7 x 6 samples from {samples} "
+            f"({flagged} flagged beyond the boundary ring)\n")
+    want = _rendered(fmt, result)
+    code, out, err = run(capsys, "ingest", str(samples), "--format", fmt)
+    assert (code, out, err) == (0, want, note)
+    table = tmp_path / "table"
+    code, out, _ = run(capsys, "ingest", str(samples), "--format", fmt,
+                       "--out", str(table))
+    assert (code, out) == (0, note)
+    assert table.read_bytes() == want.encode()
+
+
+# quotes and commas in a flag, -0.0, NaN and infinities
+ODD_ROWS = [Row(0.5, -0.0, -0.0, 1.0, 2.0, 3.0, -4.0, 0.25, -0.0, 1e-300,
+                5.0, -0.0, 7.5),
+            Row(1.0, 2.0, flag='domain-error: "x", y'),
+            Row(1.5, 2.5, *[math.inf] * 11, ""),
+            Row(2.0, 3.0, *[1.0] * 10, math.nan, "")]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_table_writer_streams_odd_rows(tmp_path, fmt):
+    spec = GridSpec(0, 1, 0, 1, 2, 2)
+    table = tmp_path / "table"
+    args = argparse.Namespace(format=fmt, out=str(table))
+    tally = _write_table(spec, iter(ODD_ROWS), args)
+    assert (tally.nodes, tally.flagged, tally.boundary) == (4, 1, 0)
+    assert table.read_bytes() == _rendered(
+        fmt, GridResult(spec, ODD_ROWS)).encode()
+
+
+def test_json_rows_match_json_dumps():
+    # 160 rows span three encoder batches (cli.JSON_ROWS)
+    for rows in (ODD_ROWS, ODD_ROWS[:1], [], ODD_ROWS * 40):
+        doc = [{name: None if isinstance(x, float) and not math.isfinite(x)
+                else x for name, x in zip(RESULT_HEADER, row)} for row in rows]
+        assert _json_rows(RESULT_HEADER, rows) == json.dumps(doc, indent=2) + "\n"
+
+
+# Below the 4.4 MiB that the 10 201 Row records of a 101 x 101 grid take
+# alone: a command that held every row would exceed it.
+STREAM_PEAK_BYTES = 3 * 2**20
+
+
+@pytest.mark.parametrize("command", ["grid-csv", "grid-json", "ingest"])
+def test_streamed_commands_hold_no_grid(tmp_path, capsys, command):
+    samples = tmp_path / "samples.csv"
+    if command == "ingest":
+        export_samples_csv(sample_values(make_explicit("u^3+sin(v)+u*v", "u*v"),
+                                         GridSpec(-1, 1, -1, 1, 101, 101)),
+                           str(samples))
+        argv = ["ingest", str(samples)]
+    else:
+        argv = ["grid", "--f", "u^3+sin(v)+u*v", "--g", "u*v",
+                "--nu", "101", "--nv", "101", "--format", command[5:]]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "table")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < STREAM_PEAK_BYTES
+
+
+# the dual-path check fires after about a thousand rows have streamed
+CONSISTENCY_FAILURE = ["grid", "--f", "10*u^2+7.868*v^2",
+                       "--g", "100*u^2+78.68*v^2", "--nu", "51", "--nv", "51"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_failed_grid_leaves_out_as_it_was(tmp_path, capsys, fmt):
+    table = tmp_path / "table"
+    table.write_bytes(b"earlier result\n")
+    argv = [*CONSISTENCY_FAILURE, "--format", fmt, "--out", str(table)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: chen residual paths disagree: ")
+    assert table.read_bytes() == b"earlier result\n"
+    assert os.listdir(tmp_path) == ["table"]
+    table.unlink()
+    code, _, _ = run(capsys, *argv)
+    assert code == 3
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_grid_exits_without_traceback(tmp_path):
+    proc = run_python("-m", "monge4.cli", *CONSISTENCY_FAILURE,
+                      "--out", str(tmp_path / "table"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: chen residual paths disagree: ")
+    assert proc.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_file_gets_the_mode_of_a_plain_write(tmp_path, capsys):
+    argv = ["grid", "--f", "u", "--g", "v", "--nu", "2", "--nv", "2"]
+    table, plain = tmp_path / "table", tmp_path / "plain"
+    run(capsys, *argv, "--out", str(table))
+    plain.write_text("")
+    assert stat.S_IMODE(table.stat().st_mode) == stat.S_IMODE(
+        plain.stat().st_mode)
+    table.chmod(0o640)
+    code, _, _ = run(capsys, *argv, "--out", str(table))
+    assert code == 0
+    assert stat.S_IMODE(table.stat().st_mode) == 0o640
+    assert table.read_text().count("\n") == 5
+    link = tmp_path / "link"
+    link.symlink_to(table)
+    code, _, _ = run(capsys, *argv, "--format", "text", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and table.read_text().startswith("grid: ")
+    assert sorted(os.listdir(tmp_path)) == ["link", "plain", "table"]
+    code, _, _ = run(capsys, *argv, "--out", os.devnull)
+    assert code == 0
 
 
 def test_classify_overflow_surface_is_indeterminate(capsys):

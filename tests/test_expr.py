@@ -284,6 +284,23 @@ def test_patch_kernel_sources_hold_no_user_text():
         _check_kernel_source(patch.kernel.source)
 
 
+def test_literal_exponent_derivatives_choose_the_power_rule():
+    # v's seed has literal derivatives, 1.0 among them: only exp(v log u)
+    source = make_explicit("u^v", "0").kernel.source
+    assert "_variable_base" in source
+    assert "_constant_power" not in source and "if " not in source
+    # computed derivatives leave the choice to the kernel
+    source = make_explicit("(0-2)^(u-u)", "0").kernel.source
+    assert "_variable_base" in source and "_constant_power" in source
+    assert "if " in source
+    # an unbound exponent's jet is five literal zeros: only constant_power
+    code = JetCode()
+    _, params = code.define(6)
+    code.finish(code.jet(compile_expr("u^w", ("u", "w")), {"u": params}))
+    assert "_constant_power" in code.source()
+    assert "_variable_base" not in code.source()
+
+
 def test_constants_only_matches_arithmetic():
     cases = {
         "2^10": 1024.0,

@@ -123,6 +123,19 @@ def test_ingest_reports_missing_node():
     assert "(2, 3)" in str(err.value)
 
 
+def test_ingest_node_messages():
+    records = [(float(i), float(j), 0.0) for i in range(4) for j in range(5)
+               if (i + j) % 2]
+    with pytest.raises(ValueError) as err:
+        ingest_samples(records)
+    assert str(err.value) == (
+        "incomplete grid, missing nodes [(0, 0), (0, 2), (0, 4), (1, 1), "
+        "(1, 3), (2, 0), (2, 2), (2, 4)]...")
+    with pytest.raises(ValueError) as err:
+        ingest_samples(records[-1:] + records)
+    assert str(err.value) == "duplicate sample at node (3, 4)"
+
+
 @pytest.mark.parametrize("axis, bad", [(0, math.nan), (0, math.inf),
                                        (1, -math.inf), (1, math.nan)])
 def test_ingest_rejects_non_finite_coordinates(axis, bad):
