@@ -8,6 +8,9 @@ boundary ring and any node with a corrupt stencil are flagged rather
 than dropped, so a result always carries nu*nv rows in a deterministic
 order (v fastest).  grid_rows and discrete_rows yield the same rows one
 at a time, so a caller that streams them never holds the whole grid.
+Samples stay packed 8-byte doubles (array('d')) from the CSV read to the
+stencil: read_samples_csv keeps one array per column and a
+DiscretePatch one array per grid row and channel.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from . import jet
@@ -130,6 +133,14 @@ def sample_grid(patch: MongePatch, spec: GridSpec) -> GridResult:
     return GridResult(spec, list(grid_rows(patch, spec)))
 
 
+def _doubles(values=()):
+    """A packed array('d') of 8-byte doubles.  The array extension loads
+    on first use, so commands that hold no samples do not map it (about
+    0.1 MB of peak RSS)."""
+    from array import array
+    return array("d", values)
+
+
 @dataclass(frozen=True)
 class DiscretePatch:
     """Sampled heights on a uniform grid, one or two channels."""
@@ -140,8 +151,8 @@ class DiscretePatch:
     hv: float
     nu: int
     nv: int
-    f: list  # nu rows of nv floats
-    g: list
+    f: list  # nu rows, each an array('d') of nv samples: f[i][j]
+    g: list  # the same shape; all 0.0 in monge3 mode
     mode: str = "monge4"
     source: str = "<memory>"
 
@@ -153,8 +164,8 @@ class DiscretePatch:
 
 def sample_values(patch: MongePatch, spec: GridSpec, mode: str = "monge4") -> DiscretePatch:
     """Discretize a patch to height samples only (no jets)."""
-    f = [[0.0] * spec.nv for _ in range(spec.nu)]
-    g = [[0.0] * spec.nv for _ in range(spec.nu)]
+    f = [_doubles([0.0]) * spec.nv for _ in range(spec.nu)]
+    g = [_doubles([0.0]) * spec.nv for _ in range(spec.nu)]
     for i, j, u, v in spec.points():
         floats = jet_floats(patch, u, v)
         f[i][j], g[i][j] = floats[0], floats[6]
@@ -166,17 +177,23 @@ def _stencil(z, i: int, j: int, hu: float, hv: float) -> tuple:
     """The six jet floats of the samples z at interior node (i, j), by
     second-order central differences; a ValueError if any of the nine
     samples around the node is not finite."""
-    block = [z[i + a][j + b] for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    if not all(math.isfinite(x) for x in block):
+    # zab is the sample at (i + a, j + b), with m for -1 and p for +1
+    lo, mid, hi = z[i - 1], z[i], z[i + 1]
+    zmm, zm0, zmp = lo[j - 1], lo[j], lo[j + 1]
+    z0m, z00, z0p = mid[j - 1], mid[j], mid[j + 1]
+    zpm, zp0, zpp = hi[j - 1], hi[j], hi[j + 1]
+    # a non-finite sample makes the sum non-finite; finite samples can
+    # overflow it too, so only then are they tested one by one
+    if (not math.isfinite(zmm + zm0 + zmp + z0m + z00 + z0p + zpm + zp0 + zpp)
+            and not all(map(math.isfinite, (zmm, zm0, zmp, z0m, z00, z0p,
+                                            zpm, zp0, zpp)))):
         raise ValueError(f"non-finite sample near node ({i}, {j})")
-    val = z[i][j]
-    du = (z[i + 1][j] - z[i - 1][j]) / (2 * hu)
-    dv = (z[i][j + 1] - z[i][j - 1]) / (2 * hv)
-    duu = (z[i + 1][j] - 2 * val + z[i - 1][j]) / hu**2
-    dvv = (z[i][j + 1] - 2 * val + z[i][j - 1]) / hv**2
-    duv = (z[i + 1][j + 1] - z[i + 1][j - 1]
-           - z[i - 1][j + 1] + z[i - 1][j - 1]) / (4 * hu * hv)
-    return val, du, dv, duu, duv, dvv
+    du = (zp0 - zm0) / (2 * hu)
+    dv = (z0p - z0m) / (2 * hv)
+    duu = (zp0 - 2 * z00 + zm0) / hu**2
+    dvv = (z0p - 2 * z00 + z0m) / hv**2
+    duv = (zpp - zpm - zmp + zmm) / (4 * hu * hv)
+    return z00, du, dv, duu, duv, dvv
 
 
 def fd_jets(dp: DiscretePatch, i: int, j: int) -> PatchJets:
@@ -227,24 +244,35 @@ def _uniform_axis(values, name: str):
     return axis, h
 
 
+def _columns(records) -> tuple:
+    """Drain records of one width, 3 or 4, into one array('d') per field."""
+    shapes = "records must be uniformly (u, v, f) or (u, v, f, g)"
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        raise ValueError("no sample records")
+    if len(first) not in (3, 4):
+        raise ValueError(shapes)
+    columns = tuple(_doubles([x]) for x in first)
+    appends = [column.append for column in columns]
+    for r in records:
+        if len(r) != len(columns):
+            raise ValueError(shapes)
+        for append, x in zip(appends, r):
+            append(x)
+    return columns
+
+
 def ingest_samples(records, hu: float | None = None, hv: float | None = None,
                    mode: str | None = None, source: str = "<memory>") -> DiscretePatch:
     """Assemble (u, v, f[, g]) records into a validated DiscretePatch.
 
-    Records may arrive in any order.  The rectangle must be complete;
-    spacing is inferred and checked for uniformity, and any hu/hv
-    passed in must match the inferred values.
+    Records may arrive in any order and are read once.  The rectangle
+    must be complete; spacing is inferred and checked for uniformity,
+    and any hu/hv passed in must match the inferred values.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("no sample records")
-    widths = {len(r) for r in records}
-    if widths == {3}:
-        inferred = "monge3"
-    elif widths == {4}:
-        inferred = "monge4"
-    else:
-        raise ValueError("records must be uniformly (u, v, f) or (u, v, f, g)")
+    columns = _columns(records)
+    inferred = "monge4" if len(columns) == 4 else "monge3"
     if mode is None:
         mode = inferred
     elif mode not in MODES:
@@ -252,27 +280,29 @@ def ingest_samples(records, hu: float | None = None, hv: float | None = None,
     elif mode != inferred:
         raise ValueError(f"records have {inferred} shape, not {mode}")
 
-    us, h_u = _uniform_axis([r[0] for r in records], "u")
-    vs, h_v = _uniform_axis([r[1] for r in records], "v")
+    us, h_u = _uniform_axis(columns[0], "u")
+    vs, h_v = _uniform_axis(columns[1], "v")
     for given, inferred_h, name in ((hu, h_u, "hu"), (hv, h_v, "hv")):
-        if given is not None and abs(given - inferred_h) > SPACING_RTOL * max(abs(inferred_h), 1.0):
+        tol = SPACING_RTOL * max(abs(inferred_h), 1.0)
+        # not (gap <= tol), so that a NaN spacing fails too
+        if given is not None and not abs(given - inferred_h) <= tol:
             raise ValueError(f"{name}={given!r} does not match inferred {inferred_h!r}")
 
     iu = {u: i for i, u in enumerate(us)}
     iv = {v: j for j, v in enumerate(vs)}
     nu, nv = len(us), len(vs)
-    f = [[math.nan] * nv for _ in range(nu)]
-    g = [[0.0] * nv for _ in range(nu)]
+    f = [_doubles([math.nan]) * nv for _ in range(nu)]
+    g = [_doubles([0.0]) * nv for _ in range(nu)]
     seen = bytearray(nu * nv)  # node (i, j) at i*nv + j
-    for r in records:
-        i, j = iu[r[0]], iv[r[1]]
+    gs = columns[3] if mode == "monge4" else repeat(0.0)
+    for u, v, z, w in zip(*columns[:3], gs):
+        i, j = iu[u], iv[v]
         k = i * nv + j
         if seen[k]:
             raise ValueError(f"duplicate sample at node {(i, j)}")
         seen[k] = 1
-        f[i][j] = r[2]
-        if mode == "monge4":
-            g[i][j] = r[3]
+        f[i][j] = z
+        g[i][j] = w
     if 0 in seen:
         missing = [divmod(k, nv) for k, hit in enumerate(seen) if not hit]
         raise ValueError(f"incomplete grid, missing nodes {missing[:8]}"
@@ -281,7 +311,26 @@ def ingest_samples(records, hu: float | None = None, hv: float | None = None,
                          mode=mode, source=source)
 
 
-def read_samples_csv(path) -> list:
+class SampleRecords:
+    """The records of a samples file, held as one array('d') per column.
+
+    len() counts the records; iterating yields each record as a
+    (u, v, f[, g]) tuple of floats, one at a time.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        self._columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        return zip(*self._columns)
+
+
+def read_samples_csv(path) -> SampleRecords:
     """Parse an input CSV with header u,v,f[,g] into numeric records."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -293,17 +342,19 @@ def read_samples_csv(path) -> list:
         if header not in (["u", "v", "f"], ["u", "v", "f", "g"]):
             raise ValueError(f"unexpected header {header!r}, "
                              "want u,v,f or u,v,f,g")
-        records = []
+        columns = [_doubles() for _ in header]
+        appends = [column.append for column in columns]
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
             if len(cells) != len(header):
                 raise ValueError(f"row {lineno}: expected {len(header)} cells")
             try:
-                records.append(tuple(float(c) for c in cells))
+                for append, cell in zip(appends, cells):
+                    append(float(cell))
             except ValueError:
                 raise ValueError(f"row {lineno}: non-numeric cell") from None
-    return records
+    return SampleRecords(columns)
 
 
 def ingest_csv(path, mode: str | None = None) -> DiscretePatch:
@@ -360,5 +411,6 @@ __all__ = [
     "DiscretePatch", "GridResult", "GridSpec", "MODES", "RESULT_HEADER",
     "Row", "csv_text", "discrete_rows", "evaluate_discrete", "export_csv",
     "export_samples_csv", "fd_jets", "grid_rows", "ingest_csv", "ingest_samples",
-    "read_samples_csv", "sample_grid", "sample_values", "write_text",
+    "SampleRecords", "read_samples_csv", "sample_grid", "sample_values",
+    "write_text",
 ]

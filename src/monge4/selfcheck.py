@@ -403,7 +403,9 @@ def check_sample_round_trip():
     lines = buf.getvalue().splitlines()
     records = [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]]
     back = ingest_samples(records)
-    _require(back.f == dp.f and back.g == dp.g, "samples changed")
+    # bytes, not ==, which cannot tell -0.0 from 0.0
+    _require([row.tobytes() for row in back.f + back.g]
+             == [row.tobytes() for row in dp.f + dp.g], "samples changed")
     return "export/ingest reproduces samples bit-for-bit"
 
 

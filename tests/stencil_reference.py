@@ -1,0 +1,61 @@
+"""Nested-list reference for the central-difference stencil of the ingest
+path.
+
+monge4 keeps a channel as one array('d') per grid row, reads a stencil's
+nine samples into locals once and tests their sum for finiteness before
+it tests them one by one.  This module keeps the formulation that
+replaced: samples in lists of lists, the nine gathered into a list and
+each tested, so tests can compare the two value for value and flag for
+flag.
+"""
+
+import math
+
+from monge4 import jet
+from monge4.grid import Row, _row
+from monge4.jet import Jet2, _new
+from monge4.patch import PatchJets
+
+
+def stencil(z, i: int, j: int, hu: float, hv: float) -> tuple:
+    """The six jet floats of the samples z at interior node (i, j)."""
+    block = [z[i + a][j + b] for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    if not all(math.isfinite(x) for x in block):
+        raise ValueError(f"non-finite sample near node ({i}, {j})")
+    val = z[i][j]
+    du = (z[i + 1][j] - z[i - 1][j]) / (2 * hu)
+    dv = (z[i][j + 1] - z[i][j - 1]) / (2 * hv)
+    duu = (z[i + 1][j] - 2 * val + z[i - 1][j]) / hu**2
+    dvv = (z[i][j + 1] - 2 * val + z[i][j - 1]) / hv**2
+    duv = (z[i + 1][j + 1] - z[i + 1][j - 1]
+           - z[i - 1][j + 1] + z[i - 1][j - 1]) / (4 * hu * hv)
+    return val, du, dv, duu, duv, dvv
+
+
+def nested(channel) -> list:
+    """A channel of a DiscretePatch as a list of lists of floats."""
+    return [list(row) for row in channel]
+
+
+def fd_jets(dp, i: int, j: int) -> PatchJets:
+    if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
+        raise ValueError(f"node ({i}, {j}) is not interior")
+    return PatchJets(_new(Jet2, stencil(nested(dp.f), i, j, dp.hu, dp.hv)),
+                     _new(Jet2, stencil(nested(dp.g), i, j, dp.hu, dp.hv)))
+
+
+def discrete_rows(dp):
+    """The rows of grid.discrete_rows, from the nested-list stencil."""
+    f, g, hu, hv = nested(dp.f), nested(dp.g), dp.hu, dp.hv
+    for i, j, u, v in dp.spec().points():
+        if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
+            yield Row(u, v, flag="boundary")
+            continue
+        try:
+            row = _row(u, v, stencil(f, i, j, hu, hv)
+                       + stencil(g, i, j, hu, hv))
+        except jet.DomainError as err:
+            row = Row(u, v, flag=f"domain-error: {err}")
+        except ValueError as err:
+            row = Row(u, v, flag=f"bad-sample: {err}")
+        yield row

@@ -406,6 +406,22 @@ def test_ingest_non_finite_coordinate_exits_without_traceback(tmp_path, bad):
     assert proc.stderr == f"error: non-finite u coordinate {bad}\n"
 
 
+@pytest.mark.parametrize("flag", ["--hu=nan", "--hv=nan", "--hu=inf",
+                                  "--hv=-inf"])
+def test_ingest_non_finite_spacing_exits_without_traceback(tmp_path, flag):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("u,v,f,g\n" + "".join(
+        f"{u},{v},1,1\n" for u in (0, 0.5, 1) for v in (0, 0.25)))
+    proc = run_python("-m", "monge4.cli", "ingest", str(samples), flag,
+                      "--format", "text")
+    name, value = flag[2:].split("=")
+    inferred = {"hu": 0.5, "hv": 0.25}[name]
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: {name}={value} does not match inferred "
+                           f"{inferred}\n")
+
+
 def _rendered(fmt, result):
     """The table of a GridResult in a --format, from its whole row list:
     what grid and ingest wrote before their rows streamed."""
@@ -538,6 +554,28 @@ def test_streamed_commands_hold_no_grid(tmp_path, capsys, command):
     capsys.readouterr()
     assert code == 0
     assert peak < STREAM_PEAK_BYTES
+
+
+# A 101 x 101 ingest peaks at 1.18 MiB of traced memory with its samples
+# in array('d') columns and rows; a 4-tuple of boxed floats per record
+# and nested lists of floats for the channels took 2.11 MiB.
+INGEST_PEAK_BYTES = 3 * 2**19
+
+
+def test_ingest_holds_samples_packed(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    export_samples_csv(sample_values(make_explicit("u^3+sin(v)+u*v", "u*v"),
+                                     GridSpec(-1, 1, -1, 1, 101, 101)),
+                       str(samples))
+    tracemalloc.start()
+    try:
+        code = main(["ingest", str(samples), "--out", str(tmp_path / "table")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < INGEST_PEAK_BYTES
 
 
 # the dual-path check fires after about a thousand rows have streamed

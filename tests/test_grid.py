@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from monge4.grid import (GridSpec, Row, evaluate_discrete, export_csv,
+from monge4.grid import (MODES, GridSpec, Row, evaluate_discrete, export_csv,
                          export_samples_csv, fd_jets, ingest_csv,
                          ingest_samples, read_samples_csv, sample_grid,
                          sample_values)
@@ -172,6 +172,16 @@ def test_ingest_validates_spacing():
         ingest_samples(good, mode="monge3")
 
 
+@pytest.mark.parametrize("name", ["hu", "hv"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ingest_rejects_non_finite_spacing(name, bad):
+    good = [(u, v, 0.0, 0.0) for u in (0.0, 0.1, 0.2) for v in (0.0, 0.5)]
+    inferred = {"hu": 0.1, "hv": 0.5}[name]
+    with pytest.raises(ValueError, match=(
+            f"^{name}={bad!r} does not match inferred {inferred!r}$")):
+        ingest_samples(good, **{name: bad})
+
+
 def test_monge3_mode_reduces_to_classical_surface():
     patch = make_explicit("u^2+v^2", "0")
     dp = sample_values(patch, GridSpec(-0.05, 0.05, -0.05, 0.05, 11, 11),
@@ -223,21 +233,56 @@ def test_csv_round_trip(tmp_path):
     assert back.source == str(path)
 
 
+def _bits(channel) -> list:
+    return [row.tobytes() for row in channel]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_csv_round_trip_is_bit_exact(tmp_path, mode):
+    # == cannot tell -0.0 from 0.0; the bytes of the doubles can
+    records = [(0.5 * i, 0.25 * j, -0.0 if (i + j) % 3 == 0 else i - 0.3 * j,
+                -0.0 if i == j else 1e-300 * j - i)[:3 if mode == "monge3" else 4]
+               for i in range(4) for j in range(5)]
+    dp = ingest_samples(records)
+    assert dp.mode == mode
+    assert repr(dp.f[0][0]) == "-0.0"
+    path = tmp_path / "samples.csv"
+    export_samples_csv(dp, path)
+    back = ingest_csv(path)
+    assert back.mode == mode
+    assert _bits(back.f) == _bits(dp.f)
+    assert _bits(back.g) == _bits(dp.g)
+    want = {(r[0], r[1]): r[2:] for r in records}
+    for i, j, u, v in back.spec().points():
+        heights = (back.f[i][j], back.g[i][j])[:len(want[u, v])]
+        assert list(map(repr, heights)) == list(map(repr, want[u, v]))
+
+
+def test_read_samples_csv_records(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("u,v,f\n0,0,1.5\n\n0,1,-0.0\n")
+    records = read_samples_csv(path)
+    assert len(records) == 2
+    assert [tuple(map(repr, r)) for r in records] == [
+        ("0.0", "0.0", "1.5"), ("0.0", "1.0", "-0.0")]
+    assert list(records) == list(records)  # each pass yields every record
+
+
 def test_read_samples_csv_errors(tmp_path):
+    # raised by the read itself, before any record is iterated
     path = tmp_path / "bad.csv"
-    path.write_text("x,y,z\n0,0,0\n")
-    with pytest.raises(ValueError):
-        read_samples_csv(path)
-    path.write_text("u,v,f\n0,0,oops\n")
-    with pytest.raises(ValueError) as err:
-        read_samples_csv(path)
-    assert "row 2" in str(err.value)
-    path.write_text("u,v,f\n0,0\n")
-    with pytest.raises(ValueError):
-        read_samples_csv(path)
-    path.write_text("")
-    with pytest.raises(ValueError):
-        read_samples_csv(path)
+    for text, message in [
+            ("x,y,z\n0,0,0\n",
+             "unexpected header ['x', 'y', 'z'], want u,v,f or u,v,f,g"),
+            ("u,v,f\n0,0,oops\n", "row 2: non-numeric cell"),
+            ("u,v,f\n0,0,1\n\n0,1,oops\n", "row 4: non-numeric cell"),
+            ("u,v,f\n0,0\n", "row 2: expected 3 cells"),
+            ("u,v,f,g\n0,0,1,2\n0,1,1\n", "row 3: expected 4 cells"),
+            ("", "empty samples file")]:
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_samples_csv(path)
+        assert str(err.value) == message
 
 
 def test_export_csv_format(tmp_path):
