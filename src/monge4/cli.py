@@ -25,7 +25,7 @@ from .classify import (DEFAULT_TOL, PREDICATES, classify_surface,
                        integrate_profile_ode, minimal_aminov_profile,
                        profile_row, report_to_json)
 from .expr import ExprError, profile_eval
-from .grid import (RESULT_HEADER, GridSpec, _csv_chunks, csv_text,
+from .grid import (MODES, RESULT_HEADER, GridSpec, _csv_chunks, csv_text,
                    discrete_rows, grid_rows, ingest_samples, read_samples_csv,
                    write_text)
 from .invariants import ConsistencyError, invariants_at
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "central differences and write the "
                                    "result table.")
     p.add_argument("input", metavar="FILE", help="sample CSV file")
-    p.add_argument("--mode", choices=("monge4", "monge3"),
+    p.add_argument("--mode", choices=MODES,
                    help="channel layout (inferred from the header "
                         "when omitted)")
     p.add_argument("--hu", type=float, help="expected u spacing (checked)")

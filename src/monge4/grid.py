@@ -10,7 +10,9 @@ order (v fastest).  grid_rows and discrete_rows yield the same rows one
 at a time, so a caller that streams them never holds the whole grid.
 Samples stay packed 8-byte doubles (array('d')) from the CSV read to the
 stencil: read_samples_csv keeps one array per column and a
-DiscretePatch one array per grid row and channel.
+DiscretePatch one array per grid row and channel.  ingest_samples makes
+no copy of its own: it reads the records in place, once per check, and
+reads a one-shot iterator into a list first.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from typing import NamedTuple
 
 from . import jet
@@ -234,45 +236,35 @@ def _uniform_axis(values, name: str):
     axis = sorted(axis)
     if len(axis) < 2:
         raise ValueError(f"need at least 2 distinct {name} values")
-    steps = [b - a for a, b in zip(axis, axis[1:])]
     h = (axis[-1] - axis[0]) / (len(axis) - 1)
-    for k, s in enumerate(steps):
-        if abs(s - h) > SPACING_RTOL * max(abs(h), 1.0):
-            raise ValueError(
-                f"non-uniform {name} spacing near {name}={axis[k + 1]!r}: "
-                f"step {s!r} vs expected {h!r}")
+    # an inf h passes every step test below; the far edge that the patch
+    # rebuilds from h must be finite too
+    if not math.isfinite(axis[0] + (len(axis) - 1) * h):
+        raise ValueError(f"{name} span from {axis[0]!r} to {axis[-1]!r} overflows")
+    for a, b in zip(axis, axis[1:]):
+        if abs(b - a - h) > SPACING_RTOL * max(abs(h), 1.0):
+            raise ValueError(f"non-uniform {name} spacing near {name}={b!r}: "
+                             f"step {b - a!r} vs expected {h!r}")
     return axis, h
-
-
-def _columns(records) -> tuple:
-    """Drain records of one width, 3 or 4, into one array('d') per field."""
-    shapes = "records must be uniformly (u, v, f) or (u, v, f, g)"
-    records = iter(records)
-    first = next(records, None)
-    if first is None:
-        raise ValueError("no sample records")
-    if len(first) not in (3, 4):
-        raise ValueError(shapes)
-    columns = tuple(_doubles([x]) for x in first)
-    appends = [column.append for column in columns]
-    for r in records:
-        if len(r) != len(columns):
-            raise ValueError(shapes)
-        for append, x in zip(appends, r):
-            append(x)
-    return columns
 
 
 def ingest_samples(records, hu: float | None = None, hv: float | None = None,
                    mode: str | None = None, source: str = "<memory>") -> DiscretePatch:
     """Assemble (u, v, f[, g]) records into a validated DiscretePatch.
 
-    Records may arrive in any order and are read once.  The rectangle
-    must be complete; spacing is inferred and checked for uniformity,
-    and any hu/hv passed in must match the inferred values.
+    Records may arrive in any order.  They are read in place, once per
+    check, so a one-shot iterator is first read into a list.  The
+    rectangle must be complete; spacing is inferred and checked for
+    uniformity, and any hu/hv passed in must match the inferred values.
     """
-    columns = _columns(records)
-    inferred = "monge4" if len(columns) == 4 else "monge3"
+    if iter(records) is records:
+        records = list(records)
+    widths = {len(r) for r in records}
+    if not widths:
+        raise ValueError("no sample records")
+    if widths not in ({3}, {4}):
+        raise ValueError("records must be uniformly (u, v, f) or (u, v, f, g)")
+    inferred = "monge4" if widths == {4} else "monge3"
     if mode is None:
         mode = inferred
     elif mode not in MODES:
@@ -280,8 +272,8 @@ def ingest_samples(records, hu: float | None = None, hv: float | None = None,
     elif mode != inferred:
         raise ValueError(f"records have {inferred} shape, not {mode}")
 
-    us, h_u = _uniform_axis(columns[0], "u")
-    vs, h_v = _uniform_axis(columns[1], "v")
+    us, h_u = _uniform_axis((r[0] for r in records), "u")
+    vs, h_v = _uniform_axis((r[1] for r in records), "v")
     for given, inferred_h, name in ((hu, h_u, "hu"), (hv, h_v, "hv")):
         tol = SPACING_RTOL * max(abs(inferred_h), 1.0)
         # not (gap <= tol), so that a NaN spacing fails too
@@ -294,20 +286,21 @@ def ingest_samples(records, hu: float | None = None, hv: float | None = None,
     f = [_doubles([math.nan]) * nv for _ in range(nu)]
     g = [_doubles([0.0]) * nv for _ in range(nu)]
     seen = bytearray(nu * nv)  # node (i, j) at i*nv + j
-    gs = columns[3] if mode == "monge4" else repeat(0.0)
-    for u, v, z, w in zip(*columns[:3], gs):
-        i, j = iu[u], iv[v]
+    with_g = mode == "monge4"
+    for r in records:
+        i, j = iu[r[0]], iv[r[1]]
         k = i * nv + j
         if seen[k]:
             raise ValueError(f"duplicate sample at node {(i, j)}")
         seen[k] = 1
-        f[i][j] = z
-        g[i][j] = w
+        f[i][j] = r[2]
+        if with_g:
+            g[i][j] = r[3]
     if 0 in seen:
         missing = [divmod(k, nv) for k, hit in enumerate(seen) if not hit]
         raise ValueError(f"incomplete grid, missing nodes {missing[:8]}"
                          + ("..." if len(missing) > 8 else ""))
-    return DiscretePatch(us[0], vs[0], h_u, h_v, nu, nv, f, g,
+    return DiscretePatch(float(us[0]), float(vs[0]), h_u, h_v, nu, nv, f, g,
                          mode=mode, source=source)
 
 

@@ -42,8 +42,8 @@ def relative_gap(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + _larger(abs(a), abs(b)))
 
 
-def _check(name: str, a: float, b: float, tol: float = CHECK_TOL) -> None:
-    if relative_gap(a, b) > tol:
+def _check(name: str, a: float, b: float) -> None:
+    if relative_gap(a, b) > CHECK_TOL:
         raise ConsistencyError(f"{name} disagree: {a!r} vs {b!r}")
 
 

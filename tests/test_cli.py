@@ -406,6 +406,22 @@ def test_ingest_non_finite_coordinate_exits_without_traceback(tmp_path, bad):
     assert proc.stderr == f"error: non-finite u coordinate {bad}\n"
 
 
+@pytest.mark.parametrize("axis", ["u", "v"])
+@pytest.mark.parametrize("values", [("-1e+308", "0.0", "1.2e+308"),
+                                    ("-1e+308", "1e+308")])
+def test_ingest_overflowing_span_exits_without_traceback(tmp_path, axis,
+                                                         values):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("u,v,f,g\n" + "".join(
+        (f"{a},{b},1,1\n" if axis == "u" else f"{b},{a},1,1\n")
+        for a in values for b in (0, 1)))
+    proc = run_python("-m", "monge4.cli", "ingest", str(samples))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: {axis} span from {values[0]} to "
+                           f"{values[-1]} overflows\n")
+
+
 @pytest.mark.parametrize("flag", ["--hu=nan", "--hv=nan", "--hu=inf",
                                   "--hv=-inf"])
 def test_ingest_non_finite_spacing_exits_without_traceback(tmp_path, flag):

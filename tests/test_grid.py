@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -108,11 +110,44 @@ def test_ingest_tiny_grid():
     assert (interior[0].E, interior[0].G) == (1.0, 1.0)
 
 
-def test_ingest_accepts_any_row_order():
-    records = [(u, v, u * v, 0.0) for u in (0.0, 0.5, 1.0) for v in (0.0, 0.5, 1.0)]
-    dp1 = ingest_samples(records)
-    dp2 = ingest_samples(list(reversed(records)))
-    assert dp1.f == dp2.f
+def _channel_bytes(dp):
+    return [row.tobytes() for row in dp.f + dp.g]
+
+
+def test_ingest_accepts_any_row_order(tmp_path):
+    records = [(u, v, u * v, u - v) for u in (0.0, 0.5, 1.0)
+               for v in (0.0, 0.5, 1.0, 1.5)]
+    want = _channel_bytes(ingest_samples(records))
+    shuffled = records[1::2] + records[::2]
+    path = tmp_path / "shuffled.csv"
+    path.write_text("u,v,f,g\n" + "".join(
+        ",".join(map(repr, r)) + "\n" for r in shuffled))
+    for given in (list(reversed(records)), (r for r in records),
+                  iter(records), iter(shuffled), read_samples_csv(path)):
+        assert _channel_bytes(ingest_samples(given)) == want
+
+
+# The tracemalloc peak of ingest_samples on the records of a 101 x 101
+# file, per node: 54 bytes when it copied the records into columns of
+# its own, about 20 reading them in place (the two channels, 16 bytes
+# per node, and the one-byte node mask).
+INGEST_SAMPLES_PEAK_BYTES_PER_NODE = 32
+
+
+def test_ingest_samples_makes_no_copy(tmp_path):
+    path = tmp_path / "samples.csv"
+    export_samples_csv(sample_values(make_explicit("u^3+sin(v)+u*v", "u*v"),
+                                     GridSpec(-1, 1, -1, 1, 101, 101)),
+                       str(path))
+    records = read_samples_csv(path)
+    tracemalloc.start()
+    try:
+        dp = ingest_samples(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dp.nu, dp.nv) == (101, 101)
+    assert peak < INGEST_SAMPLES_PEAK_BYTES_PER_NODE * len(records)
 
 
 def test_ingest_reports_missing_node():
@@ -148,6 +183,22 @@ def test_ingest_rejects_non_finite_coordinates(axis, bad):
     with pytest.raises(ValueError,
                        match=f"^non-finite {name} coordinate {bad!r}$"):
         ingest_samples(records)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("values", [
+    (-1e308, 0.0, 1.2e308), (-1e308, 1e308),
+    # the span fits, but the far edge rebuilt as 3 * (span / 3) does not
+    (0.0, sys.float_info.max / 3, 2 * (sys.float_info.max / 3),
+     sys.float_info.max)])
+def test_ingest_rejects_overflowing_span(axis, values):
+    records = [((a, b) if axis == 0 else (b, a)) + (0.0, 0.0)
+               for a in values for b in (0.0, 1.0)]
+    name = "uv"[axis]
+    with pytest.raises(ValueError) as err:
+        ingest_samples(records)
+    assert str(err.value) == (
+        f"{name} span from {values[0]!r} to {values[-1]!r} overflows")
 
 
 def test_ingest_rejects_duplicates_and_ragged_rows():
