@@ -268,26 +268,35 @@ class ClassificationReport:
     aminov_channels: dict | None = None
 
 
+def chen_wintgen(sf: SecondForm, inv: InvariantSet) -> tuple:
+    """chen_residual and wintgen_deficit at one point, as in a grid row;
+    an overflow or a non-finite value is a DomainError."""
+    try:
+        residuals = chen_residual(sf), wintgen_deficit(inv)
+    except OverflowError:
+        raise jet.DomainError("predicate residuals overflowed") from None
+    require_finite("predicate residuals", residuals)
+    return residuals
+
+
 def _point_residuals(sf: SecondForm, inv: InvariantSet) -> tuple:
     """Normalizing scale and the predicate residuals, in PREDICATES order,
     at one point."""
+    chen, wintgen = chen_wintgen(sf, inv)
     K, KN = abs(inv.K), abs(inv.KN)
-    try:
-        scale = 1.0 + _larger(_larger(K, KN), inv.Hnorm ** 2)
-        residuals = (inv.Hnorm, abs(chen_residual(sf)),
-                     abs(wintgen_deficit(inv)), pseudo_umbilical_residual(sf),
-                     _larger(K, KN), abs(inv.K + inv.KN))
-    except OverflowError:
-        raise jet.DomainError("predicate residuals overflowed") from None
+    # wintgen_deficit squared Hnorm without overflow, so this cannot raise
+    scale = 1.0 + _larger(_larger(K, KN), inv.Hnorm ** 2)
+    residuals = (inv.Hnorm, abs(chen), abs(wintgen),
+                 pseudo_umbilical_residual(sf), _larger(K, KN),
+                 abs(inv.K + inv.KN))
     require_finite("predicate residuals", (scale, *residuals))
     return scale, residuals
 
 
 def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> ClassificationReport:
-    """Evaluate all predicates over the grid and aggregate verdicts.
+    """Evaluate all predicates on a GridSpec and aggregate verdicts.
 
-    grid_spec only needs a points() iterable whose items end with
-    (u, v); evaluation failures are counted and flip every verdict to
+    Evaluation failures are counted and flip every verdict to
     indeterminate instead of aborting.  tol must be finite and > 0.
     """
     if not (math.isfinite(tol) and tol > 0.0):
@@ -296,8 +305,6 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
     normalized = [0.0] * len(PREDICATES)
     failed = 0
     rank = 0
-    minimal_everywhere = True
-    pseudo_everywhere = True
     aminov_kkn = 0.0
     aminov_wintgen = 0.0
     profile_us = set()
@@ -314,10 +321,6 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
                 raw[k] = value
             if value / scale > normalized[k]:
                 normalized[k] = value / scale
-        if residuals[0] / scale >= tol:
-            minimal_everywhere = False
-        if residuals[3] / scale >= tol:
-            pseudo_everywhere = False
         # the rank only rises, and 2 is its largest value
         if rank < 2:
             rank = max(rank, first_normal_rank(sf))
@@ -330,16 +333,14 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
 
     predicates = {}
     for k, name in enumerate(PREDICATES):
-        if failed > 0:
-            verdict = "indeterminate"
-        else:
-            verdict = "holds" if normalized[k] < tol else "fails"
-        predicates[name] = PredicateResult(raw[k], normalized[k], verdict)
+        verdict = "holds" if normalized[k] < tol else "fails"
+        predicates[name] = PredicateResult(
+            raw[k], normalized[k], "indeterminate" if failed else verdict)
 
     qualifier = None
-    if predicates["chen"].verdict == "holds":
-        nontrivial = (rank == 2 and not pseudo_everywhere
-                      and not minimal_everywhere)
+    if predicates["chen"].verdict == "holds":  # so no node failed
+        nontrivial = (rank == 2 and predicates["minimal"].verdict == "fails"
+                      and predicates["pseudo_umbilical"].verdict == "fails")
         qualifier = "non-trivial" if nontrivial else "trivial"
 
     channels = None
@@ -347,15 +348,10 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
         channels = {"profile_k_plus_kn": aminov_kkn,
                     "profile_wintgen": aminov_wintgen}
 
-    return ClassificationReport(predicates, rank, qualifier, failed,
-                                describe_grid(grid_spec), tol, channels)
-
-
-def describe_grid(grid_spec) -> str:
     g = grid_spec
-    if all(hasattr(g, name) for name in ("u0", "u1", "v0", "v1", "nu", "nv")):
-        return f"[{g.u0}, {g.u1}] x [{g.v0}, {g.v1}], {g.nu} x {g.nv}"
-    return repr(g)
+    return ClassificationReport(
+        predicates, rank, qualifier, failed,
+        f"[{g.u0}, {g.u1}] x [{g.v0}, {g.v1}], {g.nu} x {g.nv}", tol, channels)
 
 
 def report_to_json(report: ClassificationReport) -> str:
@@ -375,7 +371,7 @@ def report_to_json(report: ClassificationReport) -> str:
 
 __all__ = [
     "ClassificationReport", "PredicateResult", "aminov_wintgen_residual",
-    "chen_residual", "classify_surface", "describe_grid", "first_normal_rank",
+    "chen_residual", "chen_wintgen", "classify_surface", "first_normal_rank",
     "integrate_profile_ode", "k_plus_kn_residual", "minimal_aminov_profile",
     "minimal_translation_family", "minimality_residual", "profile_row",
     "pseudo_umbilical_residual", "report_to_json", "same_sign_aminov_profile",

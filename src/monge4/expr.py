@@ -16,8 +16,8 @@ profile: forward-mode differentiation by source transformation (Griewank
 and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 6 and 13).
 Each AST node becomes six local float statements.  These are the only
 jet rules in the package: sum, product, quotient, the chain rule through
-jet's coefficient functions, and powers, where an exponent that is not a
-literal picks exp(b log a) or a constant power at run time.  Evaluating
+jet's coefficient functions, and one power rule, exp(b log a) or a
+constant power, chosen at run time unless literals decide it.  Evaluating
 at a point then walks no AST and builds no jet.  The tests check the
 generated code, bit for bit and error for error, against a reference
 interpreter over Jet2 arithmetic kept with them.
@@ -331,24 +331,6 @@ def _sum(*terms) -> str:
     return " + ".join(_times(*factors) for factors in terms)
 
 
-def _int_literal(n: int) -> str:
-    return f"({n!r})" if n < 0 else repr(n)
-
-
-def _constant(node):
-    """The value of a number, or of minus signs applied to one, else None.
-
-    Such an exponent's jet is constant at every point, so its power rule
-    is chosen when the code is generated (JetCode.power).
-    """
-    if isinstance(node, Num):
-        return float(node.value)
-    if isinstance(node, Neg):
-        value = _constant(node.child)
-        return None if value is None else -value
-    return None
-
-
 def _site_error(sites, err, k, x):
     """The exception that raising statement k of a kernel raises for err,
     a failure of its call at x; shown without err as its context.
@@ -365,24 +347,19 @@ def _site_error(sites, err, k, x):
     return err
 
 
-def _unbound_error(variables, k):
-    name, position = variables[k]
-    return ExprError(f"unbound variable {name!r}", position)
-
-
-# The globals of every kernel, besides _fail and _unbound, which each
-# kernel binds to its own tables.  Generated source uses only these names
-# and its own identifiers (_t<N> for floats, _f<N> for functions and _e
-# for a caught exception), and only repr(float) and int constants: no
-# string, no None, no text of the user's expressions.  A message that
-# quotes user text reads it from the tables behind _fail and _unbound.
+# The globals of every kernel, besides _fail, which each kernel binds to
+# its own table of sites.  Generated source uses only these names and its
+# own identifiers (_t<N> for floats, _f<N> for functions and _e for a
+# caught exception), and only repr(float) and int constants: no string,
+# no None, no text of the user's expressions.  A message that quotes user
+# text reads it from the table behind _fail.
 _KERNEL_GLOBALS = {
     "__builtins__": {}, "_float": float, "_errors": (ArithmeticError, ValueError),
     "_inf": math.inf, "_nan": math.nan, "_reciprocal": jet.reciprocal,
     "_int_power": jet.int_power, "_real_power": jet.real_power,
     "_constant_power": jet.constant_power, "_variable_base": jet.variable_base,
     **{"_" + fn: f for fn, f in jet._UNARY.items()}}
-KERNEL_NAMES = frozenset(_KERNEL_GLOBALS) - {"__builtins__"} | {"_fail", "_unbound"}
+KERNEL_NAMES = frozenset(_KERNEL_GLOBALS) - {"__builtins__"} | {"_fail"}
 GENERATED_NAME = re.compile(r"_[tf]\d+|_e")
 
 
@@ -401,7 +378,6 @@ class JetCode:
     def __init__(self):
         self.lines = []
         self.sites = []  # (unary function name or None, position) per call
-        self.unbound = []  # (name, position) of each unbound variable
         self.count = 0
         self.functions = 0
         self.depth = 1  # indentation level of emitted statements
@@ -448,15 +424,14 @@ class JetCode:
         return names
 
     def jet(self, node, bound: dict) -> tuple:
-        """Emit the jet of an AST; bound maps variable names to seed jets."""
+        """Emit the jet of an AST; bound maps variable names to seed jets.
+        A name it lacks is an ExprError now, not when the kernel runs."""
         if isinstance(node, Num):
             return (_literal(float(node.value)),) + _ZEROS
         if isinstance(node, Var):
             seed = bound.get(node.name)
             if seed is None:
-                self.unbound.append((node.name, node.position))
-                self.emit(f"raise _unbound({len(self.unbound) - 1})")
-                return ("0.0",) + _ZEROS  # unreachable
+                raise ExprError(f"unbound variable {node.name!r}", node.position)
             return seed
         if isinstance(node, Neg):
             return self.neg(self.jet(node.child, bound))
@@ -464,9 +439,9 @@ class JetCode:
             if node.op not in _PREC:
                 raise ValueError(f"unknown binary operation {node.op!r}")
             a = self.jet(node.left, bound)
-            if node.op == "pow":
-                return self.power(a, node.right, bound, node.position)
             b = self.jet(node.right, bound)
+            if node.op == "pow":
+                return self.variable_power(a, b, node.position)
             if node.op == "div":
                 return self.div(a, b, node.position)
             return {"add": self.add, "sub": self.sub, "mul": self.mul}[node.op](a, b)
@@ -477,7 +452,9 @@ class JetCode:
     # the jet rules
 
     def neg(self, a) -> tuple:
-        return tuple(self.let(f"-{x}") for x in a)
+        # negating a float is exact, so a literal operand stays a literal
+        return tuple(self.let(f"-{x}") if GENERATED_NAME.fullmatch(x)
+                     else _literal(-_literal_value(x)) for x in a)
 
     def add(self, a, b) -> tuple:
         return tuple(self.let(f"{x} + {y}") for x, y in zip(a, b))
@@ -512,25 +489,17 @@ class JetCode:
                                (None, position))
         return self.mul(a, self.chain(b, *coeffs))
 
-    def power(self, a, exponent, bound: dict, position) -> tuple:
-        p = _constant(exponent)
-        if p is None:
-            return self.variable_power(a, self.jet(exponent, bound), position)
-        if p.is_integer():
-            call = f"_int_power({a[0]}, {_int_literal(int(p))})"
-        else:
-            call = f"_real_power({a[0]}, {_literal(p)})"
-        return self.chain(a, *self._raising(3, call, a[0], (None, position)))
-
     def variable_power(self, a, b, position) -> tuple:
-        """a^b for an exponent jet b known only at run time.
+        """a^b, the one power rule.
 
-        If any derivative of b is non-zero there (NaN counts, -0.0 does
-        not), a^b is exp(b log a) and needs a positive base; otherwise b
-        is constant at the point and constant_power admits a negative
-        base under an integral exponent.  Literal derivatives decide the
-        branch here: one non-zero literal leaves only exp(b log a), five
-        zero literals only constant_power; else the kernel tests b.
+        If any derivative of b is non-zero at the point (NaN counts, -0.0
+        does not), a^b is exp(b log a) and needs a positive base;
+        otherwise b is constant there and constant_power admits a
+        negative base under an integral exponent.  Literal derivatives
+        decide the branch here: one non-zero literal leaves only
+        exp(b log a), five zero literals only the constant power, which
+        a literal b[0] resolves to int_power or real_power; else the
+        kernel tests b.
         """
         literals = [x for x in b[1:] if not GENERATED_NAME.fullmatch(x)]
         if any(_literal_value(x) != 0.0 for x in literals):
@@ -538,14 +507,13 @@ class JetCode:
         if len(literals) == 5:
             return self._constant_power(a, b, position)
         out = tuple(self._local() for _ in range(6))
-        self.emit(f"if {' or '.join(b[1:])}:")
-        self.depth += 1
-        self._assign(out, self._varying_power(a, b, position))
-        self.depth -= 1
-        self.emit("else:")
-        self.depth += 1
-        self._assign(out, self._constant_power(a, b, position))
-        self.depth -= 1
+        for head, rule in ((f"if {' or '.join(b[1:])}:", self._varying_power),
+                           ("else:", self._constant_power)):
+            self.emit(head)
+            self.depth += 1
+            # rule emits its statements before this line is emitted
+            self.emit(f"{', '.join(out)} = {', '.join(rule(a, b, position))}")
+            self.depth -= 1
         return out
 
     def _varying_power(self, a, b, position) -> tuple:
@@ -556,11 +524,15 @@ class JetCode:
             3, f"_exp({e[0]})", e[0], ("exp", position)))
 
     def _constant_power(self, a, b, position) -> tuple:
-        return self.chain(a, *self._raising(
-            3, f"_constant_power({a[0]}, {b[0]})", a[0], (None, position)))
-
-    def _assign(self, names, operands) -> None:
-        self.emit(f"{', '.join(names)} = {', '.join(operands)}")
+        # a literal b calls what constant_power would call for it
+        if GENERATED_NAME.fullmatch(b[0]):
+            call = f"_constant_power({a[0]}, {b[0]})"
+        elif not _literal_value(b[0]).is_integer():
+            call = f"_real_power({a[0]}, {b[0]})"
+        else:
+            n = int(_literal_value(b[0]))
+            call = f"_int_power({a[0]}, {f'({n})' if n < 0 else n})"
+        return self.chain(a, *self._raising(3, call, a[0], (None, position)))
 
     def call(self, fn: str, a, position) -> tuple:
         if fn not in jet.UNARY_NAMES:
@@ -574,8 +546,7 @@ class JetCode:
     def build(self) -> dict:
         """Compile the source once; the functions by name."""
         namespace = dict(_KERNEL_GLOBALS,
-                         _fail=partial(_site_error, tuple(self.sites)),
-                         _unbound=partial(_unbound_error, tuple(self.unbound)))
+                         _fail=partial(_site_error, tuple(self.sites)))
         exec(compile(self.source(), "<monge4 kernel>", "exec"), namespace)
         return namespace
 

@@ -24,8 +24,8 @@ from itertools import islice
 from typing import NamedTuple
 
 from . import jet
-from .classify import chen_residual, wintgen_deficit
-from .invariants import point_kernel, require_finite
+from .classify import chen_wintgen
+from .invariants import point_kernel
 from .jet import Jet2, _new
 from .patch import MongePatch, PatchJets, jet_floats
 
@@ -108,13 +108,8 @@ class GridResult:
 def _row(u: float, v: float, floats) -> Row:
     """The result row of the twelve jet floats at (u, v)."""
     ff, _, sf, inv = point_kernel(*floats)
-    try:
-        chen, wintgen = chen_residual(sf), wintgen_deficit(inv)
-    except OverflowError:
-        raise jet.DomainError("predicate residuals overflowed") from None
-    require_finite("predicate residuals", (chen, wintgen))
     return Row(u, v, ff.E, ff.F, ff.G, ff.W2, inv.K, inv.KN,
-               inv.H1, inv.H2, inv.Hnorm, chen, wintgen)
+               inv.H1, inv.H2, inv.Hnorm, *chen_wintgen(sf, inv))
 
 
 def _sample_point(patch: MongePatch, u: float, v: float) -> Row:
@@ -245,6 +240,14 @@ def _uniform_axis(values, name: str):
         if abs(b - a - h) > SPACING_RTOL * max(abs(h), 1.0):
             raise ValueError(f"non-uniform {name} spacing near {name}={b!r}: "
                              f"step {b - a!r} vs expected {h!r}")
+    # _stencil divides by h**2: float ** raises OverflowError, or gives 0
+    try:
+        in_range = h**2 > 0.0
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"{name} spacing {h!r} is out of range "
+                         "for the difference stencil")
     return axis, h
 
 

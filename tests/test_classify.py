@@ -14,23 +14,12 @@ from monge4.classify import (aminov_wintgen_residual, chen_residual,
                              same_sign_aminov_profile, wintgen_deficit)
 from monge4.expr import profile_eval
 from monge4.forms import SecondForm
+from monge4.grid import GridSpec
 from monge4.invariants import ConsistencyError, invariants_at, point_data
 from monge4.patch import (eval_patch, make_aminov, make_explicit, make_gradient,
                           make_translation, profile_at)
 from shape_reference import (chen_paths_disagree, chen_traced, normal_rank,
                              pseudo_umbilical, shape_operators)
-
-
-class Grid:
-    def __init__(self, u0, u1, v0, v1, nu, nv):
-        self.u0, self.u1, self.v0, self.v1 = u0, u1, v0, v1
-        self.nu, self.nv = nu, nv
-
-    def points(self):
-        for i in range(self.nu):
-            u = self.u0 + (self.u1 - self.u0) * i / (self.nu - 1)
-            for j in range(self.nv):
-                yield i, j, u, self.v0 + (self.v1 - self.v0) * j / (self.nv - 1)
 
 
 def second_at(p, u, v):
@@ -184,7 +173,7 @@ def test_same_sign_profile_is_not_minimal():
 def test_minimal_profile_gives_minimal_patch():
     prof = minimal_aminov_profile(2.0)
     p = make_aminov(prof.text, (-1.0, 1.0))
-    assert max_h(p, Grid(-1, 1, 0, 2 * math.pi, 9, 9)) < 1e-10
+    assert max_h(p, GridSpec(-1, 1, 0, 2 * math.pi, 9, 9)) < 1e-10
 
 
 def test_ode_matches_exponential_solution():
@@ -232,15 +221,15 @@ def test_translation_family_construction():
 
 def test_translation_family_h_measurements():
     scherk = minimal_translation_family(1, 0, 0, 0, 0, 0, 1, 1)
-    assert max_h(scherk, Grid(-1, 1, -1, 1, 11, 11)) < 1e-12
+    assert max_h(scherk, GridSpec(-1, 1, -1, 1, 11, 11)) < 1e-12
     both = minimal_translation_family(1, 1, 0, 0, 0, 0, 1, 1)
-    measured = max_h(both, Grid(-1, 1, -1, 1, 21, 21))
+    measured = max_h(both, GridSpec(-1, 1, -1, 1, 21, 21))
     assert abs(measured - 0.13026518636538598) / 0.13026518636538598 < 1e-9
 
 
 def test_classify_linear_profile_surface():
     p = make_aminov("u", (0.5, 2.0))
-    report = classify_surface(p, Grid(0.5, 2.0, 0.0, math.pi, 21, 21))
+    report = classify_surface(p, GridSpec(0.5, 2.0, 0.0, math.pi, 21, 21))
     assert report.predicates["chen"].verdict == "holds"
     assert report.predicates["minimal"].verdict == "fails"
     assert report.predicates["wintgen_ideal"].verdict == "fails"
@@ -253,7 +242,7 @@ def test_classify_linear_profile_surface():
 
 def test_classify_exponential_profile_surface():
     p = make_aminov("exp(u)", (-1.0, 1.0))
-    report = classify_surface(p, Grid(-1.0, 1.0, 0.0, 2 * math.pi, 21, 21))
+    report = classify_surface(p, GridSpec(-1.0, 1.0, 0.0, 2 * math.pi, 21, 21))
     for name in ("minimal", "chen", "wintgen_ideal", "k_plus_kn_zero"):
         assert report.predicates[name].verdict == "holds", name
     assert report.predicates["flat"].verdict == "fails"
@@ -263,7 +252,7 @@ def test_classify_exponential_profile_surface():
 
 def test_classify_flat_surface():
     p = make_explicit("u^2+v^2", "u^2-v^2")
-    report = classify_surface(p, Grid(-2.0, 2.0, -2.0, 2.0, 15, 15))
+    report = classify_surface(p, GridSpec(-2.0, 2.0, -2.0, 2.0, 15, 15))
     assert report.predicates["flat"].verdict == "holds"
     assert report.predicates["minimal"].verdict == "fails"
     assert report.aminov_channels is None
@@ -273,13 +262,13 @@ def test_classify_flat_surface():
 def test_classify_rejects_tolerance_outside_the_positive_floats(tol):
     # nan or 0 would make every predicate fail, inf every one hold
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
-        classify_surface(make_explicit("u", "v"), Grid(-1, 1, -1, 1, 3, 3),
+        classify_surface(make_explicit("u", "v"), GridSpec(-1, 1, -1, 1, 3, 3),
                          tol=tol)
 
 
 def test_classify_marks_indeterminate_on_failures():
     p = make_explicit("log(u)", "0")
-    report = classify_surface(p, Grid(-1.0, 1.0, 0.0, 1.0, 5, 5))
+    report = classify_surface(p, GridSpec(-1.0, 1.0, 0.0, 1.0, 5, 5))
     assert report.failed_points > 0
     for pr in report.predicates.values():
         assert pr.verdict == "indeterminate"
@@ -289,7 +278,7 @@ def test_classify_counts_overflow_as_failure():
     # at the origin the forms are finite but chen's quartic terms overflow;
     # elsewhere the metric itself overflows
     p = make_explicit("1e80*(u^2+v^2)", "1e80*(2*u^2+v^2)")
-    report = classify_surface(p, Grid(-1.0, 1.0, -1.0, 1.0, 3, 3))
+    report = classify_surface(p, GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3))
     assert report.failed_points == 9
     assert all(pr.verdict == "indeterminate"
                for pr in report.predicates.values())
@@ -297,7 +286,7 @@ def test_classify_counts_overflow_as_failure():
 
 def test_report_json_shape():
     p = make_aminov("u", (0.5, 2.0))
-    report = classify_surface(p, Grid(0.5, 2.0, 0.0, math.pi, 7, 7))
+    report = classify_surface(p, GridSpec(0.5, 2.0, 0.0, math.pi, 7, 7))
     doc = json.loads(report_to_json(report))
     for name in ("minimal", "chen", "wintgen_ideal", "pseudo_umbilical",
                  "flat", "k_plus_kn_zero"):
@@ -310,6 +299,6 @@ def test_report_json_shape():
 
 def test_classify_respects_patch_domain():
     p = make_translation("u^2", "u^2", "v^2", "-v^2", domain=(-1, 1, -1, 1))
-    report = classify_surface(p, Grid(-2.0, 2.0, -2.0, 2.0, 5, 5))
+    report = classify_surface(p, GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5))
     assert report.failed_points > 0
     assert all(pr.verdict == "indeterminate" for pr in report.predicates.values())

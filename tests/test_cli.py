@@ -422,6 +422,22 @@ def test_ingest_overflowing_span_exits_without_traceback(tmp_path, axis,
                            f"{values[-1]} overflows\n")
 
 
+@pytest.mark.parametrize("axis", ["u", "v"])
+@pytest.mark.parametrize("h", ["1e+200", "1e-200"])
+def test_ingest_out_of_range_spacing_exits_without_traceback(tmp_path, axis,
+                                                             h):
+    values = [repr(k * float(h)) for k in range(4)]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("u,v,f,g\n" + "".join(
+        (f"{a},{b},1,1\n" if axis == "u" else f"{b},{a},1,1\n")
+        for a in values for b in (0, 1, 2)))
+    proc = run_python("-m", "monge4.cli", "ingest", str(samples))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: {axis} spacing {h} is out of range "
+                           "for the difference stencil\n")
+
+
 @pytest.mark.parametrize("flag", ["--hu=nan", "--hv=nan", "--hu=inf",
                                   "--hv=-inf"])
 def test_ingest_non_finite_spacing_exits_without_traceback(tmp_path, flag):

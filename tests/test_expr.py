@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from monge4 import jet
 from monge4.expr import (GENERATED_NAME, KERNEL_NAMES, BinOp, Call,
-                         ExprError, JetCode, Neg, Num, Var, compile_expr,
-                         compile_profile, parse, pretty, profile_eval, seeds,
-                         tokenize)
+                         ExprError, JetCode, Neg, Num, Var, _walk_vars,
+                         compile_expr, compile_profile, parse, pretty,
+                         profile_eval, seeds, tokenize)
 from monge4.patch import (eval_patch, make_aminov, make_explicit,
                           make_gradient, make_translation)
 
@@ -132,6 +132,14 @@ def test_unbound_variable():
         generated(ast, 0, 0)
 
 
+def test_unbound_variable_fails_at_generation():
+    code = JetCode()
+    with pytest.raises(ExprError, match="unbound variable 'q'") as err:
+        code.jet(Var("q", 3), {})
+    assert err.value.position == 3
+    assert code.lines == []
+
+
 def test_compiled_binary_dispatch():
     env = _env(3, 1)
     a, b = env["u"], env["v"]
@@ -231,8 +239,8 @@ def test_family_compositions_match_jet_arithmetic(a, b, u, v):
     assert _outcome(lambda: eval_patch(patch, u, v)) == _outcome(translation)
 
 
-# Var names are arbitrary text here: an unbound one must reach its error
-# message from the kernel's tables, never through the generated source
+# Var names are arbitrary text here: an unbound one is an ExprError when
+# the code is generated, so no name reaches the generated source
 _hostile_ast = random_asts(st.one_of(
     st.builds(Num, st.floats()), st.sampled_from([Var("u"), Var("v")]),
     st.builds(Var, st.text(min_size=1, max_size=12))))
@@ -268,7 +276,15 @@ def _check_kernel_source(source):
 def test_generated_source_holds_no_user_text(node, u, v):
     code = JetCode()
     name, params = code.define(12)
-    code.finish(code.jet(node, {"u": params[:6], "v": params[6:]}))
+    bound = {"u": params[:6], "v": params[6:]}
+    unbound = [var for var in _walk_vars(node) if var.name not in bound]
+    if unbound:  # the first one met, left to right
+        with pytest.raises(ExprError) as err:
+            code.jet(node, bound)
+        assert str(err.value) == str(ExprError(
+            f"unbound variable {unbound[0].name!r}", unbound[0].position))
+        return
+    code.finish(code.jet(node, bound))
     _check_kernel_source(code.source())
     kernel = code.build()[name]
     env = _env(u, v)
@@ -293,12 +309,21 @@ def test_literal_exponent_derivatives_choose_the_power_rule():
     source = make_explicit("(0-2)^(u-u)", "0").kernel.source
     assert "_variable_base" in source and "_constant_power" in source
     assert "if " in source
-    # an unbound exponent's jet is five literal zeros: only constant_power
+    # five literal zero derivatives and a computed value: only
+    # constant_power
     code = JetCode()
-    _, params = code.define(6)
-    code.finish(code.jet(compile_expr("u^w", ("u", "w")), {"u": params}))
+    _, params = code.define(7)
+    code.finish(code.jet(compile_expr("u^w", ("u", "w")),
+                         {"u": params[:6], "w": (params[6],) + ("0.0",) * 5}))
     assert "_constant_power" in code.source()
-    assert "_variable_base" not in code.source()
+    assert "_variable_base" not in code.source() and "if " not in code.source()
+    # a literal exponent, negated or not, is one int_power or real_power
+    for text, call in (("u^-2", "_int_power(_t0, (-2))"),
+                       ("u^--3", "_int_power(_t0, 3)"),
+                       ("u^(-2.5)", "_real_power(_t0, (-2.5))")):
+        source = make_explicit(text, "0").kernel.source
+        assert call in source
+        assert "_constant_power" not in source and "if " not in source
 
 
 def test_constants_only_matches_arithmetic():

@@ -4,10 +4,10 @@ import tracemalloc
 
 import pytest
 
-from monge4.grid import (MODES, GridSpec, Row, evaluate_discrete, export_csv,
-                         export_samples_csv, fd_jets, ingest_csv,
-                         ingest_samples, read_samples_csv, sample_grid,
-                         sample_values)
+from monge4.grid import (MODES, GridSpec, Row, discrete_rows,
+                         evaluate_discrete, export_csv, export_samples_csv,
+                         fd_jets, ingest_csv, ingest_samples,
+                         read_samples_csv, sample_grid, sample_values)
 from monge4.patch import make_aminov, make_explicit, make_translation
 from monge4.selfcheck import fd_convergence
 
@@ -199,6 +199,24 @@ def test_ingest_rejects_overflowing_span(axis, values):
         ingest_samples(records)
     assert str(err.value) == (
         f"{name} span from {values[0]!r} to {values[-1]!r} overflows")
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("h, accepted", [
+    (1e200, False), (1e-200, False),  # h**2 overflows, or underflows to 0
+    (1e154, True), (1e-161, True)])
+def test_ingest_spacing_range_matches_the_stencil(axis, h, accepted):
+    values = (0.0, h, 2 * h, 3 * h)
+    records = [((a, b) if axis == 0 else (b, a)) + (1.0, 0.0)
+               for a in values for b in (0.0, 1.0, 2.0)]
+    if accepted:  # the stencil runs at the interior nodes without raising
+        rows = list(discrete_rows(ingest_samples(records)))
+        assert sum(row.flag != "boundary" for row in rows) == 2
+        return
+    with pytest.raises(ValueError) as err:
+        ingest_samples(records)
+    assert str(err.value) == (f"{'uv'[axis]} spacing {values[-1] / 3!r} "
+                              "is out of range for the difference stencil")
 
 
 def test_ingest_rejects_duplicates_and_ragged_rows():
