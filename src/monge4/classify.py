@@ -138,6 +138,25 @@ def _scaled_exponent(a: float, b: float, sign: int) -> str:
     return s if sign > 0 else f"(-{s})"
 
 
+def _require_parameters(**params) -> None:
+    # each is written into expression text, where inf and nan do not parse
+    for name, x in params.items():
+        if not math.isfinite(x):
+            raise ValueError(f"parameter {name} must be finite")
+
+
+def _profile_coefficients(a: float, b: float) -> tuple:
+    """c1 = a/2 and c2 = (a^2 - 1)/(2a) of the closed-form profiles."""
+    _require_parameters(a=a, b=b)
+    if a == 0.0:
+        raise ValueError("profile parameter a must be nonzero")
+    c2 = (a * a - 1.0) / (2.0 * a)
+    if not math.isfinite(c2):  # c1 is finite with a
+        raise jet.DomainError(f"profile coefficient c2 = (a^2 - 1)/(2a) is "
+                              f"out of float range at a = {a!r}")
+    return a / 2.0, c2
+
+
 def minimal_aminov_profile(a: float, b: float = 0.0, sigma: int = 1) -> Profile:
     """Profile c1 e^{sigma s} + c2 e^{-sigma s}, s = (u+b)/a, 4 c1 c2 = a^2 - 1.
 
@@ -145,15 +164,11 @@ def minimal_aminov_profile(a: float, b: float = 0.0, sigma: int = 1) -> Profile:
     minimality residual vanish identically (see the same-sign
     counterexample below).
     """
-    if a == 0.0:
-        raise ValueError("profile parameter a must be nonzero")
+    c1, c2 = _profile_coefficients(a, b)
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    c1 = a / 2.0
-    c2 = (a * a - 1.0) / (2.0 * a)
-    text = (f"({c1!r})*exp({_scaled_exponent(a, b, sigma)})"
-            f" + ({c2!r})*exp({_scaled_exponent(a, b, -sigma)})")
-    return compile_profile(text)
+    return compile_profile(f"({c1!r})*exp({_scaled_exponent(a, b, sigma)})"
+                           f" + ({c2!r})*exp({_scaled_exponent(a, b, -sigma)})")
 
 
 def same_sign_aminov_profile(a: float, b: float = 0.0, sigma: int = 1) -> Profile:
@@ -162,13 +177,9 @@ def same_sign_aminov_profile(a: float, b: float = 0.0, sigma: int = 1) -> Profil
     It does NOT solve the minimality equation: at a=1, b=0 the residual
     is 4 e^{3u}.
     """
-    if a == 0.0:
-        raise ValueError("profile parameter a must be nonzero")
-    c1 = a / 2.0
-    c2 = (a * a - 1.0) / (2.0 * a)
+    c1, c2 = _profile_coefficients(a, b)
     s = _scaled_exponent(a, b, sigma)
-    text = f"({c1!r})*exp(3*{s}) + ({c2!r})*exp({s})"
-    return compile_profile(text)
+    return compile_profile(f"({c1!r})*exp(3*{s}) + ({c2!r})*exp({s})")
 
 
 def integrate_profile_ode(r0: float, r0p: float, u_range, steps: int):
@@ -229,11 +240,15 @@ def minimal_translation_family(c3: float, c4: float, e3: float, e4: float,
     of the construction is measured downstream (max ||H|| on a grid),
     never assumed.
     """
+    _require_parameters(c3=c3, c4=c4, e3=e3, e4=e4, p3=p3, p4=p4, a=a, b=b,
+                        c=c, d=d)
     if a <= 0.0 or b <= 0.0:
         raise ValueError("parameters a and b must be positive")
     den = c3 * c3 + c4 * c4
     if den == 0.0:
         raise ValueError("c3 and c4 must not both vanish")
+    if not math.isfinite(den):
+        raise jet.DomainError("coefficient c3^2 + c4^2 is out of float range")
     sa, sb = math.sqrt(a), math.sqrt(b)
 
     def f_k(ck, ek):

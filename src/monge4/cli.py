@@ -24,7 +24,7 @@ from . import jet
 from .classify import (DEFAULT_TOL, PREDICATES, classify_surface,
                        integrate_profile_ode, minimal_aminov_profile,
                        profile_row, report_to_json)
-from .expr import ExprError, profile_eval
+from .expr import profile_eval
 from .grid import (MODES, RESULT_HEADER, GridSpec, _csv_chunks, csv_text,
                    discrete_rows, grid_rows, ingest_samples, read_samples_csv,
                    write_text)
@@ -98,15 +98,15 @@ def _add_output_flags(p, default_format):
                    help="output format (default: %(default)s)")
 
 
-# a negative decimal, exponent form included; argparse's own pattern
-# (-1, -0.5) would take -1e-05 for an option
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+# "-" and a digit, "." or "(": a negative number such as -1e-05, or an
+# expression such as -(2)^u, which argparse's own pattern takes for options
+_NEGATIVE_NUMBER = re.compile(r"^-[\d.(]")
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads every negative number as a value, so
-    `--u0 -1e-05` and `--range -1e-05 1` parse.  Its subparsers are of
-    this class too (add_subparsers' default parser_class)."""
+    """An ArgumentParser that reads each argument _NEGATIVE_NUMBER matches
+    as a value, so `--u0 -1e-05` and `--g "-(2)^u"` parse.  Its subparsers
+    are of this class too (add_subparsers' default parser_class)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -201,25 +201,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flags(names):
+    """The flags of some expression fields, in help order."""
+    return [f"--{name}" for name in SURFACE_HELP if name in names]
+
+
 def _build_patch(args):
     """Construct the surface from exactly one source of flags."""
     given = [family for family, names in FIELDS.items()
              if any(getattr(args, name) is not None for name in names)]
     if args.patch is not None:
         if given:
-            raise ValueError("--patch cannot be combined with expression "
-                             "flags")
+            raise ValueError("--patch cannot be combined with expression flags")
         with open(args.patch) as fh:
             patch = patch_from_json(fh.read())
     else:
         if len(given) != 1:
-            raise ValueError("give exactly one surface source: --f/--g, "
-                             "--f3/--g3/--f4/--g4, --r, --p/--q or --patch")
+            sources = ", ".join("/".join(_flags(n)) for n in FIELDS.values())
+            raise ValueError(f"give exactly one surface source: {sources} "
+                             "or --patch")
         family = given[0]
         exprs = {name: getattr(args, name) for name in FIELDS[family]}
         if None in exprs.values():
-            *head, last = [f"--{name}" for name in SURFACE_HELP
-                           if name in exprs]
+            *head, last = _flags(exprs)
             names = f"{', '.join(head)} and {last}" if head else last
             raise ValueError(f"family {family} needs {names}")
         domain = (args.u0, args.u1, None, None) if family == "aminov" else None
@@ -294,7 +298,7 @@ def _replace_file(text, path) -> None:
 
 
 def _json_chunks(header, rows):
-    """A float table (last column may be a string flag) as the text of
+    """A table of floats, strings and bools as the text of
     json.dumps(table, indent=2), JSON_ROWS row objects at a time: each
     batch is encoded as a list, without its opening and closing lines."""
     encode = json.JSONEncoder(indent=2).encode
@@ -308,7 +312,7 @@ def _json_chunks(header, rows):
 
 
 def _json_rows(header, rows) -> str:
-    """Render a float table (last column may be a string flag) as JSON."""
+    """Render a table of floats, strings and bools as JSON."""
     return "".join(_json_chunks(header, rows))
 
 
@@ -429,9 +433,8 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     results = run_all()
     if args.format == "json":
-        doc = [{"name": r.name, "ok": r.ok, "detail": r.detail}
-               for r in results]
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_rows(("name", "ok", "detail"),
+                          [(r.name, r.ok, r.detail) for r in results])
     elif args.format == "csv":
         text = csv_text(
             ("check", "status", "detail"),
@@ -499,16 +502,13 @@ def main(argv=None) -> int:
         return EXIT_OK if not err.code else int(err.code)
     try:
         return args.handler(args)
-    except ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (jet.DomainError, ConsistencyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_EVAL
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as err:
+    except ValueError as err:  # ExprError too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,6 +11,8 @@ gradient     f = p(u,v), g = q(u,v) with p, q declared as the partials
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -18,9 +20,11 @@ from . import jet
 from .expr import JetCode, compile_expr, compile_field, jet1, seeds
 from .jet import Jet2, _new
 
-# the expression fields of each family, in its constructor's argument order
-FIELDS = {"explicit": ("f", "g"), "translation": ("f3", "f4", "g3", "g4"),
-          "aminov": ("r",), "gradient": ("p", "q")}
+# the expression fields of each family, in its constructor's argument
+# order, each with the variables its expression may use
+FIELDS = {"explicit": {"f": "uv", "g": "uv"},
+          "translation": {"f3": "u", "f4": "u", "g3": "v", "g4": "v"},
+          "aminov": {"r": "u"}, "gradient": {"p": "uv", "q": "uv"}}
 FAMILIES = tuple(FIELDS)
 
 INTEG_TOL = 1e-8
@@ -50,14 +54,14 @@ class PatchKernel(NamedTuple):
     source: str
 
 
-def _compile(family: str, asts: dict) -> PatchKernel:
+def _compile(family: str, exprs: dict) -> PatchKernel:
     """One function (u, v) -> 12 floats for the family's composition."""
+    asts = {name: compile_expr(exprs[name], variables)
+            for name, variables in FIELDS[family].items()}
     code = JetCode()
-    fields = {}
-    if family in ("aminov", "translation"):
-        for name, ast in asts.items():
-            variable = "v" if name in ("g3", "g4") else "u"
-            fields[name] = compile_field(code, ast, variable)
+    fields = {name: compile_field(code, asts[name], variables)
+              for name, variables in FIELDS[family].items()
+              if len(variables) == 1}
     fname, (u, v) = code.define(2)
     code.emit(f"{u} = _float({u})")
     code.emit(f"{v} = _float({v})")
@@ -100,76 +104,80 @@ class MongePatch:
 
 
 def _check_domain(domain):
+    """The domain, four ints or floats (not bools) within the float range
+    or nulls, as a tuple of its entries as given; each axis is bounded on
+    both sides with lo < hi, or on neither."""
     if domain is None:
         return None
+    if not isinstance(domain, (list, tuple)) or len(domain) != 4:
+        raise ValueError("domain must have four entries")
+    numbers = [x for x in domain if x is not None]
+    if not all(type(x) in (int, float) for x in numbers):  # no bool
+        raise ValueError("domain entries must be numbers or null")
+    # compared exactly: an int past the floats is never converted
+    if not all(abs(x) <= sys.float_info.max for x in numbers):
+        raise ValueError("domain entries must be within the float range")
     u0, u1, v0, v1 = domain
     for lo, hi, name in ((u0, u1, "u"), (v0, v1, "v")):
         if (lo is None) != (hi is None):
             raise ValueError(f"half-open {name}-range in domain")
         if lo is not None and not lo < hi:
             raise ValueError(f"empty {name}-range in domain")
-    return (u0, u1, v0, v1)
+    return tuple(domain)
+
+
+def make_patch(family: str, exprs: dict, domain=None) -> MongePatch:
+    """Build a patch of `family` from its FIELDS expressions in `exprs`.
+
+    The one constructor, which the make_* functions call.  The domain is
+    checked first; an aminov patch takes its u-range, and any v-range,
+    from it.  A missing field raises KeyError.
+    """
+    domain = _check_domain(domain)
+    if family == "aminov" and (domain is None or domain[0] is None):
+        raise ValueError("aminov patch requires a u-range in domain")
+    exprs = {name: exprs[name] for name in FIELDS[family]}
+    kernel = _compile(family, exprs)
+    residual = warning = None
+    # points placed as GridSpec places nodes: no overflow between finite
+    # bounds; an unbounded axis is sampled over DEFAULT_SAMPLE_BOX's
+    u0, u1, v0, v1 = (b if d is None else d for d, b in
+                      zip(domain or (None,) * 4, DEFAULT_SAMPLE_BOX))
+    if family == "aminov":
+        # probe the profile across the declared range so domain failures
+        # (log of a nonpositive value, poles) surface at construction
+        for t in (k / 8 for k in range(9)):
+            jet1(kernel.fields["r"], u0 * (1.0 - t) + u1 * t)
+    elif family == "gradient":
+        ts = [k / (INTEG_SAMPLES - 1) for k in range(INTEG_SAMPLES)]
+        gaps = [abs(j[2] - j[7]) for j in (  # p_v - q_u
+            kernel.jets(u0 * (1.0 - s) + u1 * s, v0 * (1.0 - t) + v1 * t)
+            for s in ts for t in ts)]
+        # a NaN gap fails the check, where max would drop it
+        residual = math.nan if any(map(math.isnan, gaps)) else max(gaps)
+        if not residual < INTEG_TOL:
+            # (f, g) = (p, q) in either family, so one kernel serves both
+            family, exprs = "explicit", {"f": exprs["p"], "g": exprs["q"]}
+            warning = (f"integrability residual {residual:.3g} exceeds {INTEG_TOL:.3g}; "
+                       "treating the pair as an explicit patch")
+    return MongePatch(family, exprs, domain, residual, warning, kernel)
 
 
 def make_explicit(f_expr: str, g_expr: str, domain=None) -> MongePatch:
-    asts = {"f": compile_expr(f_expr), "g": compile_expr(g_expr)}
-    return MongePatch("explicit", {"f": f_expr, "g": g_expr},
-                      _check_domain(domain), kernel=_compile("explicit", asts))
+    return make_patch("explicit", {"f": f_expr, "g": g_expr}, domain)
 
 
 def make_translation(f3: str, f4: str, g3: str, g4: str, domain=None) -> MongePatch:
-    asts = {
-        "f3": compile_expr(f3, variables=("u",)),
-        "f4": compile_expr(f4, variables=("u",)),
-        "g3": compile_expr(g3, variables=("v",)),
-        "g4": compile_expr(g4, variables=("v",)),
-    }
-    exprs = {"f3": f3, "f4": f4, "g3": g3, "g4": g4}
-    return MongePatch("translation", exprs, _check_domain(domain),
-                      kernel=_compile("translation", asts))
+    return make_patch("translation", {"f3": f3, "f4": f4, "g3": g3, "g4": g4}, domain)
 
 
 def make_aminov(r_expr: str, u_range, v_range=None) -> MongePatch:
-    ast = compile_expr(r_expr, variables=("u",))
-    u0, u1 = u_range
-    if not u0 < u1:
-        raise ValueError("empty u-range")
-    kernel = _compile("aminov", {"r": ast})
-    # probe the profile across the declared range so domain failures
-    # (log of a nonpositive value, poles) surface at construction
-    for k in range(9):
-        jet1(kernel.fields["r"], u0 + (u1 - u0) * k / 8)
-    v0, v1 = v_range if v_range is not None else (None, None)
-    domain = _check_domain((u0, u1, v0, v1))
-    return MongePatch("aminov", {"r": r_expr}, domain, kernel=kernel)
+    return make_patch("aminov", {"r": r_expr},
+                      (*u_range, *(v_range or (None, None))))
 
 
 def make_gradient(p_expr: str, q_expr: str, domain=None) -> MongePatch:
-    # (f, g) = (p, q) in either family, so one kernel serves both
-    kernel = _compile("gradient", {"p": compile_expr(p_expr),
-                                   "q": compile_expr(q_expr)})
-    domain = _check_domain(domain)
-    box = DEFAULT_SAMPLE_BOX
-    if domain is not None:
-        u0, u1, v0, v1 = domain
-        box = (u0 if u0 is not None else box[0], u1 if u1 is not None else box[1],
-               v0 if v0 is not None else box[2], v1 if v1 is not None else box[3])
-    residual = 0.0
-    n = INTEG_SAMPLES
-    for i in range(n):
-        u = box[0] + (box[1] - box[0]) * i / (n - 1)
-        for j in range(n):
-            v = box[2] + (box[3] - box[2]) * j / (n - 1)
-            jets = kernel.jets(u, v)
-            residual = max(residual, abs(jets[2] - jets[7]))  # p_v - q_u
-    if residual < INTEG_TOL:
-        return MongePatch("gradient", {"p": p_expr, "q": q_expr}, domain,
-                          integrability_residual=residual, kernel=kernel)
-    warning = (f"integrability residual {residual:.3g} exceeds {INTEG_TOL:.3g}; "
-               "treating the pair as an explicit patch")
-    return MongePatch("explicit", {"f": p_expr, "g": q_expr}, domain,
-                      integrability_residual=residual, gradient_warning=warning,
-                      kernel=kernel)
+    return make_patch("gradient", {"p": p_expr, "q": q_expr}, domain)
 
 
 def jet_floats(patch: MongePatch, u: float, v: float) -> tuple:
@@ -198,23 +206,6 @@ def patch_to_json(patch: MongePatch) -> str:
     return json.dumps(doc)
 
 
-def make_patch(family: str, exprs: dict, domain=None) -> MongePatch:
-    """Build a patch of `family` from its FIELDS expressions in `exprs`.
-
-    This is the one dispatch from a family name to its constructor.  An
-    aminov patch takes its u-range, and any v-range, from `domain`; a
-    missing field raises KeyError.
-    """
-    if family == "aminov":
-        if domain is None or None in domain[:2]:
-            raise ValueError("aminov patch requires a u-range in domain")
-        return make_aminov(exprs["r"], (domain[0], domain[1]),
-                           (domain[2], domain[3]))
-    maker = {"explicit": make_explicit, "translation": make_translation,
-             "gradient": make_gradient}[family]
-    return maker(*(exprs[name] for name in FIELDS[family]), domain)
-
-
 def patch_from_json(text: str) -> MongePatch:
     try:
         doc = json.loads(text)
@@ -224,19 +215,12 @@ def patch_from_json(text: str) -> MongePatch:
         raise ValueError("invalid patch document: expected an object")
     family = doc.get("family")
     exprs = doc.get("exprs")
-    domain = doc.get("domain")
     if family not in FAMILIES:
         raise ValueError(f"unknown patch family {family!r}")
     if not isinstance(exprs, dict):
         raise ValueError("patch document missing exprs")
-    if domain is not None:
-        if not isinstance(domain, list) or len(domain) != 4:
-            raise ValueError("domain must have four entries")
-        if not all(x is None or type(x) in (int, float) for x in domain):
-            raise ValueError("domain entries must be numbers or null")
-        domain = tuple(domain)
     try:
-        return make_patch(family, exprs, domain)
+        return make_patch(family, exprs, doc.get("domain"))
     except KeyError as err:
         raise ValueError(f"patch document missing expression {err.args[0]!r}") from None
 

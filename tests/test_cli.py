@@ -16,13 +16,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monge4.classify import PREDICATES
+from monge4.classify import (PREDICATES, minimal_aminov_profile,
+                             minimal_translation_family,
+                             same_sign_aminov_profile)
 from monge4.cli import _json_rows, _write_table, main
 from monge4.expr import BinOp, Call, Num, Var, pretty
 from monge4.grid import (RESULT_HEADER, GridResult, GridSpec, Row, csv_text,
                          evaluate_discrete, export_samples_csv, ingest_csv,
                          sample_grid, sample_values)
 from monge4.invariants import invariants_at
+from monge4.jet import DomainError
 from monge4.patch import make_explicit, make_translation, patch_to_json
 
 from expr_reference import random_ast, random_coord
@@ -166,6 +169,97 @@ def test_negative_exponent_form_numbers_are_values(capsys, argv, row):
     assert out.splitlines()[1].startswith(row)
 
 
+@pytest.mark.parametrize("g, H2", [("-(2)^u", -0.08748543470193428),
+                                   ("-2*u", 0.0), ("-.5*u", 0.0)],
+                         ids=["power", "product", "decimal"])
+def test_expression_starting_with_minus_is_a_value(capsys, g, H2):
+    code, out, err = run(capsys, "eval", "--f", "u", "--g", g,
+                         "-u", "1", "-v", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["H2"] == H2
+    assert out == run(capsys, "eval", "--f", "u", f"--g={g}",
+                      "-u", "1", "-v", "1")[1]
+    # a name after "-" is still taken for a flag: -u is eval's own
+    code, _, err = run(capsys, "eval", "--f", "u", "--g", "-u",
+                       "-u", "1", "-v", "1")
+    assert code == 2 and "expected one argument" in err
+
+
+DOMAIN_DOCS = {
+    "three": "[0, 1, 0]", "string": '[0, "1", 0, 1]', "bool": "[0, true, 0, 1]",
+    "nan": "[0, NaN, 0, 1]", "infinities": "[-Infinity, Infinity, 0, 1]",
+    "1e999": "[0, 1e999, 0, 1]", "10**400": "[0, 1" + "0" * 400 + ", 0, 1]",
+}
+
+
+@pytest.mark.parametrize("name", DOMAIN_DOCS)
+def test_bad_patch_domain_exits_without_traceback(tmp_path, capsys, name):
+    doc = tmp_path / "patch.json"
+    for family, exprs in (("explicit", '{"f": "u", "g": "v"}'),
+                          ("gradient", '{"p": "u*v", "q": "u+v"}')):
+        doc.write_text(f'{{"family": "{family}", "exprs": {exprs}, '
+                       f'"domain": {DOMAIN_DOCS[name]}}}')
+        code, out, err = run(capsys, "eval", "--patch", str(doc),
+                             "-u", "0.5", "-v", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: domain ") and "Traceback" not in err
+
+
+def test_overflowing_domain_entry_exits_without_traceback(tmp_path):
+    doc = tmp_path / "patch.json"
+    doc.write_text('{"family": "gradient", "exprs": {"p": "u*v", "q": "u+v"}, '
+                   '"domain": [0, 1' + "0" * 400 + ', 0, 1]}')
+    proc = run_python("-m", "monge4.cli", "eval", "--patch", str(doc),
+                      "-u", "0.5", "-v", "0.5")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: domain entries must be within the float "
+                           "range\n")
+
+
+def test_nan_integrability_gap_is_demoted_with_warning(capsys):
+    p = "exp(400)*exp(400)*u - exp(400)*exp(400)*u + u*v"
+    code, out, err = run(capsys, "eval", "--p", p, "--q", "u+v",
+                         "-u", "0.6", "-v", "0.2")
+    # demoted first; its jets are then NaN, an evaluation error
+    assert (code, out) == (3, "")
+    assert err == ("warning: integrability residual nan exceeds 1e-08; "
+                   "treating the pair as an explicit patch\n"
+                   "error: non-finite jets\n")
+
+
+@pytest.mark.parametrize("flag, code, message", [
+    ("--a=1e200", 3, "error: profile coefficient c2 = (a^2 - 1)/(2a) is out "
+                     "of float range at a = 1e+200\n"),
+    ("--a=1e-320", 3, "error: profile coefficient c2 = (a^2 - 1)/(2a) is out "
+                      "of float range at a = 1e-320\n"),
+    ("--a=nan", 2, "error: parameter a must be finite\n"),
+    ("--a=inf", 2, "error: parameter a must be finite\n"),
+    ("--b=nan", 2, "error: parameter b must be finite\n"),
+], ids=["a-1e200", "a-1e-320", "a-nan", "a-inf", "b-nan"])
+def test_ode_parameter_out_of_range(capsys, flag, code, message):
+    argv = ["ode", flag] + (["--a", "1"] if flag.startswith("--b") else [])
+    assert run(capsys, *argv) == (code, "", message)
+
+
+def test_family_builders_check_their_parameters():
+    for build in (minimal_aminov_profile, same_sign_aminov_profile):
+        with pytest.raises(ValueError, match="^parameter a must be finite$"):
+            build(math.nan)
+        with pytest.raises(ValueError, match="^parameter b must be finite$"):
+            build(1.0, math.inf)
+        with pytest.raises(DomainError, match="coefficient c2"):
+            build(1e200)
+    args = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+    for k, name in enumerate(("c3", "c4", "e3", "e4", "p3", "p4", "a", "b")):
+        bad = args[:k] + [math.nan] + args[k + 1:]
+        with pytest.raises(ValueError, match=f"^parameter {name} must be "):
+            minimal_translation_family(*bad)
+    with pytest.raises(ValueError, match="^parameter d must be finite$"):
+        minimal_translation_family(*args, d=math.inf)
+    with pytest.raises(DomainError, match="c3\\^2 \\+ c4\\^2"):
+        minimal_translation_family(1e200, *args[1:])
+
+
 def test_grid_writes_csv(tmp_path, capsys):
     out = tmp_path / "table.csv"
     code, stdout, _ = run(capsys, "grid", "--f", "u^2", "--g", "u*v",
@@ -307,6 +401,7 @@ def test_verify_all_checks_pass(capsys):
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
     checks = json.loads(out)
+    assert out == json.dumps(checks, indent=2) + "\n"
     assert len(checks) >= 20
     assert all(c["ok"] for c in checks)
     names = {c["name"] for c in checks}
@@ -559,6 +654,11 @@ def test_json_rows_match_json_dumps():
         doc = [{name: None if isinstance(x, float) and not math.isfinite(x)
                 else x for name, x in zip(RESULT_HEADER, row)} for row in rows]
         assert _json_rows(RESULT_HEADER, rows) == json.dumps(doc, indent=2) + "\n"
+    # booleans, as in the verify table, pass through unchanged
+    rows = [("a", True, "x"), ("b", False, "")]
+    doc = [dict(zip(("name", "ok", "detail"), row)) for row in rows]
+    assert _json_rows(("name", "ok", "detail"), rows) == \
+        json.dumps(doc, indent=2) + "\n"
 
 
 # Below the 4.4 MiB that the 10 201 Row records of a 101 x 101 grid take

@@ -1,9 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monge4 import jet
+from monge4 import patch as patch_module
 from monge4.expr import ExprError, JetCode
 from monge4.invariants import invariants_at, translation_closed_forms
 from monge4.patch import (FAMILIES, FIELDS, eval_patch, make_aminov,
@@ -79,7 +81,7 @@ def test_aminov_probe_surfaces_domain_error():
 
 
 def test_aminov_range_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty u-range in domain$"):
         make_aminov("u", (1.0, 1.0))
 
 
@@ -120,6 +122,88 @@ def test_domain_validation():
         make_explicit("0", "0", domain=(0.0, 1.0, 0.5, None))
 
 
+# (domain, its JSON text, the message): each is rejected the same way by
+# every constructor and by patch_from_json
+BAD_DOMAINS = [
+    ((0, 1, 0), "[0, 1, 0]", "domain must have four entries"),
+    ((0, "1", 0, 1), '[0, "1", 0, 1]', "domain entries must be numbers or null"),
+    ((0, True, 0, 1), "[0, true, 0, 1]", "domain entries must be numbers or null"),
+    ((0, math.nan, 0, 1), "[0, NaN, 0, 1]", "within the float range"),
+    ((-math.inf, math.inf, 0, 1), "[-Infinity, Infinity, 0, 1]",
+     "within the float range"),
+    ((0, math.inf, 0, 1), "[0, 1e999, 0, 1]", "within the float range"),
+    ((0, 10**400, 0, 1), "[0, 1" + "0" * 400 + ", 0, 1]",
+     "within the float range"),
+]
+BAD_DOMAIN_IDS = ["three", "string", "bool", "nan", "infinities", "1e999",
+                  "10**400"]
+
+
+@pytest.mark.parametrize("domain, text, message", BAD_DOMAINS,
+                         ids=BAD_DOMAIN_IDS)
+def test_bad_domain_is_rejected_by_every_constructor(domain, text, message):
+    for make in (lambda: make_explicit("u", "v", domain),
+                 lambda: make_translation("u", "u", "v", "v", domain),
+                 lambda: make_gradient("u*v", "u+v", domain),
+                 lambda: make_patch("aminov", {"r": "u+2"}, domain)):
+        with pytest.raises(ValueError, match=message):
+            make()
+    for family, exprs in (("gradient", {"p": "u*v", "q": "u+v"}),
+                          ("aminov", {"r": "u+2"})):
+        doc = (f'{{"family": "{family}", "exprs": {json.dumps(exprs)}, '
+               f'"domain": {text}}}')
+        with pytest.raises(ValueError, match=message):
+            patch_from_json(doc)
+
+
+def test_domain_is_stored_as_given():
+    p = make_explicit("u", "v", domain=[-1, 2.5, None, None])
+    assert p.domain == (-1, 2.5, None, None)
+    assert type(p.domain[0]) is int
+    assert patch_to_json(p).endswith('"domain": [-1, 2.5, null, null]}')
+    assert patch_from_json(patch_to_json(p)).domain == p.domain
+    big = make_explicit("u", "v", domain=(-1e308, 1e308, None, None))
+    assert big.domain == (-1e308, 1e308, None, None)
+
+
+def test_nan_integrability_gap_demotes_the_pair():
+    # inf - inf is NaN at every sample, which max alone would drop
+    p = make_gradient("exp(400)*exp(400)*u - exp(400)*exp(400)*u + u*v",
+                      "u+v")
+    assert p.family == "explicit"
+    assert math.isnan(p.integrability_residual)
+    assert p.gradient_warning == ("integrability residual nan exceeds 1e-08; "
+                                  "treating the pair as an explicit patch")
+
+
+def test_construction_samples_only_finite_points(monkeypatch):
+    points = []
+    compile_ = patch_module._compile
+
+    def recording(family, exprs):
+        kernel = compile_(family, exprs)
+
+        def jets(u, v):
+            points.append((u, v))
+            return kernel.jets(u, v)
+
+        def field(f):
+            return lambda x, *seed: points.append((x,)) or f(x, *seed)
+
+        return kernel._replace(jets=jets, fields={
+            name: field(f) for name, f in kernel.fields.items()})
+
+    monkeypatch.setattr(patch_module, "_compile", recording)
+    # u1 - u0 overflows to inf here; the blend lo*(1-t) + hi*t does not
+    big = (-1e308, 1e308)
+    p = make_gradient("v", "u", domain=big + big)
+    assert p.family == "gradient" and p.integrability_residual == 0.0
+    make_aminov("u", big)
+    assert len(points) == 25 + 9
+    assert all(math.isfinite(x) for point in points for x in point)
+    assert (-1e308,) in points and (1e308,) in points
+
+
 def _patch_pool():
     return [
         make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"),
@@ -152,6 +236,41 @@ def test_make_patch_dispatches_on_family():
         make_patch("aminov", {"r": "u"})
     with pytest.raises(KeyError):
         make_patch("explicit", {"f": "u"})
+
+
+def test_every_construction_route_builds_the_same_kernel():
+    # make_*, make_patch and a JSON round trip: same family, kernel and jets
+    pool = _patch_pool() + [make_gradient("v", "-u"),
+                            make_aminov("u+2", (0.0, 1.0), (0.0, 6.0))]
+    for p in pool:
+        routes = (make_patch(p.family, dict(p.exprs), p.domain),
+                  patch_from_json(patch_to_json(p)))
+        for q in routes:
+            assert (q.family, q.exprs, q.domain) == (p.family, p.exprs,
+                                                     p.domain)
+            assert q.kernel.source == p.kernel.source
+            for u, v in ((0.25, 0.5), (0.75, 0.3)):
+                assert eval_patch(q, u, v) == eval_patch(p, u, v)
+            if p.family == "translation":
+                assert translation_closed_forms(q, 0.3, 0.4) == \
+                    translation_closed_forms(p, 0.3, 0.4)
+            if p.family == "aminov":
+                assert profile_at(q, 0.5) == profile_at(p, 0.5)
+
+
+def test_fields_table_gives_each_field_its_variables():
+    assert FIELDS["translation"] == {"f3": "u", "f4": "u", "g3": "v",
+                                     "g4": "v"}
+    for family, fields in FIELDS.items():
+        for name, variables in fields.items():
+            exprs = {other: "0" for other in fields}
+            for variable in "uv":
+                exprs[name] = variable
+                if variable in variables:
+                    make_patch(family, exprs, (0.5, 1.0, None, None))
+                else:
+                    with pytest.raises(ExprError, match="unknown identifier"):
+                        make_patch(family, exprs, (0.5, 1.0, None, None))
 
 
 def test_json_rejects_garbage():
