@@ -244,10 +244,10 @@ def minimal_translation_family(c3: float, c4: float, e3: float, e4: float,
                         c=c, d=d)
     if a <= 0.0 or b <= 0.0:
         raise ValueError("parameters a and b must be positive")
-    den = c3 * c3 + c4 * c4
-    if den == 0.0:
+    if c3 == 0.0 and c4 == 0.0:
         raise ValueError("c3 and c4 must not both vanish")
-    if not math.isfinite(den):
+    den = c3 * c3 + c4 * c4
+    if not 0.0 < den < math.inf:  # the squares under- or overflowed
         raise jet.DomainError("coefficient c3^2 + c4^2 is out of float range")
     sa, sb = math.sqrt(a), math.sqrt(b)
 

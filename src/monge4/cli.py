@@ -30,7 +30,6 @@ from .grid import (MODES, RESULT_HEADER, GridSpec, _csv_chunks, csv_text,
                    write_text)
 from .invariants import ConsistencyError, invariants_at
 from .patch import FIELDS, make_patch, patch_from_json
-from .selfcheck import run_all
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -431,6 +430,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .selfcheck import run_all  # only verify pays for loading the suite
     results = run_all()
     if args.format == "json":
         text = _json_rows(("name", "ok", "detail"),
@@ -488,7 +488,7 @@ def cmd_ingest(args) -> int:
     dp = ingest_samples(read_samples_csv(args.input), hu=args.hu, hv=args.hv,
                         mode=args.mode, source=args.input)
     tally = _write_table(dp.spec(), discrete_rows(dp), args)
-    _note(f"evaluated {dp.nu} x {dp.nv} samples from {args.input} "
+    _note(f"evaluated {len(dp.us)} x {len(dp.vs)} samples from {args.input} "
           f"({tally.flagged - tally.boundary} flagged beyond the boundary "
           f"ring)", args.out)
     return EXIT_OK

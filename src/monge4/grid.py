@@ -2,17 +2,15 @@
 
 sample_grid evaluates the exact-jet pipeline on a uniform grid.  For
 externally sampled data (a depth map with one or two height channels)
-ingest_samples validates the rectangle and evaluate_discrete estimates
-jets with second-order central differences on interior nodes; the
-boundary ring and any node with a corrupt stencil are flagged rather
-than dropped, so a result always carries nu*nv rows in a deterministic
-order (v fastest).  grid_rows and discrete_rows yield the same rows one
-at a time, so a caller that streams them never holds the whole grid.
-Samples stay packed 8-byte doubles (array('d')) from the CSV read to the
-stencil: read_samples_csv keeps one array per column and a
-DiscretePatch one array per grid row and channel.  ingest_samples makes
-no copy of its own: it reads the records in place, once per check, and
-reads a one-shot iterator into a list first.
+ingest_samples validates the rectangle into a DiscretePatch, which holds
+the sorted sample coordinates of each axis and, packed as 8-byte doubles
+(array('d')), one row of samples per u coordinate and channel.
+evaluate_discrete estimates jets with second-order central differences
+on interior nodes; the boundary ring and any node with a corrupt stencil
+are flagged rather than dropped, so a result always carries one row per
+node, at the node's own coordinates, in a deterministic order (v
+fastest).  grid_rows and discrete_rows yield the same rows one at a
+time, so a caller that streams them never holds the whole grid.
 """
 
 from __future__ import annotations
@@ -32,6 +30,8 @@ from .patch import MongePatch, PatchJets, jet_floats
 SPACING_RTOL = 1e-9
 
 MODES = ("monge4", "monge3")
+
+FLAT_JET = (0.0,) * 6  # a missing g channel: _stencil of nine 0.0 samples
 
 # rows per write: export holds one chunk of text, never the whole table
 CHUNK_ROWS = 1024
@@ -138,36 +138,38 @@ def _doubles(values=()):
     return array("d", values)
 
 
+def _step(axis) -> float:
+    """The spacing of sorted uniform coordinates, as GridSpec.hu has it."""
+    return (axis[-1] - axis[0]) / (len(axis) - 1)
+
+
 @dataclass(frozen=True)
 class DiscretePatch:
-    """Sampled heights on a uniform grid, one or two channels."""
+    """Samples of one or two height channels at sorted coordinates us x vs."""
 
-    u0: float
-    v0: float
-    hu: float
-    hv: float
-    nu: int
-    nv: int
-    f: list  # nu rows, each an array('d') of nv samples: f[i][j]
-    g: list  # the same shape; all 0.0 in monge3 mode
-    mode: str = "monge4"
+    us: tuple
+    vs: tuple
+    f: list  # len(us) rows, each an array('d') of len(vs) samples: f[i][j]
+    g: list | None = None  # the same shape; None for a one-channel depth map
     source: str = "<memory>"
 
     def spec(self) -> GridSpec:
-        return GridSpec(self.u0, self.u0 + (self.nu - 1) * self.hu,
-                        self.v0, self.v0 + (self.nv - 1) * self.hv,
-                        self.nu, self.nv)
+        us, vs = self.us, self.vs
+        return GridSpec(us[0], us[-1], vs[0], vs[-1], len(us), len(vs))
 
 
 def sample_values(patch: MongePatch, spec: GridSpec, mode: str = "monge4") -> DiscretePatch:
-    """Discretize a patch to height samples only (no jets)."""
+    """Discretize a patch to height samples only (no jets); monge3 keeps f."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     f = [_doubles([0.0]) * spec.nv for _ in range(spec.nu)]
     g = [_doubles([0.0]) * spec.nv for _ in range(spec.nu)]
     for i, j, u, v in spec.points():
         floats = jet_floats(patch, u, v)
         f[i][j], g[i][j] = floats[0], floats[6]
-    return DiscretePatch(spec.u0, spec.v0, spec.hu, spec.hv, spec.nu, spec.nv,
-                         f, g, mode=mode)
+    return DiscretePatch(tuple(map(spec.u_at, range(spec.nu))),
+                         tuple(map(spec.v_at, range(spec.nv))),
+                         f, g if mode == "monge4" else None)
 
 
 def _stencil(z, i: int, j: int, hu: float, hv: float) -> tuple:
@@ -195,27 +197,31 @@ def _stencil(z, i: int, j: int, hu: float, hv: float) -> tuple:
 
 def fd_jets(dp: DiscretePatch, i: int, j: int) -> PatchJets:
     """Second-order central-difference jets at an interior node."""
-    if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
+    if not (1 <= i <= len(dp.us) - 2 and 1 <= j <= len(dp.vs) - 2):
         raise ValueError(f"node ({i}, {j}) is not interior")
-    return PatchJets(_new(Jet2, _stencil(dp.f, i, j, dp.hu, dp.hv)),
-                     _new(Jet2, _stencil(dp.g, i, j, dp.hu, dp.hv)))
+    hu, hv = _step(dp.us), _step(dp.vs)
+    g = FLAT_JET if dp.g is None else _stencil(dp.g, i, j, hu, hv)
+    return PatchJets(_new(Jet2, _stencil(dp.f, i, j, hu, hv)), _new(Jet2, g))
 
 
 def discrete_rows(dp: DiscretePatch):
     """Yield the row of every node in order; the boundary ring is flagged."""
-    f, g, hu, hv = dp.f, dp.g, dp.hu, dp.hv
-    for i, j, u, v in dp.spec().points():
-        if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
-            yield Row(u, v, flag="boundary")
-            continue
-        try:
-            row = _row(u, v, _stencil(f, i, j, hu, hv)
-                       + _stencil(g, i, j, hu, hv))
-        except jet.DomainError as err:
-            row = Row(u, v, flag=f"domain-error: {err}")
-        except ValueError as err:  # _stencil: a non-finite sample
-            row = Row(u, v, flag=f"bad-sample: {err}")
-        yield row
+    spec = dp.spec()  # also checks the axes of a patch built by hand
+    f, g, hu, hv = dp.f, dp.g, spec.hu, spec.hv
+    last_i, last_j = spec.nu - 1, spec.nv - 1
+    for i, u in enumerate(dp.us):
+        for j, v in enumerate(dp.vs):
+            if not (0 < i < last_i and 0 < j < last_j):
+                yield Row(u, v, flag="boundary")
+                continue
+            try:
+                gj = FLAT_JET if g is None else _stencil(g, i, j, hu, hv)
+                row = _row(u, v, _stencil(f, i, j, hu, hv) + gj)
+            except jet.DomainError as err:
+                row = Row(u, v, flag=f"domain-error: {err}")
+            except ValueError as err:  # _stencil: a non-finite sample
+                row = Row(u, v, flag=f"bad-sample: {err}")
+            yield row
 
 
 def evaluate_discrete(dp: DiscretePatch) -> GridResult:
@@ -224,17 +230,15 @@ def evaluate_discrete(dp: DiscretePatch) -> GridResult:
 
 
 def _uniform_axis(values, name: str):
-    axis = set(values)
+    axis = {x + 0.0 for x in values}  # floats; -0.0 as 0.0, in any order
     bad = sorted(repr(x) for x in axis if not math.isfinite(x))
     if bad:  # sorted reprs: NaN hashes by identity, so set order varies
         raise ValueError(f"non-finite {name} coordinate {bad[0]}")
     axis = sorted(axis)
     if len(axis) < 2:
         raise ValueError(f"need at least 2 distinct {name} values")
-    h = (axis[-1] - axis[0]) / (len(axis) - 1)
-    # an inf h passes every step test below; the far edge that the patch
-    # rebuilds from h must be finite too
-    if not math.isfinite(axis[0] + (len(axis) - 1) * h):
+    h = _step(axis)
+    if not math.isfinite(h):  # an inf h passes every step test below
         raise ValueError(f"{name} span from {axis[0]!r} to {axis[-1]!r} overflows")
     for a, b in zip(axis, axis[1:]):
         if abs(b - a - h) > SPACING_RTOL * max(abs(h), 1.0):
@@ -248,7 +252,7 @@ def _uniform_axis(values, name: str):
     if not in_range:
         raise ValueError(f"{name} spacing {h!r} is out of range "
                          "for the difference stencil")
-    return axis, h
+    return tuple(axis), h
 
 
 def ingest_samples(records, hu: float | None = None, hv: float | None = None,
@@ -268,12 +272,9 @@ def ingest_samples(records, hu: float | None = None, hv: float | None = None,
     if widths not in ({3}, {4}):
         raise ValueError("records must be uniformly (u, v, f) or (u, v, f, g)")
     inferred = "monge4" if widths == {4} else "monge3"
-    if mode is None:
-        mode = inferred
-    elif mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    elif mode != inferred:
-        raise ValueError(f"records have {inferred} shape, not {mode}")
+    if mode not in (None, inferred):
+        raise ValueError(f"unknown mode {mode!r}" if mode not in MODES else
+                         f"records have {inferred} shape, not {mode}")
 
     us, h_u = _uniform_axis((r[0] for r in records), "u")
     vs, h_v = _uniform_axis((r[1] for r in records), "v")
@@ -287,9 +288,8 @@ def ingest_samples(records, hu: float | None = None, hv: float | None = None,
     iv = {v: j for j, v in enumerate(vs)}
     nu, nv = len(us), len(vs)
     f = [_doubles([math.nan]) * nv for _ in range(nu)]
-    g = [_doubles([0.0]) * nv for _ in range(nu)]
+    g = [_doubles([math.nan]) * nv for _ in range(nu)] if widths == {4} else None
     seen = bytearray(nu * nv)  # node (i, j) at i*nv + j
-    with_g = mode == "monge4"
     for r in records:
         i, j = iu[r[0]], iv[r[1]]
         k = i * nv + j
@@ -297,14 +297,13 @@ def ingest_samples(records, hu: float | None = None, hv: float | None = None,
             raise ValueError(f"duplicate sample at node {(i, j)}")
         seen[k] = 1
         f[i][j] = r[2]
-        if with_g:
+        if g is not None:
             g[i][j] = r[3]
     if 0 in seen:
         missing = [divmod(k, nv) for k, hit in enumerate(seen) if not hit]
         raise ValueError(f"incomplete grid, missing nodes {missing[:8]}"
                          + ("..." if len(missing) > 8 else ""))
-    return DiscretePatch(float(us[0]), float(vs[0]), h_u, h_v, nu, nv, f, g,
-                         mode=mode, source=source)
+    return DiscretePatch(us, vs, f, g, source)
 
 
 class SampleRecords:
@@ -397,9 +396,10 @@ def export_csv(result: GridResult, destination) -> None:
 
 def export_samples_csv(dp: DiscretePatch, destination) -> None:
     """Write height samples back out in the input format."""
-    header = ("u", "v", "f", "g") if dp.mode == "monge4" else ("u", "v", "f")
-    rows = ((u, v, dp.f[i][j], dp.g[i][j])[:len(header)]
-            for i, j, u, v in dp.spec().points())
+    channels = (dp.f,) if dp.g is None else (dp.f, dp.g)
+    header = ("u", "v", "f", "g")[:2 + len(channels)]
+    rows = ((u, v, *(z[i][j] for z in channels))
+            for i, u in enumerate(dp.us) for j, v in enumerate(dp.vs))
     write_text(destination, _csv_chunks(header, rows))
 
 

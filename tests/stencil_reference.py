@@ -6,7 +6,8 @@ nine samples into locals once and tests their sum for finiteness before
 it tests them one by one.  This module keeps the formulation that
 replaced: samples in lists of lists, the nine gathered into a list and
 each tested, so tests can compare the two value for value and flag for
-flag.
+flag.  Where a one-channel patch has no g channel, monge4 takes the
+flat jet without arithmetic; this module stencils a channel of zeros.
 """
 
 import math
@@ -32,30 +33,37 @@ def stencil(z, i: int, j: int, hu: float, hv: float) -> tuple:
     return val, du, dv, duu, duv, dvv
 
 
-def nested(channel) -> list:
-    """A channel of a DiscretePatch as a list of lists of floats."""
+def nested(dp, channel) -> list:
+    """A channel of a DiscretePatch as a list of lists of floats; a
+    missing g channel as a channel of 0.0 samples."""
+    if channel is None:
+        return [[0.0] * len(dp.vs) for _ in dp.us]
     return [list(row) for row in channel]
 
 
 def fd_jets(dp, i: int, j: int) -> PatchJets:
-    if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
+    if not (1 <= i <= len(dp.us) - 2 and 1 <= j <= len(dp.vs) - 2):
         raise ValueError(f"node ({i}, {j}) is not interior")
-    return PatchJets(_new(Jet2, stencil(nested(dp.f), i, j, dp.hu, dp.hv)),
-                     _new(Jet2, stencil(nested(dp.g), i, j, dp.hu, dp.hv)))
+    spec = dp.spec()
+    return PatchJets(
+        _new(Jet2, stencil(nested(dp, dp.f), i, j, spec.hu, spec.hv)),
+        _new(Jet2, stencil(nested(dp, dp.g), i, j, spec.hu, spec.hv)))
 
 
 def discrete_rows(dp):
     """The rows of grid.discrete_rows, from the nested-list stencil."""
-    f, g, hu, hv = nested(dp.f), nested(dp.g), dp.hu, dp.hv
-    for i, j, u, v in dp.spec().points():
-        if not (1 <= i <= dp.nu - 2 and 1 <= j <= dp.nv - 2):
-            yield Row(u, v, flag="boundary")
-            continue
-        try:
-            row = _row(u, v, stencil(f, i, j, hu, hv)
-                       + stencil(g, i, j, hu, hv))
-        except jet.DomainError as err:
-            row = Row(u, v, flag=f"domain-error: {err}")
-        except ValueError as err:
-            row = Row(u, v, flag=f"bad-sample: {err}")
-        yield row
+    spec = dp.spec()
+    f, g, hu, hv = nested(dp, dp.f), nested(dp, dp.g), spec.hu, spec.hv
+    for i, u in enumerate(dp.us):
+        for j, v in enumerate(dp.vs):
+            if not (1 <= i <= spec.nu - 2 and 1 <= j <= spec.nv - 2):
+                yield Row(u, v, flag="boundary")
+                continue
+            try:
+                row = _row(u, v, stencil(f, i, j, hu, hv)
+                           + stencil(g, i, j, hu, hv))
+            except jet.DomainError as err:
+                row = Row(u, v, flag=f"domain-error: {err}")
+            except ValueError as err:
+                row = Row(u, v, flag=f"bad-sample: {err}")
+            yield row

@@ -260,6 +260,19 @@ def test_family_builders_check_their_parameters():
         minimal_translation_family(1e200, *args[1:])
 
 
+def test_translation_family_tells_zero_from_underflow():
+    rest = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+    with pytest.raises(ValueError) as err:
+        minimal_translation_family(0.0, -0.0, *rest)
+    assert (type(err.value), str(err.value)) == (
+        ValueError, "c3 and c4 must not both vanish")
+    # nonzero, but c3^2 + c4^2 underflows to 0: the payload would divide by it
+    for c3, c4 in ((1e-200, 0.0), (0.0, -1e-200), (1e-170, 1e-170)):
+        with pytest.raises(DomainError, match=(
+                r"^coefficient c3\^2 \+ c4\^2 is out of float range$")):
+            minimal_translation_family(c3, c4, *rest)
+
+
 def test_grid_writes_csv(tmp_path, capsys):
     out = tmp_path / "table.csv"
     code, stdout, _ = run(capsys, "grid", "--f", "u^2", "--g", "u*v",
@@ -372,6 +385,24 @@ def test_ode_mode_and_blowup_errors(capsys):
                        "--range", "0", "120", "--steps", "600")
     assert code == 3
     assert "blew up" in err
+
+
+def test_ingest_rows_carry_the_file_coordinates(tmp_path, capsys):
+    # rows at u0 + i * hu moved 384 of these 603 nodes, e.g. u = -0.29
+    # to -0.29000000000000004
+    us = [repr(round(-1 + i / 100, 2)) for i in range(201)]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("u,v,f\n" + "".join(
+        f"{u},{v},{k % 7}.5\n" for k, u in enumerate(us)
+        for v in ("0.0", "0.5", "1.0")))
+    out = tmp_path / "result.csv"
+    code, _, _ = run(capsys, "ingest", str(samples), "--out", str(out))
+    assert code == 0
+
+    def coordinates(path):
+        return [line.split(",")[:2] for line in path.read_text().splitlines()]
+
+    assert coordinates(out) == coordinates(samples)
 
 
 def test_ingest_runs_fd_pipeline(tmp_path, capsys):

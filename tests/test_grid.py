@@ -101,8 +101,8 @@ def test_fd_convergence_is_second_order():
 def test_ingest_tiny_grid():
     records = [(u, v, 0.0, 0.0) for u in (0.0, 0.1, 0.2) for v in (0.0, 0.1, 0.2)]
     dp = ingest_samples(records)
-    assert dp.mode == "monge4"
-    assert (dp.nu, dp.nv) == (3, 3)
+    assert dp.g is not None
+    assert dp.us == dp.vs == (0.0, 0.1, 0.2)
     res = evaluate_discrete(dp)
     interior = [r for r in res.rows if not r.flag]
     assert len(interior) == 1
@@ -111,12 +111,14 @@ def test_ingest_tiny_grid():
 
 
 def _channel_bytes(dp):
-    return [row.tobytes() for row in dp.f + dp.g]
+    return [repr(dp.us), repr(dp.vs)] + [row.tobytes() for row in dp.f + dp.g]
 
 
 def test_ingest_accepts_any_row_order(tmp_path):
-    records = [(u, v, u * v, u - v) for u in (0.0, 0.5, 1.0)
-               for v in (0.0, 0.5, 1.0, 1.5)]
+    # u = 0 is written as -0.0 on two rows: the axis must not depend on
+    # which sign comes first
+    records = [(u if u or v % 1 else -0.0, v, u * v, u - v)
+               for u in (0.0, 0.5, 1.0) for v in (0.0, 0.5, 1.0, 1.5)]
     want = _channel_bytes(ingest_samples(records))
     shuffled = records[1::2] + records[::2]
     path = tmp_path / "shuffled.csv"
@@ -146,7 +148,7 @@ def test_ingest_samples_makes_no_copy(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (dp.nu, dp.nv) == (101, 101)
+    assert (len(dp.us), len(dp.vs)) == (101, 101)
     assert peak < INGEST_SAMPLES_PEAK_BYTES_PER_NODE * len(records)
 
 
@@ -188,7 +190,7 @@ def test_ingest_rejects_non_finite_coordinates(axis, bad):
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("values", [
     (-1e308, 0.0, 1.2e308), (-1e308, 1e308),
-    # the span fits, but the far edge rebuilt as 3 * (span / 3) does not
+    # the span fits, but its spacing squared does not
     (0.0, sys.float_info.max / 3, 2 * (sys.float_info.max / 3),
      sys.float_info.max)])
 def test_ingest_rejects_overflowing_span(axis, values):
@@ -197,7 +199,10 @@ def test_ingest_rejects_overflowing_span(axis, values):
     name = "uv"[axis]
     with pytest.raises(ValueError) as err:
         ingest_samples(records)
+    h = (values[-1] - values[0]) / (len(values) - 1)
     assert str(err.value) == (
+        f"{name} spacing {h!r} is out of range for the difference stencil"
+        if math.isfinite(h) else
         f"{name} span from {values[0]!r} to {values[-1]!r} overflows")
 
 
@@ -251,6 +256,42 @@ def test_ingest_rejects_non_finite_spacing(name, bad):
         ingest_samples(good, **{name: bad})
 
 
+def test_sample_values_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        sample_values(make_explicit("u", "v"), GridSpec(0, 1, 0, 1, 3, 3),
+                      mode="bogus")
+
+
+def test_sampled_rows_sit_at_the_spec_nodes(tmp_path):
+    # u0 + i * hu is not u_at(i) on this spec: the samples were taken at
+    # u = -4.837270592925524, but rows and export said -4.837270592925523
+    spec = GridSpec(-5.3564774387397085, 4.9238181083811545, -1, 1, 298, 5)
+    dp = sample_values(make_explicit("u^2+v^2", "u*v"), spec)
+    result = evaluate_discrete(dp)
+    nodes = [(u, v) for _, _, u, v in spec.points()]
+    assert result.spec == spec
+    assert [(r.u, r.v) for r in result.rows] == nodes
+    path = tmp_path / "samples.csv"
+    export_samples_csv(dp, path)
+    assert [record[:2] for record in read_samples_csv(path)] == nodes
+
+
+def test_monge3_samples_hold_one_channel(tmp_path):
+    # g = u*v is left out: a monge3 patch that kept it gave K = 3 at the
+    # origin, where the depth map f = u^2 + v^2 has K = 4
+    patch = make_explicit("u^2+v^2", "u*v")
+    dp = sample_values(patch, GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11),
+                       mode="monge3")
+    path = tmp_path / "samples.csv"
+    export_samples_csv(dp, path)
+    back = ingest_csv(path)
+    assert dp.g is None and back.g is None
+    rows = evaluate_discrete(dp).rows
+    assert list(map(repr, rows)) == list(map(repr, evaluate_discrete(back).rows))
+    assert (rows[60].u, rows[60].v) == (0.0, 0.0)
+    assert abs(rows[60].K - 4.0) < 1e-9
+
+
 def test_monge3_mode_reduces_to_classical_surface():
     patch = make_explicit("u^2+v^2", "0")
     dp = sample_values(patch, GridSpec(-0.05, 0.05, -0.05, 0.05, 11, 11),
@@ -297,8 +338,7 @@ def test_csv_round_trip(tmp_path):
     back = ingest_csv(path)
     assert back.f == dp.f
     assert back.g == dp.g
-    assert back.mode == "monge4"
-    assert abs(back.hu - dp.hu) < 1e-15
+    assert (back.us, back.vs) == (dp.us, dp.vs)
     assert back.source == str(path)
 
 
@@ -313,18 +353,20 @@ def test_csv_round_trip_is_bit_exact(tmp_path, mode):
                 -0.0 if i == j else 1e-300 * j - i)[:3 if mode == "monge3" else 4]
                for i in range(4) for j in range(5)]
     dp = ingest_samples(records)
-    assert dp.mode == mode
+    assert (dp.g is None) == (mode == "monge3")
     assert repr(dp.f[0][0]) == "-0.0"
     path = tmp_path / "samples.csv"
     export_samples_csv(dp, path)
     back = ingest_csv(path)
-    assert back.mode == mode
+    assert (back.g is None) == (dp.g is None)
     assert _bits(back.f) == _bits(dp.f)
-    assert _bits(back.g) == _bits(dp.g)
+    assert _bits(back.g or []) == _bits(dp.g or [])
+    channels = [back.f] if back.g is None else [back.f, back.g]
     want = {(r[0], r[1]): r[2:] for r in records}
-    for i, j, u, v in back.spec().points():
-        heights = (back.f[i][j], back.g[i][j])[:len(want[u, v])]
-        assert list(map(repr, heights)) == list(map(repr, want[u, v]))
+    for i, u in enumerate(back.us):
+        for j, v in enumerate(back.vs):
+            heights = [z[i][j] for z in channels]
+            assert list(map(repr, heights)) == list(map(repr, want[u, v]))
 
 
 def test_read_samples_csv_records(tmp_path):

@@ -34,10 +34,12 @@ def outcome(fn, *args):
 
 
 def patch(f, g, hu=0.25, hv=0.5):
-    """A DiscretePatch over lists of rows, held as array('d') rows."""
-    return DiscretePatch(0.0, 0.0, hu, hv, len(f), len(f[0]),
+    """A DiscretePatch over lists of rows, held as array('d') rows, with
+    nodes at multiples of hu and hv; g None leaves out the g channel."""
+    return DiscretePatch(tuple(i * hu for i in range(len(f))),
+                         tuple(j * hv for j in range(len(f[0]))),
                          [array("d", row) for row in f],
-                         [array("d", row) for row in g])
+                         None if g is None else [array("d", row) for row in g])
 
 
 @st.composite
@@ -50,9 +52,10 @@ def grids(draw):
 
 def assert_same(f, g, hu, hv):
     dp = patch(f, g, hu, hv)
-    for i in range(1, dp.nu - 1):
-        for j in range(1, dp.nv - 1):
-            for z, zref in ((dp.f, f), (dp.g, g)):
+    channels = ((dp.f, f),) if g is None else ((dp.f, f), (dp.g, g))
+    for i in range(1, len(dp.us) - 1):
+        for j in range(1, len(dp.vs) - 1):
+            for z, zref in channels:
                 assert (outcome(_stencil, z, i, j, hu, hv)
                         == outcome(ref.stencil, zref, i, j, hu, hv))
             assert outcome(fd_jets, dp, i, j) == outcome(ref.fd_jets, dp, i, j)
@@ -74,6 +77,18 @@ FLAT = [[0.1 * i - 0.2 * j for j in range(3)] for i in range(3)]
 @example(([[1e308, -1e308, 1e308]] + FLAT[1:], FLAT, 1e-3, 1e-3))
 def test_stencil_matches_nested_list_reference(grid):
     assert_same(*grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids())
+def test_one_channel_matches_a_zero_g_channel(grid):
+    # a patch without g takes the flat jet where the reference stencils
+    # nine 0.0 samples: the rows and flags must not differ
+    f, _, hu, hv = grid
+    assert_same(f, None, hu, hv)
+    zeros = [[0.0] * len(f[0]) for _ in f]
+    assert (outcome(list, discrete_rows(patch(f, None, hu, hv)))
+            == outcome(list, discrete_rows(patch(f, zeros, hu, hv))))
 
 
 @pytest.mark.parametrize("k", range(9))
