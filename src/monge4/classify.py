@@ -139,7 +139,8 @@ def _scaled_exponent(a: float, b: float, sign: int) -> str:
 
 
 def _require_parameters(**params) -> None:
-    # each is written into expression text, where inf and nan do not parse
+    # a closed-form parameter is written into expression text, where inf
+    # and nan do not parse; an initial value would only blow up the march
     for name, x in params.items():
         if not math.isfinite(x):
             raise ValueError(f"parameter {name} must be finite")
@@ -189,6 +190,7 @@ def integrate_profile_ode(r0: float, r0p: float, u_range, steps: int):
     the minimality equation using a finite-difference r'' from the
     numerical solution, as an integration diagnostic.
     """
+    _require_parameters(r0=r0, r0p=r0p)
     if steps < 3:  # the one-sided end stencils of r'' read four nodes
         raise ValueError("steps must be at least 3")
     u0, u1 = u_range

@@ -14,18 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
-import stat
 import sys
-from itertools import islice
 
 from . import jet
 from .classify import (DEFAULT_TOL, PREDICATES, classify_surface,
                        integrate_profile_ode, minimal_aminov_profile,
                        profile_row, report_to_json)
 from .expr import profile_eval
-from .grid import (MODES, RESULT_HEADER, GridSpec, _csv_chunks, csv_text,
+from .grid import (MODES, RESULT_HEADER, GridSpec, _csv_chunks, _json_chunks,
                    discrete_rows, grid_rows, ingest_samples, read_samples_csv,
                    write_text)
 from .invariants import ConsistencyError, invariants_at
@@ -43,11 +40,6 @@ PREDICATE_ALIASES = {"wintgen": "wintgen_ideal", "pseudo": "pseudo_umbilical",
                      "k+kn": "k_plus_kn_zero"}
 
 ODE_HEADER = ("u", "r", "rp", "residual")
-
-# rows per encoder call in JSON output: enough to spread the encoder's
-# per-call set-up (one call per row made a 201x201 grid about 0.5 s
-# slower), few enough that the pieces it joins stay small
-JSON_ROWS = 64
 
 
 # one flag per expression field of patch.FIELDS, in help order
@@ -236,98 +228,28 @@ def _grid_spec(args) -> GridSpec:
     return GridSpec(args.u0, args.u1, args.v0, args.v1, args.nu, args.nv)
 
 
-def _emit(text, out) -> None:
-    """Write a string, or an iterable of strings, to stdout or to the file
-    named by --out (see _replace_file)."""
-    if out is None:
-        write_text(sys.stdout, text)
-    else:
-        _replace_file(text, out)
-
-
 def _note(message: str, out) -> None:
     # keep stdout clean when it carries the payload
     stream = sys.stdout if out is not None else sys.stderr
     print(message, file=stream)
 
 
-def _replace_file(text, path) -> None:
-    """Write a string, or an iterable of strings, to the file at path so
-    that it changes only if all of it is written: a new file beside it
-    takes the text and then replaces it, with the mode a plain
-    open(path, "w") would leave.
-
-    A path that exists but is not a regular file (a device, a pipe) is
-    written in place, and so is one whose directory takes no new file.
-    If open() fails there, the strings are still made first, so that an
-    evaluation error is reported ahead of the I/O error.
-    """
-    target = os.path.realpath(path)
-    try:
-        old = os.stat(target)
-    except OSError:
-        old = None
-    tmp = os.path.join(os.path.dirname(target),
-                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
-    fd = None
-    if old is None or stat.S_ISREG(old.st_mode):
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except OSError:
-            pass
-    if fd is None:
-        try:
-            fh = open(path, "w", newline="")
-        except OSError:
-            for _ in text:
-                pass
-            raise
-        with fh:
-            write_text(fh, text)
-        return
-    try:
-        with open(fd, "w", newline="") as fh:
-            if old is not None:
-                os.chmod(tmp, stat.S_IMODE(old.st_mode))
-            write_text(fh, text)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _json_chunks(header, rows):
-    """A table of floats, strings and bools as the text of
-    json.dumps(table, indent=2), JSON_ROWS row objects at a time: each
-    batch is encoded as a list, without its opening and closing lines."""
-    encode = json.JSONEncoder(indent=2).encode
-    docs = ({name: cell if isinstance(cell, str) or math.isfinite(cell)
-             else None for name, cell in zip(header, row)} for row in rows)
-    sep = "[\n"
-    while batch := list(islice(docs, JSON_ROWS)):
-        yield sep + encode(batch)[2:-2]
-        sep = ",\n"
-    yield "[]\n" if sep == "[\n" else "\n]\n"
-
-
-def _json_rows(header, rows) -> str:
-    """Render a table of floats, strings and bools as JSON."""
-    return "".join(_json_chunks(header, rows))
-
-
 def cmd_eval(args) -> int:
     patch = _build_patch(args)
-    inv = invariants_at(patch, args.u, args.v)
+    u, v = args.u, args.v
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"-u and -v must be finite, got {u!r} and {v!r}")
+    inv = invariants_at(patch, u, v)
     values = [("K", inv.K), ("KN", inv.KN), ("H1", inv.H1),
               ("H2", inv.H2), ("Hnorm", inv.Hnorm)]
     if args.format == "json":
         text = json.dumps(dict(values), indent=2) + "\n"
     elif args.format == "csv":
-        text = csv_text([name for name, _ in values],
-                        [[val for _, val in values]])
+        text = _csv_chunks([name for name, _ in values],
+                           [[val for _, val in values]])
     else:
         text = "".join(f"{name} = {val!r}\n" for name, val in values)
-    _emit(text, args.out)
+    write_text(sys.stdout if args.out is None else args.out, text)
     return EXIT_OK
 
 
@@ -374,7 +296,7 @@ def _write_table(spec, rows, args) -> _Tally:
         chunks = _json_chunks(RESULT_HEADER, rows)
     else:
         chunks = _text_summary(spec, rows, tally)
-    _emit(chunks, args.out)
+    write_text(sys.stdout if args.out is None else args.out, chunks)
     return tally
 
 
@@ -408,7 +330,7 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         text = report_to_json(report) + "\n"
     elif args.format == "csv":
-        text = csv_text(
+        text = _csv_chunks(
             ("predicate", "verdict", "max_residual", "normalized_residual"),
             [(name, pr.verdict, pr.max_residual, pr.normalized_residual)
              for name, pr in report.predicates.items()])
@@ -423,7 +345,7 @@ def cmd_classify(args) -> int:
             lines.append(f"chen qualifier: {report.chen_qualifier}")
         lines.append(f"failed points: {report.failed_points}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    write_text(sys.stdout if args.out is None else args.out, text)
     ok = all(report.predicates[name].verdict == "holds"
              for name in requested)
     return EXIT_OK if ok else EXIT_FAIL
@@ -433,10 +355,10 @@ def cmd_verify(args) -> int:
     from .selfcheck import run_all  # only verify pays for loading the suite
     results = run_all()
     if args.format == "json":
-        text = _json_rows(("name", "ok", "detail"),
-                          [(r.name, r.ok, r.detail) for r in results])
+        text = _json_chunks(("name", "ok", "detail"),
+                            [(r.name, r.ok, r.detail) for r in results])
     elif args.format == "csv":
-        text = csv_text(
+        text = _csv_chunks(
             ("check", "status", "detail"),
             [(r.name, "pass" if r.ok else "fail", r.detail) for r in results])
     else:
@@ -447,7 +369,7 @@ def cmd_verify(args) -> int:
         lines.append(f"{len(results) - failed} of {len(results)} checks "
                      f"passed")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    write_text(sys.stdout if args.out is None else args.out, text)
     return EXIT_OK if all(r.ok for r in results) else EXIT_FAIL
 
 
@@ -458,6 +380,8 @@ def cmd_ode(args) -> int:
         raise ValueError("give either --a (closed form) or --r0 and --r0p "
                          "(numerical integration)")
     lo, hi = args.range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"--range ends must be finite, got {lo!r} and {hi!r}")
     if closed:
         profile = minimal_aminov_profile(args.a, args.b, args.sigma)
         if args.steps < 1:
@@ -476,10 +400,10 @@ def cmd_ode(args) -> int:
     if args.format == "text":
         text = f"nodes: {len(rows)}\nmax |residual|: {worst!r}\n"
     elif args.format == "csv":
-        text = csv_text(ODE_HEADER, rows)
+        text = _csv_chunks(ODE_HEADER, rows)
     else:
-        text = _json_rows(ODE_HEADER, rows)
-    _emit(text, args.out)
+        text = _json_chunks(ODE_HEADER, rows)
+    write_text(sys.stdout if args.out is None else args.out, text)
     _note(f"{len(rows)} nodes, max |residual| = {worst!r}", args.out)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Grid sampling, range-data ingestion and CSV import/export.
+"""Grid sampling, range-data ingestion, CSV import and table output.
 
 sample_grid evaluates the exact-jet pipeline on a uniform grid.  For
 externally sampled data (a depth map with one or two height channels)
@@ -16,7 +16,10 @@ time, so a caller that streams them never holds the whole grid.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
@@ -35,6 +38,11 @@ FLAT_JET = (0.0,) * 6  # a missing g channel: _stencil of nine 0.0 samples
 
 # rows per write: export holds one chunk of text, never the whole table
 CHUNK_ROWS = 1024
+
+# rows per encoder call in JSON output: enough to spread the encoder's
+# per-call set-up (one call per row made a 201x201 grid about 0.5 s
+# slower), few enough that the pieces it joins stay small
+JSON_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -357,14 +365,52 @@ def ingest_csv(path, mode: str | None = None) -> DiscretePatch:
 
 
 def write_text(destination, text) -> None:
-    """Write a string, or an iterable of strings, to a file object or to
-    a path without newline translation."""
+    """Write a string, or an iterable of strings, without newline
+    translation: to a file object in place, or to the file at a path so
+    that it changes only if all of it is written, as a new file beside
+    it that replaces it, with the mode a plain open(path, "w") leaves.
+
+    A path that exists but is not a regular file (a device, a pipe) is
+    written in place, and so is one whose directory takes no new file.
+    If open() fails there, the strings are still made first, so that an
+    evaluation error is reported ahead of the I/O error.
+    """
     chunks = (text,) if isinstance(text, str) else text
     if hasattr(destination, "write"):
         destination.writelines(chunks)
         return
-    with open(destination, "w", newline="") as fh:
-        fh.writelines(chunks)
+    target = os.path.realpath(destination)
+    try:
+        old = os.stat(target)
+    except OSError:
+        old = None
+    tmp = os.path.join(os.path.dirname(target),
+                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    fd = None
+    if old is None or stat.S_ISREG(old.st_mode):
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            pass
+    if fd is None:
+        try:
+            fh = open(destination, "w", newline="")
+        except OSError:
+            for _ in chunks:
+                pass
+            raise
+        with fh:
+            fh.writelines(chunks)
+        return
+    try:
+        with open(fd, "w", newline="") as fh:
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _text_cell(text: str) -> str:
@@ -384,9 +430,18 @@ def _csv_chunks(header, rows):
         yield chunk
 
 
-def csv_text(header, rows) -> str:
-    """The whole table as one string, for the small CLI tables."""
-    return "".join(_csv_chunks(header, rows))
+def _json_chunks(header, rows):
+    """A table of floats, strings and bools as the text of
+    json.dumps(table, indent=2), JSON_ROWS row objects at a time: each
+    batch is encoded as a list, without its opening and closing lines."""
+    encode = json.JSONEncoder(indent=2).encode
+    docs = ({name: cell if isinstance(cell, str) or math.isfinite(cell)
+             else None for name, cell in zip(header, row)} for row in rows)
+    sep = "[\n"
+    while batch := list(islice(docs, JSON_ROWS)):
+        yield sep + encode(batch)[2:-2]
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
 def export_csv(result: GridResult, destination) -> None:
@@ -405,7 +460,7 @@ def export_samples_csv(dp: DiscretePatch, destination) -> None:
 
 __all__ = [
     "DiscretePatch", "GridResult", "GridSpec", "MODES", "RESULT_HEADER",
-    "Row", "csv_text", "discrete_rows", "evaluate_discrete", "export_csv",
+    "Row", "discrete_rows", "evaluate_discrete", "export_csv",
     "export_samples_csv", "fd_jets", "grid_rows", "ingest_csv", "ingest_samples",
     "SampleRecords", "read_samples_csv", "sample_grid", "sample_values",
     "write_text",

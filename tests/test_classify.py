@@ -205,6 +205,12 @@ def test_ode_parameter_and_blowup_errors():
         integrate_profile_ode(0.5, 0.5, (1.0, 0.0), 10)
     with pytest.raises(jet.DomainError):
         integrate_profile_ode(2.0, 10.0, (0.0, 120.0), 600)
+    # a non-finite initial value is refused by name, not marched until
+    # it blows up
+    with pytest.raises(ValueError, match="parameter r0 must be finite"):
+        integrate_profile_ode(math.nan, 0.0, (0.0, 1.0), 10)
+    with pytest.raises(ValueError, match="parameter r0p must be finite"):
+        integrate_profile_ode(1.0, math.inf, (0.0, 1.0), 10)
 
 
 def test_translation_family_construction():

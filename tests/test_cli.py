@@ -19,11 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 from monge4.classify import (PREDICATES, minimal_aminov_profile,
                              minimal_translation_family,
                              same_sign_aminov_profile)
-from monge4.cli import _json_rows, _write_table, main
+from monge4.cli import _write_table, main
 from monge4.expr import BinOp, Call, Num, Var, pretty
-from monge4.grid import (RESULT_HEADER, GridResult, GridSpec, Row, csv_text,
-                         evaluate_discrete, export_samples_csv, ingest_csv,
-                         sample_grid, sample_values)
+from monge4.grid import (RESULT_HEADER, GridResult, GridSpec, Row, _csv_chunks,
+                         _json_chunks, evaluate_discrete, export_samples_csv,
+                         ingest_csv, sample_grid, sample_values)
 from monge4.invariants import invariants_at
 from monge4.jet import DomainError
 from monge4.patch import make_explicit, make_translation, patch_to_json
@@ -486,10 +486,33 @@ def test_eval_output_is_deterministic(capsys):
 
 OVERFLOW_SURFACE = ["--f", "exp(700)*exp(700)*u", "--g", "v"]
 
+# a NaN or inf given for a point, a range end or an initial value: each
+# is named in a usage error (exit 2) before anything is evaluated
+NON_FINITE_ARGUMENTS = {
+    "ode-lo-nan": (["ode", "--a", "1", "--range", "nan", "1"],
+                   "--range ends must be finite, got nan and 1.0"),
+    "ode-hi-nan": (["ode", "--a", "1", "--range", "-1", "nan"],
+                   "--range ends must be finite, got -1.0 and nan"),
+    "ode-hi-inf": (["ode", "--a", "1", "--range", "0", "inf"],
+                   "--range ends must be finite, got 0.0 and inf"),
+    "ode-numeric-hi-nan": (["ode", "--r0", "1", "--r0p", "0",
+                            "--range", "0", "nan"],
+                           "--range ends must be finite, got 0.0 and nan"),
+    "ode-r0-nan": (["ode", "--r0", "nan", "--r0p", "0"],
+                   "parameter r0 must be finite"),
+    "ode-r0p-nan": (["ode", "--r0", "1", "--r0p", "nan"],
+                    "parameter r0p must be finite"),
+    "eval-v-inf": (["eval", "--f", "u", "--g", "v", "-u", "0", "-v", "inf"],
+                   "-u and -v must be finite, got 0.0 and inf"),
+    "eval-domain-u-nan": (["eval", "--r", "u", "--u0", "0", "--u1", "1",
+                           "-u", "nan", "-v", "0"],
+                          "-u and -v must be finite, got nan and 0.0"),
+}
+
 
 @pytest.mark.parametrize("argv, code", [
     (["eval", *OVERFLOW_SURFACE, "-u", "0.5", "-v", "0.5"], 3),
-    (["eval", "--f", "u", "--g", "v", "-u", "nan", "-v", "0"], 3),
+    (["eval", "--f", "u", "--g", "v", "-u", "nan", "-v", "0"], 2),
     (["eval", "--f", "u^1000", "--g", "v", "-u", "10", "-v", "0"], 3),
     (["eval", "--f", "(" * 1500 + "u" + ")" * 1500, "--g", "v",
       "-u", "1", "-v", "1"], 2),
@@ -512,12 +535,20 @@ OVERFLOW_SURFACE = ["--f", "exp(700)*exp(700)*u", "--g", "v"]
       "--steps", "4"], 3),
     (["ode", "--r0", "1", "--r0p", "0", "--steps", "2"], 2),
     (["classify", "--f", "u", "--g", "v", "--tol", "nan"], 2),
+    *[(argv, 2) for argv, _ in NON_FINITE_ARGUMENTS.values()],
 ])
 def test_bad_input_exits_without_traceback(argv, code):
     proc = run_python("-m", "monge4.cli", *argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") or code == 1
+    assert proc.stdout == "" or code != 2
+
+
+@pytest.mark.parametrize("argv, message", NON_FINITE_ARGUMENTS.values(),
+                         ids=NON_FINITE_ARGUMENTS)
+def test_non_finite_argument_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -585,7 +616,7 @@ def _rendered(fmt, result):
     what grid and ingest wrote before their rows streamed."""
     rows = result.rows
     if fmt == "csv":
-        return csv_text(RESULT_HEADER, rows)
+        return "".join(_csv_chunks(RESULT_HEADER, rows))
     if fmt == "json":
         doc = [{name: None if isinstance(x, float) and not math.isfinite(x)
                 else x for name, x in zip(RESULT_HEADER, row)} for row in rows]
@@ -613,9 +644,9 @@ def _holed_samples(path):
     f = {(i, j): 0.1 * i * j - 0.05 * j * j for i in range(7)
          for j in range(6)}
     f[0, 0], f[0, 1], f[5, 3] = 1e308, -1e308, math.nan
-    path.write_text(csv_text(("u", "v", "f", "g"),
-                             [(0.5 * i, 0.25 * j, z, -0.0 * i)
-                              for (i, j), z in f.items()]))
+    path.write_text("".join(_csv_chunks(("u", "v", "f", "g"),
+                                        [(0.5 * i, 0.25 * j, z, -0.0 * i)
+                                         for (i, j), z in f.items()])))
 
 
 def _flag_kinds(rows):
@@ -680,15 +711,16 @@ def test_table_writer_streams_odd_rows(tmp_path, fmt):
 
 
 def test_json_rows_match_json_dumps():
-    # 160 rows span three encoder batches (cli.JSON_ROWS)
+    # 160 rows span three encoder batches (grid.JSON_ROWS)
     for rows in (ODD_ROWS, ODD_ROWS[:1], [], ODD_ROWS * 40):
         doc = [{name: None if isinstance(x, float) and not math.isfinite(x)
                 else x for name, x in zip(RESULT_HEADER, row)} for row in rows]
-        assert _json_rows(RESULT_HEADER, rows) == json.dumps(doc, indent=2) + "\n"
+        assert "".join(_json_chunks(RESULT_HEADER, rows)) == \
+            json.dumps(doc, indent=2) + "\n"
     # booleans, as in the verify table, pass through unchanged
     rows = [("a", True, "x"), ("b", False, "")]
     doc = [dict(zip(("name", "ok", "detail"), row)) for row in rows]
-    assert _json_rows(("name", "ok", "detail"), rows) == \
+    assert "".join(_json_chunks(("name", "ok", "detail"), rows)) == \
         json.dumps(doc, indent=2) + "\n"
 
 

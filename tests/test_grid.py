@@ -1,13 +1,18 @@
+import io
 import math
+import os
+import stat
 import sys
 import tracemalloc
 
 import pytest
 
-from monge4.grid import (MODES, GridSpec, Row, discrete_rows,
-                         evaluate_discrete, export_csv, export_samples_csv,
-                         fd_jets, ingest_csv, ingest_samples,
-                         read_samples_csv, sample_grid, sample_values)
+from monge4.grid import (MODES, DiscretePatch, GridResult, GridSpec, Row,
+                         discrete_rows, evaluate_discrete, export_csv,
+                         export_samples_csv, fd_jets, grid_rows, ingest_csv,
+                         ingest_samples, read_samples_csv, sample_grid,
+                         sample_values)
+from monge4.invariants import ConsistencyError
 from monge4.patch import make_aminov, make_explicit, make_translation
 from monge4.selfcheck import fd_convergence
 
@@ -421,6 +426,52 @@ def test_export_csv_flagged_rows(tmp_path):
     for ln in flagged:
         assert "nan" in ln
         assert "domain-error" in ln
+
+
+def _disagreeing_stream():
+    # the dual-path check fires after about a thousand rows have streamed
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 51, 51)
+    patch = make_explicit("10*u^2+7.868*v^2", "100*u^2+78.68*v^2")
+    return GridResult(spec, grid_rows(patch, spec))
+
+
+def _short_row_samples():
+    return DiscretePatch((0.0, 1.0), (0.0, 1.0), [[1.0, 2.0], [1.0]])
+
+
+@pytest.mark.parametrize("export, source, error", [
+    (export_csv, _disagreeing_stream, ConsistencyError),
+    (export_samples_csv, _short_row_samples, IndexError),
+], ids=["export_csv", "export_samples_csv"])
+def test_failed_export_leaves_the_file_as_it_was(tmp_path, export, source,
+                                                 error):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"earlier result\n")
+    with pytest.raises(error):
+        export(source(), path)
+    assert path.read_bytes() == b"earlier result\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_export_csv_keeps_the_mode_of_an_existing_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"earlier result\n")
+    path.chmod(0o640)
+    export_csv(sample_grid(make_explicit("0", "0"),
+                           GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)), path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text().count("\n") == 5
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_export_samples_csv_writes_a_stream_in_place():
+    out = io.StringIO()
+    out.write("# samples\n")
+    dp = DiscretePatch((0.0, 1.0), (0.0, 0.5), [[1.0, 2.0], [3.0, 4.0]])
+    export_samples_csv(dp, out)
+    assert not out.closed
+    assert out.getvalue() == ("# samples\nu,v,f\n0.0,0.0,1.0\n0.0,0.5,2.0\n"
+                              "1.0,0.0,3.0\n1.0,0.5,4.0\n")
 
 
 def test_row_defaults_are_nan():
