@@ -194,6 +194,8 @@ def integrate_profile_ode(r0: float, r0p: float, u_range, steps: int):
     if steps < 3:  # the one-sided end stencils of r'' read four nodes
         raise ValueError("steps must be at least 3")
     u0, u1 = u_range
+    if not (math.isfinite(u0) and math.isfinite(u1)):
+        raise ValueError(f"range ends must be finite, got {u0!r} and {u1!r}")
     if not u0 < u1:
         raise ValueError("empty integration range")
     h = (u1 - u0) / steps

@@ -16,15 +16,17 @@ import json
 import math
 import re
 import sys
+from functools import partial
 
 from . import jet
 from .classify import (DEFAULT_TOL, PREDICATES, classify_surface,
                        integrate_profile_ode, minimal_aminov_profile,
                        profile_row, report_to_json)
 from .expr import profile_eval
-from .grid import (MODES, RESULT_HEADER, GridSpec, _csv_chunks, _json_chunks,
-                   discrete_rows, grid_rows, ingest_samples, read_samples_csv,
-                   write_text)
+from .grid import (CHUNK_ROWS, MODES, RESULT_HEADER, GridSpec, _csv_chunks,
+                   _csv_lines, _json_batches, _json_chunks, chunk_pieces,
+                   discrete_rows_between, grid_rows_between, ingest_samples,
+                   read_samples_csv, write_text)
 from .invariants import ConsistencyError, invariants_at
 from .patch import FIELDS, make_patch, patch_from_json
 
@@ -90,8 +92,9 @@ def _add_output_flags(p, default_format):
 
 
 # "-" and a digit, "." or "(": a negative number such as -1e-05, or an
-# expression such as -(2)^u, which argparse's own pattern takes for options
-_NEGATIVE_NUMBER = re.compile(r"^-[\d.(]")
+# expression such as -(2)^u, which argparse's own pattern takes for options;
+# or -inf, -infinity or -nan in any case, as float() reads them
+_NEGATIVE_NUMBER = re.compile(r"^-([\d.(]|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -255,10 +258,12 @@ def cmd_eval(args) -> int:
 
 class _Tally:
     """Counts the rows that pass through count(): all, flagged, and
-    flagged as boundary."""
+    flagged as boundary; and holds the largest |K|, |KN| and |H| of the
+    rows passed to top()."""
 
     def __init__(self):
         self.nodes = self.flagged = self.boundary = 0
+        self.best = None
 
     def count(self, rows):
         for row in rows:
@@ -268,42 +273,88 @@ class _Tally:
                 self.boundary += row.flag == "boundary"
             yield row
 
+    def top(self, rows):
+        """Take in the maxima of the unflagged rows, as builtin max would
+        pick them."""
+        for r in rows:
+            if not r.flag:
+                self._top((abs(r.K), abs(r.KN), r.Hnorm))
 
-def _text_summary(spec, rows, tally):
-    """The text report of a result table: its size, flags and the largest
-    |K|, |KN| and |H| over unflagged rows, as builtin max would pick them."""
-    best = None
-    for r in rows:
-        if not r.flag:
-            values = (abs(r.K), abs(r.KN), r.Hnorm)
-            best = values if best is None else tuple(
-                x if x > top else top for x, top in zip(values, best))
+    def _top(self, values):
+        best = self.best
+        self.best = values if best is None else tuple(
+            x if x > top else top for x, top in zip(values, best))
+
+    def report(self) -> str:
+        """The tally as text, for merge() in another process."""
+        return " ".join(map(repr, (self.nodes, self.flagged, self.boundary,
+                                   *(self.best or ()))))
+
+    def merge(self, report: str) -> None:
+        """Add the rows that another tally's report() counted.  Maxima of
+        unflagged rows are finite, and never -0.0, so the merged ones are
+        the ones a single tally of every row would hold."""
+        nodes, flagged, boundary, *best = report.split()
+        self.nodes += int(nodes)
+        self.flagged += int(flagged)
+        self.boundary += int(boundary)
+        if best:
+            self._top(tuple(map(float, best)))
+
+
+def _text_summary(spec, tally) -> str:
+    """The text report of a result table: its size, flags and maxima."""
+    best = tally.best
     lines = [f"grid: {spec.u0} .. {spec.u1} x {spec.v0} .. {spec.v1}, "
              f"{spec.nu} x {spec.nv}",
              f"rows: {tally.nodes} (flagged: {tally.flagged})"]
     for k, label in enumerate(("max |K|", "max |KN|", "max |H|")):
         lines.append(f"{label}: {'n/a' if best is None else repr(best[k])}")
-    yield "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-def _write_table(spec, rows, args) -> _Tally:
-    """Stream result rows to --out or stdout in --format; their tally."""
+def _write_table(spec, rows_between, args) -> _Tally:
+    """Stream the result rows of every node of spec to --out or stdout in
+    --format; their tally.  rows_between(start, stop) yields the rows of
+    nodes start to stop - 1.  The nodes go in chunks of CHUNK_ROWS to
+    args.jobs processes (None: one per core), and the text is the same
+    for any number of them."""
+    nodes = spec.nu * spec.nv
     tally = _Tally()
-    rows = tally.count(rows)
-    if args.format == "csv":
-        chunks = _csv_chunks(RESULT_HEADER, rows)
-    elif args.format == "json":
-        chunks = _json_chunks(RESULT_HEADER, rows)
-    else:
-        chunks = _text_summary(spec, rows, tally)
-    write_text(sys.stdout if args.out is None else args.out, chunks)
+
+    def render(k):
+        start = k * CHUNK_ROWS
+        rows = tally.count(rows_between(start, min(start + CHUNK_ROWS, nodes)))
+        if args.format == "csv":
+            yield _csv_lines(rows)
+        elif args.format == "json":
+            yield from _json_batches(RESULT_HEADER, rows,
+                                     ",\n" if k else "[\n")
+        else:
+            tally.top(rows)
+
+    def chunks():
+        if args.format == "csv":
+            yield ",".join(RESULT_HEADER) + "\n"
+        yield from chunk_pieces(-(-nodes // CHUNK_ROWS), render, tally.report,
+                                tally.merge, args.jobs)
+        if args.format == "json":
+            yield "\n]\n"
+        elif args.format == "text":
+            yield _text_summary(spec, tally)
+
+    pieces = chunks()
+    try:
+        write_text(sys.stdout if args.out is None else args.out, pieces)
+    finally:
+        pieces.close()  # ends the workers of a table cut short
     return tally
 
 
 def cmd_grid(args) -> int:
     patch = _build_patch(args)
     spec = _grid_spec(args)
-    tally = _write_table(spec, grid_rows(patch, spec), args)
+    tally = _write_table(spec, partial(grid_rows_between, patch, spec), args)
     _note(f"sampled {tally.nodes} nodes ({tally.flagged} flagged)", args.out)
     return EXIT_OK
 
@@ -380,9 +431,12 @@ def cmd_ode(args) -> int:
         raise ValueError("give either --a (closed form) or --r0 and --r0p "
                          "(numerical integration)")
     lo, hi = args.range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"--range ends must be finite, got {lo!r} and {hi!r}")
     if closed:
+        # the closed form is tabulated here, so its range is checked here;
+        # integrate_profile_ode checks its own
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"--range ends must be finite, got {lo!r} and "
+                             f"{hi!r}")
         profile = minimal_aminov_profile(args.a, args.b, args.sigma)
         if args.steps < 1:
             raise ValueError("need at least 1 step")
@@ -411,19 +465,22 @@ def cmd_ode(args) -> int:
 def cmd_ingest(args) -> int:
     dp = ingest_samples(read_samples_csv(args.input), hu=args.hu, hv=args.hv,
                         mode=args.mode, source=args.input)
-    tally = _write_table(dp.spec(), discrete_rows(dp), args)
+    tally = _write_table(dp.spec(), partial(discrete_rows_between, dp), args)
     _note(f"evaluated {len(dp.us)} x {len(dp.vs)} samples from {args.input} "
           f"({tally.flagged - tally.boundary} flagged beyond the boundary "
           f"ring)", args.out)
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+def main(argv=None, jobs: int | None = None) -> int:
+    """Run one command; its exit code.  jobs caps the processes that grid
+    and ingest share their nodes among (None: one per core)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_OK if not err.code else int(err.code)
+    args.jobs = jobs
     try:
         return args.handler(args)
     except (jet.DomainError, ConsistencyError) as err:

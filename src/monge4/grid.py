@@ -10,7 +10,9 @@ on interior nodes; the boundary ring and any node with a corrupt stencil
 are flagged rather than dropped, so a result always carries one row per
 node, at the node's own coordinates, in a deterministic order (v
 fastest).  grid_rows and discrete_rows yield the same rows one at a
-time, so a caller that streams them never holds the whole grid.
+time, so a caller that streams them never holds the whole grid;
+grid_rows_between and discrete_rows_between yield the rows of a range
+of nodes, and chunk_pieces shares such ranges among forked processes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 from . import jet
 from .classify import chen_wintgen
-from .invariants import point_kernel
+from .invariants import ConsistencyError, point_kernel
 from .jet import Jet2, _new
 from .patch import MongePatch, PatchJets, jet_floats
 
@@ -127,10 +129,28 @@ def _sample_point(patch: MongePatch, u: float, v: float) -> Row:
         return Row(u, v, flag=f"domain-error: {err}")
 
 
+def _nodes(us, vs, start: int, stop: int):
+    """(i, j, u, v) of the nodes start to stop - 1 of the grid us x vs,
+    node k at (i, j) = divmod(k, len(vs)): in node order, v fastest."""
+    nv = len(vs)
+    for k in range(start, stop):
+        i, j = divmod(k, nv)
+        yield i, j, us[i], vs[j]
+
+
+def grid_rows_between(patch: MongePatch, spec: GridSpec, start: int,
+                      stop: int):
+    """Yield the result rows of nodes start to stop - 1 in node order;
+    failures become flags."""
+    us = tuple(map(spec.u_at, range(spec.nu)))
+    vs = tuple(map(spec.v_at, range(spec.nv)))
+    for _, _, u, v in _nodes(us, vs, start, stop):
+        yield _sample_point(patch, u, v)
+
+
 def grid_rows(patch: MongePatch, spec: GridSpec):
     """Yield the result row of every node in order; failures become flags."""
-    for _, _, u, v in spec.points():
-        yield _sample_point(patch, u, v)
+    yield from grid_rows_between(patch, spec, 0, spec.nu * spec.nv)
 
 
 def sample_grid(patch: MongePatch, spec: GridSpec) -> GridResult:
@@ -212,24 +232,29 @@ def fd_jets(dp: DiscretePatch, i: int, j: int) -> PatchJets:
     return PatchJets(_new(Jet2, _stencil(dp.f, i, j, hu, hv)), _new(Jet2, g))
 
 
-def discrete_rows(dp: DiscretePatch):
-    """Yield the row of every node in order; the boundary ring is flagged."""
+def discrete_rows_between(dp: DiscretePatch, start: int, stop: int):
+    """Yield the rows of nodes start to stop - 1 in node order; the
+    boundary ring is flagged."""
     spec = dp.spec()  # also checks the axes of a patch built by hand
     f, g, hu, hv = dp.f, dp.g, spec.hu, spec.hv
     last_i, last_j = spec.nu - 1, spec.nv - 1
-    for i, u in enumerate(dp.us):
-        for j, v in enumerate(dp.vs):
-            if not (0 < i < last_i and 0 < j < last_j):
-                yield Row(u, v, flag="boundary")
-                continue
-            try:
-                gj = FLAT_JET if g is None else _stencil(g, i, j, hu, hv)
-                row = _row(u, v, _stencil(f, i, j, hu, hv) + gj)
-            except jet.DomainError as err:
-                row = Row(u, v, flag=f"domain-error: {err}")
-            except ValueError as err:  # _stencil: a non-finite sample
-                row = Row(u, v, flag=f"bad-sample: {err}")
-            yield row
+    for i, j, u, v in _nodes(dp.us, dp.vs, start, stop):
+        if not (0 < i < last_i and 0 < j < last_j):
+            yield Row(u, v, flag="boundary")
+            continue
+        try:
+            gj = FLAT_JET if g is None else _stencil(g, i, j, hu, hv)
+            row = _row(u, v, _stencil(f, i, j, hu, hv) + gj)
+        except jet.DomainError as err:
+            row = Row(u, v, flag=f"domain-error: {err}")
+        except ValueError as err:  # _stencil: a non-finite sample
+            row = Row(u, v, flag=f"bad-sample: {err}")
+        yield row
+
+
+def discrete_rows(dp: DiscretePatch):
+    """Yield the row of every node in order; the boundary ring is flagged."""
+    yield from discrete_rows_between(dp, 0, len(dp.us) * len(dp.vs))
 
 
 def evaluate_discrete(dp: DiscretePatch) -> GridResult:
@@ -420,28 +445,165 @@ def _text_cell(text: str) -> str:
     return text
 
 
+def _csv_lines(rows) -> str:
+    """The CSV lines of some rows: floats as shortest round-trip
+    decimals, text quoted."""
+    return "".join(",".join(_text_cell(c) if isinstance(c, str) else repr(c)
+                            for c in row) + "\n" for row in rows)
+
+
 def _csv_chunks(header, rows):
-    """A CSV table in strings of up to CHUNK_ROWS lines: floats as
-    shortest round-trip decimals, text quoted."""
+    """A CSV table in strings of up to CHUNK_ROWS lines."""
     yield ",".join(header) + "\n"
-    lines = (",".join(_text_cell(c) if isinstance(c, str) else repr(c)
-                      for c in row) + "\n" for row in rows)
-    while chunk := "".join(islice(lines, CHUNK_ROWS)):
+    rows = iter(rows)
+    while chunk := _csv_lines(islice(rows, CHUNK_ROWS)):
         yield chunk
 
 
-def _json_chunks(header, rows):
-    """A table of floats, strings and bools as the text of
-    json.dumps(table, indent=2), JSON_ROWS row objects at a time: each
-    batch is encoded as a list, without its opening and closing lines."""
+def _json_batches(header, rows, sep: str = "[\n"):
+    """Rows of floats, strings and bools as row objects in the text of
+    json.dumps(table, indent=2), JSON_ROWS at a time: each batch is
+    encoded as a list, without its opening and closing lines, and comes
+    after sep, which is "[\n" for a table's first batch and ",\n" for
+    every later one."""
     encode = json.JSONEncoder(indent=2).encode
     docs = ({name: cell if isinstance(cell, str) or math.isfinite(cell)
              else None for name, cell in zip(header, row)} for row in rows)
-    sep = "[\n"
     while batch := list(islice(docs, JSON_ROWS)):
         yield sep + encode(batch)[2:-2]
         sep = ",\n"
-    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def _json_chunks(header, rows):
+    """A table as the text of json.dumps(table, indent=2), in pieces."""
+    batches = _json_batches(header, rows)
+    first = next(batches, None)
+    if first is None:
+        yield "[]\n"
+        return
+    yield first
+    yield from batches
+    yield "\n]\n"
+
+
+def cores() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# errors that a chunk worker raises in its parent by name, as evaluation
+# raises them; any other error ends the run as a failed worker
+_PASSED = {cls.__name__: cls for cls in (ConsistencyError, jet.DomainError)}
+
+# the frames of a worker's pipe: kind, payload size (8 bytes, little
+# endian) and payload.  Text (a piece of a chunk, or the worker's report
+# after its last chunk), the end of a chunk, or an error that ended it.
+_TEXT, _CHUNK_END, _ERROR = b"T", b"C", b"E"
+
+
+def _send(fd: int, kind: bytes, text: str = "") -> None:
+    payload = text.encode("utf-8", "surrogatepass")
+    frame = memoryview(kind + len(payload).to_bytes(8, "little") + payload)
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _read(fd: int, size: int) -> bytes:
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            raise ChildProcessError(
+                "a chunk worker ended before its last chunk")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _receive(fd: int) -> str | None:
+    """The text of the next frame on fd, None at the end of a chunk; an
+    error frame is raised."""
+    head = _read(fd, 9)
+    text = _read(fd, int.from_bytes(head[1:], "little")).decode(
+        "utf-8", "surrogatepass")
+    kind = head[:1]
+    if kind == _ERROR:
+        name, _, message = text.partition("\n")
+        if name in _PASSED:
+            raise _PASSED[name](message)
+        raise ChildProcessError(f"a chunk worker failed: {name}: {message}")
+    return None if kind == _CHUNK_END else text
+
+
+def _serve(fd: int, chunks, render, report) -> None:
+    """A worker's run: the pieces of its chunks, then its report."""
+    try:
+        for k in chunks:
+            for piece in render(k):
+                _send(fd, _TEXT, piece)
+            _send(fd, _CHUNK_END)
+        _send(fd, _TEXT, report())
+    except Exception as err:  # sent to the parent, which raises it in order
+        _send(fd, _ERROR, f"{type(err).__name__}\n{err}")
+
+
+def chunk_pieces(count: int, render, report, merge, jobs: int | None = None):
+    """Yield the pieces of text that render(0), ..., render(count - 1)
+    yield, in that order, made by min(jobs, count) processes.
+
+    Chunk k is made by process k % jobs: 0 is this one, and each other is
+    a child forked here, which sends the pieces of its chunks through its
+    own pipe as it makes them, then report(), the text of whatever state
+    render() kept in it; the parent passes that to merge().  An error in
+    a child is raised when its chunk's turn comes, so that the pieces
+    before it are yielded as a single process would yield them.  jobs
+    None means cores().  On every way out, the children are killed and
+    reaped and every pipe is closed.
+    """
+    jobs = max(1, min(cores() if jobs is None else jobs, count))
+    children = []  # (pid, read end of its pipe)
+    try:
+        for first in range(1, jobs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:  # never returns: its caller's frames belong to the parent
+                    os.close(r)
+                    for _, fd in children:
+                        os.close(fd)
+                    _serve(w, range(first, count, jobs), render, report)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        for k in range(count):
+            if k % jobs == 0:
+                yield from render(k)
+                continue
+            fd = children[k % jobs - 1][1]
+            while (piece := _receive(fd)) is not None:
+                yield piece
+        for _, fd in children:
+            merge(_receive(fd))
+    finally:
+        if children:
+            from signal import SIGKILL  # loaded only by a run that forks
+            for pid, fd in children:
+                os.close(fd)
+                try:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped already: this process ignores SIGCHLD
 
 
 def export_csv(result: GridResult, destination) -> None:
@@ -460,8 +622,9 @@ def export_samples_csv(dp: DiscretePatch, destination) -> None:
 
 __all__ = [
     "DiscretePatch", "GridResult", "GridSpec", "MODES", "RESULT_HEADER",
-    "Row", "discrete_rows", "evaluate_discrete", "export_csv",
-    "export_samples_csv", "fd_jets", "grid_rows", "ingest_csv", "ingest_samples",
+    "Row", "chunk_pieces", "cores", "discrete_rows", "discrete_rows_between",
+    "evaluate_discrete", "export_csv", "export_samples_csv", "fd_jets",
+    "grid_rows", "grid_rows_between", "ingest_csv", "ingest_samples",
     "SampleRecords", "read_samples_csv", "sample_grid", "sample_values",
     "write_text",
 ]

@@ -211,6 +211,15 @@ def test_ode_parameter_and_blowup_errors():
         integrate_profile_ode(math.nan, 0.0, (0.0, 1.0), 10)
     with pytest.raises(ValueError, match="parameter r0p must be finite"):
         integrate_profile_ode(1.0, math.inf, (0.0, 1.0), 10)
+    # so is a non-finite range end, not marched into a blow-up or taken
+    # for an empty range
+    for lo, hi, ends in ((0.0, math.inf, "0.0 and inf"),
+                         (-math.inf, 0.0, "-inf and 0.0"),
+                         (math.nan, 1.0, "nan and 1.0"),
+                         (0.0, math.nan, "0.0 and nan")):
+        with pytest.raises(ValueError, match=f"^range ends must be finite, "
+                                             f"got {ends}$"):
+            integrate_profile_ode(1.0, 0.0, (lo, hi), 10)
 
 
 def test_translation_family_construction():

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,9 +23,11 @@ from monge4.classify import (PREDICATES, minimal_aminov_profile,
                              same_sign_aminov_profile)
 from monge4.cli import _write_table, main
 from monge4.expr import BinOp, Call, Num, Var, pretty
-from monge4.grid import (RESULT_HEADER, GridResult, GridSpec, Row, _csv_chunks,
-                         _json_chunks, evaluate_discrete, export_samples_csv,
-                         ingest_csv, sample_grid, sample_values)
+from monge4 import cli, grid
+from monge4.grid import (CHUNK_ROWS, RESULT_HEADER, GridResult, GridSpec, Row,
+                         _csv_chunks, _json_chunks, evaluate_discrete,
+                         export_samples_csv, ingest_csv, sample_grid,
+                         sample_values)
 from monge4.invariants import invariants_at
 from monge4.jet import DomainError
 from monge4.patch import make_explicit, make_translation, patch_to_json
@@ -497,7 +501,18 @@ NON_FINITE_ARGUMENTS = {
                    "--range ends must be finite, got 0.0 and inf"),
     "ode-numeric-hi-nan": (["ode", "--r0", "1", "--r0p", "0",
                             "--range", "0", "nan"],
-                           "--range ends must be finite, got 0.0 and nan"),
+                           "range ends must be finite, got 0.0 and nan"),
+    # -inf, -nan and -infinity are values, in any case, as float() reads them
+    "ode-numeric-lo-minus-inf": (
+        ["ode", "--r0", "1", "--r0p", "0", "--range", "-inf", "0"],
+        "range ends must be finite, got -inf and 0.0"),
+    "ode-lo-minus-infinity": (["ode", "--a", "1", "--range", "-Infinity", "1"],
+                              "--range ends must be finite, got -inf and 1.0"),
+    "ode-lo-minus-nan": (["ode", "--a", "1", "--range", "-NAN", "1"],
+                         "--range ends must be finite, got nan and 1.0"),
+    "eval-u-minus-inf": (["eval", "--f", "u", "--g", "v", "-u", "-iNf",
+                          "-v", "0"],
+                         "-u and -v must be finite, got -inf and 0.0"),
     "ode-r0-nan": (["ode", "--r0", "nan", "--r0p", "0"],
                    "parameter r0 must be finite"),
     "ode-r0p-nan": (["ode", "--r0", "1", "--r0p", "nan"],
@@ -703,8 +718,9 @@ ODD_ROWS = [Row(0.5, -0.0, -0.0, 1.0, 2.0, 3.0, -4.0, 0.25, -0.0, 1e-300,
 def test_table_writer_streams_odd_rows(tmp_path, fmt):
     spec = GridSpec(0, 1, 0, 1, 2, 2)
     table = tmp_path / "table"
-    args = argparse.Namespace(format=fmt, out=str(table))
-    tally = _write_table(spec, iter(ODD_ROWS), args)
+    args = argparse.Namespace(format=fmt, out=str(table), jobs=1)
+    tally = _write_table(spec, lambda start, stop: iter(ODD_ROWS[start:stop]),
+                         args)
     assert (tally.nodes, tally.flagged, tally.boundary) == (4, 1, 0)
     assert table.read_bytes() == _rendered(
         fmt, GridResult(spec, ODD_ROWS)).encode()
@@ -801,6 +817,157 @@ def test_failed_grid_exits_without_traceback(tmp_path):
     assert proc.stderr.startswith("error: chen residual paths disagree: ")
     assert proc.stderr.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+# 64 x 64 nodes in four chunks: the u = -1 column flagged as a domain
+# error, and -0.0 in K and KN
+CHUNKED_GRID = ["grid", "--f", STREAM_SURFACE[0], "--g", STREAM_SURFACE[1],
+                "--nu", "64", "--nv", "64"]
+
+
+def _holed_samples_file(path, mode):
+    """50 x 50 samples in three chunks, with NaN holes in the first and
+    last chunk and one in the g channel."""
+    dp = sample_values(make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"),
+                       GridSpec(-1, 1, -1, 1, 50, 50), mode)
+    for i, j in ((3, 7), (29, 30), (45, 2)):
+        dp.f[i][j] = math.nan
+    if dp.g is not None:
+        dp.g[20][20] = math.nan
+    export_samples_csv(dp, str(path))
+    return ["ingest", str(path)]
+
+
+def _forks(monkeypatch):
+    """The pids of the children os.fork makes from here on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _table_run(capsys, tmp_path, argv, jobs, to_file):
+    """(exit code, stdout, stderr, --out bytes) of one run."""
+    table = tmp_path / f"table-{jobs}"
+    code = main([*argv, "--out", str(table)] if to_file else argv, jobs=jobs)
+    captured = capsys.readouterr()
+    data = table.read_bytes() if to_file else None
+    err = captured.err.replace(str(table), "TABLE")
+    return code, captured.out, err, data
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("source", ["grid", "ingest-monge4", "ingest-monge3"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_table_bytes_do_not_depend_on_jobs(tmp_path, capsys, monkeypatch,
+                                           source, fmt, to_file):
+    if source == "grid":
+        argv = CHUNKED_GRID
+    else:
+        argv = _holed_samples_file(tmp_path / "samples.csv", source[7:])
+    argv = [*argv, "--format", fmt]
+    forks = _forks(monkeypatch)
+    serial = _table_run(capsys, tmp_path, argv, 1, to_file)
+    assert serial[0] == 0 and not forks
+    table = serial[3].decode() if to_file else serial[1]
+    if fmt != "text":
+        assert ("domain-error" if source == "grid" else "bad-sample") in table
+    if source == "grid" and fmt == "csv":
+        assert ",-0.0," in table
+    for jobs in (2, 3):
+        assert _table_run(capsys, tmp_path, argv, jobs, to_file) == serial
+        _no_child_left()
+    assert len(forks) == 1 + 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_consistency_error_in_a_worker_is_raised_in_node_order(capsys,
+                                                               monkeypatch,
+                                                               fmt):
+    # the check fires at (u, v) = (0, 0), node 25 * 51 + 25 = 1300 of
+    # 51 x 51: in chunk 1, which the forked worker makes when there are
+    # two processes
+    argv = [*CONSISTENCY_FAILURE, "--format", fmt]
+    forks = _forks(monkeypatch)
+    serial = (main(argv, jobs=1), *capsys.readouterr())
+    code, out, err = serial
+    assert code == 3
+    assert err.startswith("error: chen residual paths disagree: ")
+    assert err.count("\n") == 1
+    if fmt == "csv":  # the header and chunk 0, not a row of chunk 1
+        assert out.count("\n") == 1 + CHUNK_ROWS
+    assert main(argv, jobs=2) == 3
+    assert (3, *capsys.readouterr()) == serial
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,
+                                                    monkeypatch):
+    forks = _forks(monkeypatch)
+    assert main([*CHUNKED_GRID, "--out", str(tmp_path / "t")], jobs=2) == 0
+    _no_child_left()
+    assert main([*CONSISTENCY_FAILURE, "--out", str(tmp_path / "t")],
+                jobs=2) == 3
+    _no_child_left()
+    assert capsys.readouterr().err.count("error: ") == 1
+    if os.path.exists("/dev/full"):
+        assert main([*CHUNKED_GRID, "--out", "/dev/full"], jobs=2) == 4
+        _no_child_left()
+        # also while the error, and the frames of its traceback, live on
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 64, 64)
+        rows = partial(grid.grid_rows_between, make_explicit(*STREAM_SURFACE),
+                       spec)
+        args = argparse.Namespace(format="csv", out="/dev/full", jobs=2)
+        with pytest.raises(OSError) as caught:
+            _write_table(spec, rows, args)
+        _no_child_left()
+        assert caught.value.errno == errno.ENOSPC
+    assert len(forks) >= 2
+
+
+def test_worker_that_dies_fails_the_table(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def rows_between(patch, spec, start, stop):
+        for k, row in enumerate(grid.grid_rows_between(patch, spec, start,
+                                                       stop)):
+            if os.getpid() != parent and k == 100:
+                os._exit(0)
+            yield row
+
+    monkeypatch.setattr(cli, "grid_rows_between", rows_between)
+    table = tmp_path / "table"
+    table.write_bytes(b"earlier result\n")
+    code = main([*CHUNKED_GRID, "--out", str(table)], jobs=2)
+    _, err = capsys.readouterr()
+    assert code == 4
+    assert err == "error: a chunk worker ended before its last chunk\n"
+    assert table.read_bytes() == b"earlier result\n"
+    assert os.listdir(tmp_path) == ["table"]
+    _no_child_left()
+
+
+def test_single_chunk_table_never_forks(capsys, monkeypatch):
+    def refuse():
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    code, out, _ = run(capsys, "grid", "--f", "u", "--g", "v",
+                       "--nu", "2", "--nv", "2")
+    assert code == 0
+    assert out.count("\n") == 5
 
 
 def test_out_file_gets_the_mode_of_a_plain_write(tmp_path, capsys):

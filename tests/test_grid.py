@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import signal
 import stat
 import sys
 import tracemalloc
@@ -8,10 +9,11 @@ import tracemalloc
 import pytest
 
 from monge4.grid import (MODES, DiscretePatch, GridResult, GridSpec, Row,
-                         discrete_rows, evaluate_discrete, export_csv,
-                         export_samples_csv, fd_jets, grid_rows, ingest_csv,
-                         ingest_samples, read_samples_csv, sample_grid,
-                         sample_values)
+                         chunk_pieces, cores, discrete_rows,
+                         discrete_rows_between, evaluate_discrete, export_csv,
+                         export_samples_csv, fd_jets, grid_rows,
+                         grid_rows_between, ingest_csv, ingest_samples,
+                         read_samples_csv, sample_grid, sample_values)
 from monge4.invariants import ConsistencyError
 from monge4.patch import make_aminov, make_explicit, make_translation
 from monge4.selfcheck import fd_convergence
@@ -492,3 +494,72 @@ def test_non_finite_values_are_flagged_not_returned(f, g, center_flag):
     assert result.rows[4].flag == center_flag
     assert all(r.flag.startswith("domain-error: ") for r in result.rows)
     assert all(math.isnan(r.K) for r in result.rows)
+
+
+def test_rows_between_split_the_node_order():
+    patch = make_explicit("u^3", "0-v^3+0*log(u+1)")
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 4)
+    dp = sample_values(make_explicit("u*v", "u-v"), spec)
+    for whole, between in ((list(grid_rows(patch, spec)),
+                            lambda a, b: grid_rows_between(patch, spec, a, b)),
+                           (list(discrete_rows(dp)),
+                            lambda a, b: discrete_rows_between(dp, a, b))):
+        assert [repr(r) for r in between(0, 7)] + \
+            [repr(r) for r in between(7, 20)] == [repr(r) for r in whole]
+        assert list(between(3, 3)) == []
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [None, 1, 2, 3, 6])
+def test_chunk_pieces_come_in_chunk_order(jobs):
+    made = []
+
+    def render(k):
+        made.append(k)
+        yield f"{k}a"
+        yield f"{k}b"
+
+    merged = []
+    pieces = chunk_pieces(5, render, lambda: ",".join(map(str, made)),
+                          merged.append, jobs)
+    assert list(pieces) == [f"{k}{x}" for k in range(5) for x in "ab"]
+    n = min(jobs or cores(), 5)  # the processes that make chunks
+    assert made == list(range(0, 5, n))
+    assert merged == [",".join(map(str, range(c, 5, n))) for c in range(1, n)]
+    _no_child_left()
+
+
+def test_chunk_pieces_in_a_process_that_ignores_sigchld():
+    # the kernel reaps the children itself, so there is none to wait for
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        pieces = chunk_pieces(3, lambda k: iter([str(k)]), str, print, 2)
+        assert list(pieces) == ["0", "1", "2"]
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    _no_child_left()
+
+
+def _failing_at_chunk_1(error):
+    def render(k):
+        if k == 1:
+            raise error
+        yield str(k)
+    return render
+
+
+@pytest.mark.parametrize("error, raised, message", [
+    (ConsistencyError("paths disagree"), ConsistencyError, "^paths disagree$"),
+    (KeyError("x"), ChildProcessError,
+     "^a chunk worker failed: KeyError: 'x'$"),
+])
+def test_chunk_worker_errors_are_raised_in_chunk_order(error, raised, message):
+    pieces = chunk_pieces(3, _failing_at_chunk_1(error), str, print, 2)
+    assert next(pieces) == "0"
+    with pytest.raises(raised, match=message):
+        next(pieces)
+    _no_child_left()
