@@ -23,8 +23,8 @@ from .classify import (DEFAULT_TOL, PREDICATES, classify_surface,
                        integrate_profile_ode, minimal_aminov_profile,
                        profile_row, report_to_json)
 from .expr import profile_eval
-from .grid import (CHUNK_ROWS, MODES, RESULT_HEADER, GridSpec, _csv_chunks,
-                   _csv_lines, _json_batches, _json_chunks, chunk_pieces,
+from .grid import (CHUNK_ROWS, MODES, RESULT_HEADER, GridSpec, _row_pieces,
+                   _table_chunks, _table_pieces, chunk_pieces,
                    discrete_rows_between, grid_rows_between, ingest_samples,
                    read_samples_csv, write_text)
 from .invariants import ConsistencyError, invariants_at
@@ -248,8 +248,8 @@ def cmd_eval(args) -> int:
     if args.format == "json":
         text = json.dumps(dict(values), indent=2) + "\n"
     elif args.format == "csv":
-        text = _csv_chunks([name for name, _ in values],
-                           [[val for _, val in values]])
+        text = _table_chunks("csv", [name for name, _ in values],
+                             [[val for _, val in values]])
     else:
         text = "".join(f"{name} = {val!r}\n" for name, val in values)
     write_text(sys.stdout if args.out is None else args.out, text)
@@ -316,38 +316,32 @@ def _text_summary(spec, tally) -> str:
 def _write_table(spec, rows_between, args) -> _Tally:
     """Stream the result rows of every node of spec to --out or stdout in
     --format; their tally.  rows_between(start, stop) yields the rows of
-    nodes start to stop - 1.  The nodes go in chunks of CHUNK_ROWS to
-    args.jobs processes (None: one per core), and the text is the same
-    for any number of them."""
+    nodes start to stop - 1.  The nodes go in chunks of CHUNK_ROWS to one
+    process per core, and the text is the same for any number of them."""
     nodes = spec.nu * spec.nv
     tally = _Tally()
 
     def render(k):
         start = k * CHUNK_ROWS
         rows = tally.count(rows_between(start, min(start + CHUNK_ROWS, nodes)))
-        if args.format == "csv":
-            yield _csv_lines(rows)
-        elif args.format == "json":
-            yield from _json_batches(RESULT_HEADER, rows,
-                                     ",\n" if k else "[\n")
-        else:
+        if args.format == "text":
             tally.top(rows)
+            return ()
+        return _row_pieces(args.format, RESULT_HEADER, rows)
 
-    def chunks():
-        if args.format == "csv":
-            yield ",".join(RESULT_HEADER) + "\n"
-        yield from chunk_pieces(-(-nodes // CHUNK_ROWS), render, tally.report,
-                                tally.merge, args.jobs)
-        if args.format == "json":
-            yield "\n]\n"
-        elif args.format == "text":
-            yield _text_summary(spec, tally)
+    body = chunk_pieces(-(-nodes // CHUNK_ROWS), render, tally.report,
+                        tally.merge)
 
-    pieces = chunks()
+    def summary():
+        yield from body
+        yield _text_summary(spec, tally)
+
+    pieces = (summary() if args.format == "text"
+              else _table_pieces(args.format, RESULT_HEADER, body))
     try:
         write_text(sys.stdout if args.out is None else args.out, pieces)
     finally:
-        pieces.close()  # ends the workers of a table cut short
+        body.close()  # ends the workers of a table cut short
     return tally
 
 
@@ -381,7 +375,8 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         text = report_to_json(report) + "\n"
     elif args.format == "csv":
-        text = _csv_chunks(
+        text = _table_chunks(
+            "csv",
             ("predicate", "verdict", "max_residual", "normalized_residual"),
             [(name, pr.verdict, pr.max_residual, pr.normalized_residual)
              for name, pr in report.predicates.items()])
@@ -406,11 +401,11 @@ def cmd_verify(args) -> int:
     from .selfcheck import run_all  # only verify pays for loading the suite
     results = run_all()
     if args.format == "json":
-        text = _json_chunks(("name", "ok", "detail"),
-                            [(r.name, r.ok, r.detail) for r in results])
+        text = _table_chunks("json", ("name", "ok", "detail"),
+                             [(r.name, r.ok, r.detail) for r in results])
     elif args.format == "csv":
-        text = _csv_chunks(
-            ("check", "status", "detail"),
+        text = _table_chunks(
+            "csv", ("check", "status", "detail"),
             [(r.name, "pass" if r.ok else "fail", r.detail) for r in results])
     else:
         width = max(len(r.name) for r in results)
@@ -454,9 +449,9 @@ def cmd_ode(args) -> int:
     if args.format == "text":
         text = f"nodes: {len(rows)}\nmax |residual|: {worst!r}\n"
     elif args.format == "csv":
-        text = _csv_chunks(ODE_HEADER, rows)
+        text = _table_chunks("csv", ODE_HEADER, rows)
     else:
-        text = _json_chunks(ODE_HEADER, rows)
+        text = _table_chunks("json", ODE_HEADER, rows)
     write_text(sys.stdout if args.out is None else args.out, text)
     _note(f"{len(rows)} nodes, max |residual| = {worst!r}", args.out)
     return EXIT_OK
@@ -472,15 +467,12 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None, jobs: int | None = None) -> int:
-    """Run one command; its exit code.  jobs caps the processes that grid
-    and ingest share their nodes among (None: one per core)."""
+def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_OK if not err.code else int(err.code)
-    args.jobs = jobs
     try:
         return args.handler(args)
     except (jet.DomainError, ConsistencyError) as err:

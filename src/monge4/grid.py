@@ -445,45 +445,49 @@ def _text_cell(text: str) -> str:
     return text
 
 
-def _csv_lines(rows) -> str:
-    """The CSV lines of some rows: floats as shortest round-trip
-    decimals, text quoted."""
-    return "".join(",".join(_text_cell(c) if isinstance(c, str) else repr(c)
-                            for c in row) + "\n" for row in rows)
-
-
-def _csv_chunks(header, rows):
-    """A CSV table in strings of up to CHUNK_ROWS lines."""
-    yield ",".join(header) + "\n"
-    rows = iter(rows)
-    while chunk := _csv_lines(islice(rows, CHUNK_ROWS)):
-        yield chunk
-
-
-def _json_batches(header, rows, sep: str = "[\n"):
-    """Rows of floats, strings and bools as row objects in the text of
-    json.dumps(table, indent=2), JSON_ROWS at a time: each batch is
+def _row_pieces(fmt: str, header, rows):
+    """The text of some rows of a table in fmt, in pieces.  "csv": lines
+    of floats as shortest round-trip decimals and quoted text, CHUNK_ROWS
+    at a time.  "json": row objects of floats, strings and bools as in
+    json.dumps(table, indent=2), JSON_ROWS at a time; each batch is
     encoded as a list, without its opening and closing lines, and comes
-    after sep, which is "[\n" for a table's first batch and ",\n" for
-    every later one."""
+    after ",\n"."""
+    rows = iter(rows)
+    if fmt == "csv":
+        while chunk := "".join(
+                ",".join(_text_cell(c) if isinstance(c, str) else repr(c)
+                         for c in row) + "\n"
+                for row in islice(rows, CHUNK_ROWS)):
+            yield chunk
+        return
     encode = json.JSONEncoder(indent=2).encode
     docs = ({name: cell if isinstance(cell, str) or math.isfinite(cell)
              else None for name, cell in zip(header, row)} for row in rows)
     while batch := list(islice(docs, JSON_ROWS)):
-        yield sep + encode(batch)[2:-2]
-        sep = ",\n"
+        yield ",\n" + encode(batch)[2:-2]
 
 
-def _json_chunks(header, rows):
-    """A table as the text of json.dumps(table, indent=2), in pieces."""
-    batches = _json_batches(header, rows)
-    first = next(batches, None)
+def _table_pieces(fmt: str, header, body):
+    """The text of a table in fmt ("csv" or "json") around body, the
+    pieces of its rows as _row_pieces makes them: the header line and the
+    rows, or the rows as json.dumps(table, indent=2) writes them."""
+    if fmt == "csv":
+        yield ",".join(header) + "\n"
+        yield from body
+        return
+    body = iter(body)
+    first = next(body, None)
     if first is None:
         yield "[]\n"
         return
-    yield first
-    yield from batches
+    yield "[\n" + first[2:]
+    yield from body
     yield "\n]\n"
+
+
+def _table_chunks(fmt: str, header, rows):
+    """A whole table in fmt, in pieces."""
+    return _table_pieces(fmt, header, _row_pieces(fmt, header, rows))
 
 
 def cores() -> int:
@@ -493,13 +497,10 @@ def cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# errors that a chunk worker raises in its parent by name, as evaluation
-# raises them; any other error ends the run as a failed worker
-_PASSED = {cls.__name__: cls for cls in (ConsistencyError, jet.DomainError)}
-
 # the frames of a worker's pipe: kind, payload size (8 bytes, little
-# endian) and payload.  Text (a piece of a chunk, or the worker's report
-# after its last chunk), the end of a chunk, or an error that ended it.
+# endian) and payload.  Text (a chunk, the part of one before an error, or
+# the worker's report after its last chunk), the end of a chunk, or an
+# error that ended it.
 _TEXT, _CHUNK_END, _ERROR = b"T", b"C", b"E"
 
 
@@ -524,67 +525,101 @@ def _read(fd: int, size: int) -> bytes:
 
 def _receive(fd: int) -> str | None:
     """The text of the next frame on fd, None at the end of a chunk; an
-    error frame is raised."""
+    error frame is raised: a ConsistencyError as itself, which evaluation
+    raises, and any other error as a failed worker."""
     head = _read(fd, 9)
     text = _read(fd, int.from_bytes(head[1:], "little")).decode(
         "utf-8", "surrogatepass")
     kind = head[:1]
     if kind == _ERROR:
         name, _, message = text.partition("\n")
-        if name in _PASSED:
-            raise _PASSED[name](message)
+        if name == ConsistencyError.__name__:
+            raise ConsistencyError(message)
         raise ChildProcessError(f"a chunk worker failed: {name}: {message}")
     return None if kind == _CHUNK_END else text
 
 
 def _serve(fd: int, chunks, render, report) -> None:
-    """A worker's run: the pieces of its chunks, then its report."""
+    """A worker's run: each of its chunks as one text frame, so that it
+    makes a whole chunk before it waits for the parent to read, then its
+    report.  An error sends the text made before it, then the error."""
+    made = []
     try:
         for k in chunks:
             for piece in render(k):
-                _send(fd, _TEXT, piece)
+                made.append(piece)
+            _send(fd, _TEXT, "".join(made))
+            made.clear()
             _send(fd, _CHUNK_END)
         _send(fd, _TEXT, report())
     except Exception as err:  # sent to the parent, which raises it in order
+        if made:
+            _send(fd, _TEXT, "".join(made))
         _send(fd, _ERROR, f"{type(err).__name__}\n{err}")
 
 
-def chunk_pieces(count: int, render, report, merge, jobs: int | None = None):
+def _fork(first: int, count: int, jobs: int, render, report, children):
+    """A child that makes chunks first, first + jobs, ... of count and
+    sends them through a new pipe: its pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:  # never returns: its caller's frames belong to the parent
+            os.close(r)
+            for _, fd in children:
+                os.close(fd)
+            _serve(w, range(first, count, jobs), render, report)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _end(children) -> None:
+    """Close the pipes of the children and reap them.  A child ends at
+    its next write to its closed pipe, so none is signalled: the pid of
+    one that the kernel reaped already, in a process that ignores
+    SIGCHLD, may belong to another process by now."""
+    for _, fd in children:
+        os.close(fd)
+    for pid, _ in children:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass  # reaped already: this process ignores SIGCHLD
+    children.clear()
+
+
+def chunk_pieces(count: int, render, report, merge):
     """Yield the pieces of text that render(0), ..., render(count - 1)
-    yield, in that order, made by min(jobs, count) processes.
+    yield, in that order, made by jobs = min(cores(), count) processes.
 
     Chunk k is made by process k % jobs: 0 is this one, and each other is
-    a child forked here, which sends the pieces of its chunks through its
-    own pipe as it makes them, then report(), the text of whatever state
-    render() kept in it; the parent passes that to merge().  An error in
-    a child is raised when its chunk's turn comes, so that the pieces
-    before it are yielded as a single process would yield them.  jobs
-    None means cores().  On every way out, the children are killed and
-    reaped and every pipe is closed.
+    a child forked here, which sends its chunks through its own pipe,
+    then report(), the text of whatever state render() kept in it; the
+    parent passes that to merge().  An error in a child is raised when
+    its chunk's turn comes, after the text that the chunk made before
+    it, so the pieces are those a single process would yield.  Where no
+    pipe or process can be made, this process makes every chunk.  On
+    every way out, the children are reaped and every pipe is closed.
     """
-    jobs = max(1, min(cores() if jobs is None else jobs, count))
+    jobs = min(cores(), count)
     children = []  # (pid, read end of its pipe)
     try:
-        for first in range(1, jobs):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                code = 1
-                try:  # never returns: its caller's frames belong to the parent
-                    os.close(r)
-                    for _, fd in children:
-                        os.close(fd)
-                    _serve(w, range(first, count, jobs), render, report)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children.append((pid, r))
+        try:
+            for first in range(1, jobs):
+                children.append(
+                    _fork(first, count, jobs, render, report, children))
+        except OSError:
+            _end(children)
+            jobs = 1
         for k in range(count):
             if k % jobs == 0:
                 yield from render(k)
@@ -595,20 +630,12 @@ def chunk_pieces(count: int, render, report, merge, jobs: int | None = None):
         for _, fd in children:
             merge(_receive(fd))
     finally:
-        if children:
-            from signal import SIGKILL  # loaded only by a run that forks
-            for pid, fd in children:
-                os.close(fd)
-                try:
-                    os.kill(pid, SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass  # reaped already: this process ignores SIGCHLD
+        _end(children)
 
 
 def export_csv(result: GridResult, destination) -> None:
     """Write the result table, one row per node."""
-    write_text(destination, _csv_chunks(RESULT_HEADER, result.rows))
+    write_text(destination, _table_chunks("csv", RESULT_HEADER, result.rows))
 
 
 def export_samples_csv(dp: DiscretePatch, destination) -> None:
@@ -617,7 +644,7 @@ def export_samples_csv(dp: DiscretePatch, destination) -> None:
     header = ("u", "v", "f", "g")[:2 + len(channels)]
     rows = ((u, v, *(z[i][j] for z in channels))
             for i, u in enumerate(dp.us) for j, v in enumerate(dp.vs))
-    write_text(destination, _csv_chunks(header, rows))
+    write_text(destination, _table_chunks("csv", header, rows))
 
 
 __all__ = [

@@ -25,9 +25,8 @@ from monge4.cli import _write_table, main
 from monge4.expr import BinOp, Call, Num, Var, pretty
 from monge4 import cli, grid
 from monge4.grid import (CHUNK_ROWS, RESULT_HEADER, GridResult, GridSpec, Row,
-                         _csv_chunks, _json_chunks, evaluate_discrete,
-                         export_samples_csv, ingest_csv, sample_grid,
-                         sample_values)
+                         _table_chunks, evaluate_discrete, export_samples_csv,
+                         ingest_csv, sample_grid, sample_values)
 from monge4.invariants import invariants_at
 from monge4.jet import DomainError
 from monge4.patch import make_explicit, make_translation, patch_to_json
@@ -631,7 +630,7 @@ def _rendered(fmt, result):
     what grid and ingest wrote before their rows streamed."""
     rows = result.rows
     if fmt == "csv":
-        return "".join(_csv_chunks(RESULT_HEADER, rows))
+        return "".join(_table_chunks("csv", RESULT_HEADER, rows))
     if fmt == "json":
         doc = [{name: None if isinstance(x, float) and not math.isfinite(x)
                 else x for name, x in zip(RESULT_HEADER, row)} for row in rows]
@@ -659,9 +658,9 @@ def _holed_samples(path):
     f = {(i, j): 0.1 * i * j - 0.05 * j * j for i in range(7)
          for j in range(6)}
     f[0, 0], f[0, 1], f[5, 3] = 1e308, -1e308, math.nan
-    path.write_text("".join(_csv_chunks(("u", "v", "f", "g"),
-                                        [(0.5 * i, 0.25 * j, z, -0.0 * i)
-                                         for (i, j), z in f.items()])))
+    path.write_text("".join(_table_chunks("csv", ("u", "v", "f", "g"),
+                                          [(0.5 * i, 0.25 * j, z, -0.0 * i)
+                                           for (i, j), z in f.items()])))
 
 
 def _flag_kinds(rows):
@@ -718,7 +717,7 @@ ODD_ROWS = [Row(0.5, -0.0, -0.0, 1.0, 2.0, 3.0, -4.0, 0.25, -0.0, 1e-300,
 def test_table_writer_streams_odd_rows(tmp_path, fmt):
     spec = GridSpec(0, 1, 0, 1, 2, 2)
     table = tmp_path / "table"
-    args = argparse.Namespace(format=fmt, out=str(table), jobs=1)
+    args = argparse.Namespace(format=fmt, out=str(table))
     tally = _write_table(spec, lambda start, stop: iter(ODD_ROWS[start:stop]),
                          args)
     assert (tally.nodes, tally.flagged, tally.boundary) == (4, 1, 0)
@@ -731,13 +730,13 @@ def test_json_rows_match_json_dumps():
     for rows in (ODD_ROWS, ODD_ROWS[:1], [], ODD_ROWS * 40):
         doc = [{name: None if isinstance(x, float) and not math.isfinite(x)
                 else x for name, x in zip(RESULT_HEADER, row)} for row in rows]
-        assert "".join(_json_chunks(RESULT_HEADER, rows)) == \
+        assert "".join(_table_chunks("json", RESULT_HEADER, rows)) == \
             json.dumps(doc, indent=2) + "\n"
     # booleans, as in the verify table, pass through unchanged
     rows = [("a", True, "x"), ("b", False, "")]
     doc = [dict(zip(("name", "ok", "detail"), row)) for row in rows]
-    assert "".join(_json_chunks(("name", "ok", "detail"), rows)) == \
-        json.dumps(doc, indent=2) + "\n"
+    assert "".join(_table_chunks("json", ("name", "ok", "detail"),
+                                 rows)) == json.dumps(doc, indent=2) + "\n"
 
 
 # Below the 4.4 MiB that the 10 201 Row records of a 101 x 101 grid take
@@ -852,10 +851,17 @@ def _forks(monkeypatch):
     return pids
 
 
-def _table_run(capsys, tmp_path, argv, jobs, to_file):
-    """(exit code, stdout, stderr, --out bytes) of one run."""
+def _cores(monkeypatch, n):
+    """Make grid and ingest share their nodes among n processes."""
+    monkeypatch.setattr(grid, "cores", lambda: n)
+
+
+def _table_run(capsys, monkeypatch, tmp_path, argv, jobs, to_file):
+    """(exit code, stdout, stderr, --out bytes) of one run in jobs
+    processes."""
+    _cores(monkeypatch, jobs)
     table = tmp_path / f"table-{jobs}"
-    code = main([*argv, "--out", str(table)] if to_file else argv, jobs=jobs)
+    code = main([*argv, "--out", str(table)] if to_file else argv)
     captured = capsys.readouterr()
     data = table.read_bytes() if to_file else None
     err = captured.err.replace(str(table), "TABLE")
@@ -878,7 +884,7 @@ def test_table_bytes_do_not_depend_on_jobs(tmp_path, capsys, monkeypatch,
         argv = _holed_samples_file(tmp_path / "samples.csv", source[7:])
     argv = [*argv, "--format", fmt]
     forks = _forks(monkeypatch)
-    serial = _table_run(capsys, tmp_path, argv, 1, to_file)
+    serial = _table_run(capsys, monkeypatch, tmp_path, argv, 1, to_file)
     assert serial[0] == 0 and not forks
     table = serial[3].decode() if to_file else serial[1]
     if fmt != "text":
@@ -886,7 +892,8 @@ def test_table_bytes_do_not_depend_on_jobs(tmp_path, capsys, monkeypatch,
     if source == "grid" and fmt == "csv":
         assert ",-0.0," in table
     for jobs in (2, 3):
-        assert _table_run(capsys, tmp_path, argv, jobs, to_file) == serial
+        assert _table_run(capsys, monkeypatch, tmp_path, argv, jobs,
+                          to_file) == serial
         _no_child_left()
     assert len(forks) == 1 + 2
 
@@ -900,14 +907,16 @@ def test_consistency_error_in_a_worker_is_raised_in_node_order(capsys,
     # two processes
     argv = [*CONSISTENCY_FAILURE, "--format", fmt]
     forks = _forks(monkeypatch)
-    serial = (main(argv, jobs=1), *capsys.readouterr())
+    _cores(monkeypatch, 1)
+    serial = (main(argv), *capsys.readouterr())
     code, out, err = serial
     assert code == 3
     assert err.startswith("error: chen residual paths disagree: ")
     assert err.count("\n") == 1
     if fmt == "csv":  # the header and chunk 0, not a row of chunk 1
         assert out.count("\n") == 1 + CHUNK_ROWS
-    assert main(argv, jobs=2) == 3
+    _cores(monkeypatch, 2)
+    assert main(argv) == 3
     assert (3, *capsys.readouterr()) == serial
     assert len(forks) == 1
     _no_child_left()
@@ -916,20 +925,20 @@ def test_consistency_error_in_a_worker_is_raised_in_node_order(capsys,
 def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,
                                                     monkeypatch):
     forks = _forks(monkeypatch)
-    assert main([*CHUNKED_GRID, "--out", str(tmp_path / "t")], jobs=2) == 0
+    _cores(monkeypatch, 2)
+    assert main([*CHUNKED_GRID, "--out", str(tmp_path / "t")]) == 0
     _no_child_left()
-    assert main([*CONSISTENCY_FAILURE, "--out", str(tmp_path / "t")],
-                jobs=2) == 3
+    assert main([*CONSISTENCY_FAILURE, "--out", str(tmp_path / "t")]) == 3
     _no_child_left()
     assert capsys.readouterr().err.count("error: ") == 1
     if os.path.exists("/dev/full"):
-        assert main([*CHUNKED_GRID, "--out", "/dev/full"], jobs=2) == 4
+        assert main([*CHUNKED_GRID, "--out", "/dev/full"]) == 4
         _no_child_left()
         # also while the error, and the frames of its traceback, live on
         spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 64, 64)
         rows = partial(grid.grid_rows_between, make_explicit(*STREAM_SURFACE),
                        spec)
-        args = argparse.Namespace(format="csv", out="/dev/full", jobs=2)
+        args = argparse.Namespace(format="csv", out="/dev/full")
         with pytest.raises(OSError) as caught:
             _write_table(spec, rows, args)
         _no_child_left()
@@ -950,7 +959,8 @@ def test_worker_that_dies_fails_the_table(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "grid_rows_between", rows_between)
     table = tmp_path / "table"
     table.write_bytes(b"earlier result\n")
-    code = main([*CHUNKED_GRID, "--out", str(table)], jobs=2)
+    _cores(monkeypatch, 2)
+    code = main([*CHUNKED_GRID, "--out", str(table)])
     _, err = capsys.readouterr()
     assert code == 4
     assert err == "error: a chunk worker ended before its last chunk\n"
@@ -968,6 +978,28 @@ def test_single_chunk_table_never_forks(capsys, monkeypatch):
                        "--nu", "2", "--nv", "2")
     assert code == 0
     assert out.count("\n") == 5
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+@pytest.mark.parametrize("fails_at", [1, 2])
+def test_table_is_made_in_one_process_where_no_other_can_be(
+        tmp_path, capsys, monkeypatch, call, fails_at):
+    # with three processes asked for, the first or the second worker
+    # cannot be made; one made already is ended before the table starts
+    argv = [*CHUNKED_GRID, "--format", "json"]
+    serial = _table_run(capsys, monkeypatch, tmp_path, argv, 1, True)
+    calls, real = [], getattr(os, call)
+
+    def failing(*args):
+        calls.append(call)
+        if len(calls) == fails_at:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real(*args)
+
+    monkeypatch.setattr(os, call, failing)
+    assert _table_run(capsys, monkeypatch, tmp_path, argv, 3, True) == serial
+    assert len(calls) == fails_at
+    _no_child_left()
 
 
 def test_out_file_gets_the_mode_of_a_plain_write(tmp_path, capsys):

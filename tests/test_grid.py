@@ -8,8 +8,9 @@ import tracemalloc
 
 import pytest
 
+from monge4 import grid
 from monge4.grid import (MODES, DiscretePatch, GridResult, GridSpec, Row,
-                         chunk_pieces, cores, discrete_rows,
+                         chunk_pieces, discrete_rows,
                          discrete_rows_between, evaluate_discrete, export_csv,
                          export_samples_csv, fd_jets, grid_rows,
                          grid_rows_between, ingest_csv, ingest_samples,
@@ -514,8 +515,9 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("jobs", [None, 1, 2, 3, 6])
-def test_chunk_pieces_come_in_chunk_order(jobs):
+@pytest.mark.parametrize("jobs", [1, 2, 3, 6])
+def test_chunk_pieces_come_in_chunk_order(monkeypatch, jobs):
+    monkeypatch.setattr(grid, "cores", lambda: jobs)
     made = []
 
     def render(k):
@@ -525,19 +527,22 @@ def test_chunk_pieces_come_in_chunk_order(jobs):
 
     merged = []
     pieces = chunk_pieces(5, render, lambda: ",".join(map(str, made)),
-                          merged.append, jobs)
-    assert list(pieces) == [f"{k}{x}" for k in range(5) for x in "ab"]
-    n = min(jobs or cores(), 5)  # the processes that make chunks
+                          merged.append)
+    n = min(jobs, 5)  # the processes that make chunks
+    # a worker sends each chunk whole, as one piece
+    assert list(pieces) == [piece for k in range(5) for piece in (
+        [f"{k}a", f"{k}b"] if k % n == 0 else [f"{k}a{k}b"])]
     assert made == list(range(0, 5, n))
     assert merged == [",".join(map(str, range(c, 5, n))) for c in range(1, n)]
     _no_child_left()
 
 
-def test_chunk_pieces_in_a_process_that_ignores_sigchld():
+def test_chunk_pieces_in_a_process_that_ignores_sigchld(monkeypatch):
     # the kernel reaps the children itself, so there is none to wait for
+    monkeypatch.setattr(grid, "cores", lambda: 2)
     old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        pieces = chunk_pieces(3, lambda k: iter([str(k)]), str, print, 2)
+        pieces = chunk_pieces(3, lambda k: iter([str(k)]), str, print)
         assert list(pieces) == ["0", "1", "2"]
     finally:
         signal.signal(signal.SIGCHLD, old)
@@ -546,9 +551,9 @@ def test_chunk_pieces_in_a_process_that_ignores_sigchld():
 
 def _failing_at_chunk_1(error):
     def render(k):
+        yield str(k)
         if k == 1:
             raise error
-        yield str(k)
     return render
 
 
@@ -557,9 +562,12 @@ def _failing_at_chunk_1(error):
     (KeyError("x"), ChildProcessError,
      "^a chunk worker failed: KeyError: 'x'$"),
 ])
-def test_chunk_worker_errors_are_raised_in_chunk_order(error, raised, message):
-    pieces = chunk_pieces(3, _failing_at_chunk_1(error), str, print, 2)
-    assert next(pieces) == "0"
+def test_chunk_worker_errors_are_raised_in_chunk_order(monkeypatch, error,
+                                                       raised, message):
+    monkeypatch.setattr(grid, "cores", lambda: 2)
+    pieces = chunk_pieces(3, _failing_at_chunk_1(error), str, print)
+    # the text of chunk 1 before its error, then the error
+    assert (next(pieces), next(pieces)) == ("0", "1")
     with pytest.raises(raised, match=message):
         next(pieces)
     _no_child_left()
