@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from . import jet
 from .expr import Profile, compile_profile
@@ -312,65 +313,121 @@ def _point_residuals(sf: SecondForm, inv: InvariantSet) -> tuple:
     return scale, residuals
 
 
+def require_tol(tol: float) -> None:
+    """ValueError unless the verdict tolerance is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
+class ClassifyFold:
+    """What classify_surface keeps of the nodes of a grid: the largest raw
+    and normalized residual of each predicate, the count of failed nodes,
+    the first normal rank and, on an aminov patch, the largest profile
+    residuals.
+
+    add() takes in nodes, in as many calls as there are pieces of the
+    grid.  As with cli._Tally, report() is that state as text, and
+    merge() takes in the report of a fold of other nodes, perhaps made in
+    another process.  Each merged value is a largest value (of
+    non-negative floats that are never -0.0, or of ranks) or a count, so
+    the merged state is the one a single fold of every node would hold.
+    """
+
+    def __init__(self, patch: MongePatch):
+        self.patch = patch
+        self.raw = [0.0] * len(PREDICATES)
+        self.normalized = [0.0] * len(PREDICATES)
+        self.failed = 0
+        self.rank = 0
+        # the largest |k_plus_kn_residual| and |aminov_wintgen_residual|
+        self.profile = [0.0, 0.0]
+
+    def add(self, nodes) -> None:
+        """Take in the nodes (i, j, u, v).  A node whose evaluation raises
+        DomainError is counted as failed; a ConsistencyError is raised."""
+        patch, raw, normalized, profile = (self.patch, self.raw,
+                                           self.normalized, self.profile)
+        failed, rank = self.failed, self.rank
+        aminov = patch.family == "aminov"
+        profile_us = set()
+        for *_, u, v in nodes:
+            try:
+                _, _, sf, inv = point_kernel(*jet_floats(patch, u, v))
+                scale, residuals = _point_residuals(sf, inv)
+            except jet.DomainError:
+                failed += 1
+                continue
+            for k, value in enumerate(residuals):
+                if value > raw[k]:
+                    raw[k] = value
+                if value / scale > normalized[k]:
+                    normalized[k] = value / scale
+            # the rank only rises, and 2 is its largest value
+            if rank < 2:
+                rank = max(rank, first_normal_rank(sf))
+            # the profile depends on u alone: one evaluation per grid row
+            if aminov and u not in profile_us:
+                profile_us.add(u)
+                r = profile_at(patch, u)
+                profile[0] = max(profile[0], abs(k_plus_kn_residual(r)))
+                profile[1] = max(profile[1], abs(aminov_wintgen_residual(r)))
+        self.failed, self.rank = failed, rank
+
+    def report(self) -> str:
+        """The state as text, for merge() in another process."""
+        return " ".join(map(repr, (self.failed, self.rank, *self.raw,
+                                   *self.normalized, *self.profile)))
+
+    def merge(self, report: str) -> None:
+        """Take in the nodes that another fold's report() holds."""
+        failed, rank, *values = report.split()
+        self.failed += int(failed)
+        self.rank = max(self.rank, int(rank))
+        values = iter(map(float, values))
+        for state in (self.raw, self.normalized, self.profile):
+            for k, value in enumerate(islice(values, len(state))):
+                if value > state[k]:
+                    state[k] = value
+
+    def classification(self, grid_spec, tol: float) -> ClassificationReport:
+        """The verdicts at tol over the nodes taken in, of grid_spec."""
+        raw, normalized, failed, rank = (self.raw, self.normalized,
+                                         self.failed, self.rank)
+        predicates = {}
+        for k, name in enumerate(PREDICATES):
+            verdict = "holds" if normalized[k] < tol else "fails"
+            predicates[name] = PredicateResult(
+                raw[k], normalized[k], "indeterminate" if failed else verdict)
+
+        qualifier = None
+        if predicates["chen"].verdict == "holds":  # so no node failed
+            nontrivial = (rank == 2
+                          and predicates["minimal"].verdict == "fails"
+                          and predicates["pseudo_umbilical"].verdict == "fails")
+            qualifier = "non-trivial" if nontrivial else "trivial"
+
+        channels = None
+        if self.patch.family == "aminov":
+            channels = {"profile_k_plus_kn": self.profile[0],
+                        "profile_wintgen": self.profile[1]}
+
+        g = grid_spec
+        return ClassificationReport(
+            predicates, rank, qualifier, failed,
+            f"[{g.u0}, {g.u1}] x [{g.v0}, {g.v1}], {g.nu} x {g.nv}", tol,
+            channels)
+
+
 def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Evaluate all predicates on a GridSpec and aggregate verdicts.
 
     Evaluation failures are counted and flip every verdict to
     indeterminate instead of aborting.  tol must be finite and > 0.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    raw = [0.0] * len(PREDICATES)
-    normalized = [0.0] * len(PREDICATES)
-    failed = 0
-    rank = 0
-    aminov_kkn = 0.0
-    aminov_wintgen = 0.0
-    profile_us = set()
-
-    for *_, u, v in grid_spec.points():
-        try:
-            _, _, sf, inv = point_kernel(*jet_floats(patch, u, v))
-            scale, residuals = _point_residuals(sf, inv)
-        except jet.DomainError:
-            failed += 1
-            continue
-        for k, value in enumerate(residuals):
-            if value > raw[k]:
-                raw[k] = value
-            if value / scale > normalized[k]:
-                normalized[k] = value / scale
-        # the rank only rises, and 2 is its largest value
-        if rank < 2:
-            rank = max(rank, first_normal_rank(sf))
-        # the profile depends on u alone: one evaluation per grid row
-        if patch.family == "aminov" and u not in profile_us:
-            profile_us.add(u)
-            r = profile_at(patch, u)
-            aminov_kkn = max(aminov_kkn, abs(k_plus_kn_residual(r)))
-            aminov_wintgen = max(aminov_wintgen, abs(aminov_wintgen_residual(r)))
-
-    predicates = {}
-    for k, name in enumerate(PREDICATES):
-        verdict = "holds" if normalized[k] < tol else "fails"
-        predicates[name] = PredicateResult(
-            raw[k], normalized[k], "indeterminate" if failed else verdict)
-
-    qualifier = None
-    if predicates["chen"].verdict == "holds":  # so no node failed
-        nontrivial = (rank == 2 and predicates["minimal"].verdict == "fails"
-                      and predicates["pseudo_umbilical"].verdict == "fails")
-        qualifier = "non-trivial" if nontrivial else "trivial"
-
-    channels = None
-    if patch.family == "aminov":
-        channels = {"profile_k_plus_kn": aminov_kkn,
-                    "profile_wintgen": aminov_wintgen}
-
-    g = grid_spec
-    return ClassificationReport(
-        predicates, rank, qualifier, failed,
-        f"[{g.u0}, {g.u1}] x [{g.v0}, {g.v1}], {g.nu} x {g.nv}", tol, channels)
+    require_tol(tol)
+    fold = ClassifyFold(patch)
+    fold.add(grid_spec.points())
+    return fold.classification(grid_spec, tol)
 
 
 def report_to_json(report: ClassificationReport) -> str:

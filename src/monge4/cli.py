@@ -19,9 +19,9 @@ import sys
 from functools import partial
 
 from . import jet
-from .classify import (DEFAULT_TOL, PREDICATES, classify_surface,
+from .classify import (DEFAULT_TOL, PREDICATES, ClassifyFold,
                        integrate_profile_ode, minimal_aminov_profile,
-                       profile_row, report_to_json)
+                       profile_row, report_to_json, require_tol)
 from .expr import profile_eval
 from .grid import (CHUNK_ROWS, MODES, RESULT_HEADER, GridSpec, _row_pieces,
                    _table_chunks, _table_pieces, chunk_pieces,
@@ -313,24 +313,36 @@ def _text_summary(spec, tally) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _chunked(spec, render, state):
+    """The pieces of render(start, stop) over the nodes of spec in chunks
+    of CHUNK_ROWS, in node order, made by one process per core
+    (chunk_pieces); state has the report() and merge() of what render
+    keeps."""
+    nodes = spec.nu * spec.nv
+
+    def chunk(k):
+        start = k * CHUNK_ROWS
+        return render(start, min(start + CHUNK_ROWS, nodes))
+
+    return chunk_pieces(-(-nodes // CHUNK_ROWS), chunk, state.report,
+                        state.merge)
+
+
 def _write_table(spec, rows_between, args) -> _Tally:
     """Stream the result rows of every node of spec to --out or stdout in
     --format; their tally.  rows_between(start, stop) yields the rows of
-    nodes start to stop - 1.  The nodes go in chunks of CHUNK_ROWS to one
-    process per core, and the text is the same for any number of them."""
-    nodes = spec.nu * spec.nv
+    nodes start to stop - 1.  The nodes go in chunks to one process per
+    core, and the text is the same for any number of them."""
     tally = _Tally()
 
-    def render(k):
-        start = k * CHUNK_ROWS
-        rows = tally.count(rows_between(start, min(start + CHUNK_ROWS, nodes)))
+    def render(start, stop):
+        rows = tally.count(rows_between(start, stop))
         if args.format == "text":
             tally.top(rows)
             return ()
         return _row_pieces(args.format, RESULT_HEADER, rows)
 
-    body = chunk_pieces(-(-nodes // CHUNK_ROWS), render, tally.report,
-                        tally.merge)
+    body = _chunked(spec, render, tally)
 
     def summary():
         yield from body
@@ -371,7 +383,17 @@ def cmd_classify(args) -> int:
     spec = _grid_spec(args)
     requested = (_parse_predicates(args.predicates)
                  if args.predicates else list(PREDICATES))
-    report = classify_surface(patch, spec, tol=args.tol)
+    require_tol(args.tol)
+    # classify_surface's fold, over the chunks of nodes of every process
+    fold = ClassifyFold(patch)
+
+    def render(start, stop):
+        fold.add(spec.nodes(start, stop))
+        return ()
+
+    for _ in _chunked(spec, render, fold):
+        pass
+    report = fold.classification(spec, args.tol)
     if args.format == "json":
         text = report_to_json(report) + "\n"
     elif args.format == "csv":

@@ -81,11 +81,14 @@ class GridSpec:
         t = j / (self.nv - 1)
         return self.v0 * (1.0 - t) + self.v1 * t
 
+    def nodes(self, start: int, stop: int):
+        """(i, j, u, v) of the nodes start to stop - 1, in node order."""
+        return _nodes(tuple(map(self.u_at, range(self.nu))),
+                      tuple(map(self.v_at, range(self.nv))), start, stop)
+
     def points(self):
-        for i in range(self.nu):
-            u = self.u_at(i)
-            for j in range(self.nv):
-                yield i, j, u, self.v_at(j)
+        """(i, j, u, v) of every node, in node order."""
+        yield from self.nodes(0, self.nu * self.nv)
 
 
 class Row(NamedTuple):
@@ -142,9 +145,7 @@ def grid_rows_between(patch: MongePatch, spec: GridSpec, start: int,
                       stop: int):
     """Yield the result rows of nodes start to stop - 1 in node order;
     failures become flags."""
-    us = tuple(map(spec.u_at, range(spec.nu)))
-    vs = tuple(map(spec.v_at, range(spec.nv)))
-    for _, _, u, v in _nodes(us, vs, start, stop):
+    for _, _, u, v in spec.nodes(start, stop):
         yield _sample_point(patch, u, v)
 
 

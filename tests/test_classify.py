@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monge4 import jet
-from monge4.classify import (aminov_wintgen_residual, chen_residual,
-                             classify_surface, first_normal_rank,
+from monge4.classify import (ClassifyFold, aminov_wintgen_residual,
+                             chen_residual, classify_surface, first_normal_rank,
                              integrate_profile_ode, k_plus_kn_residual,
                              minimal_aminov_profile,
                              minimal_translation_family, minimality_residual,
@@ -317,3 +317,23 @@ def test_classify_respects_patch_domain():
     report = classify_surface(p, GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5))
     assert report.failed_points > 0
     assert all(pr.verdict == "indeterminate" for pr in report.predicates.values())
+
+
+@pytest.mark.parametrize("patch, spec", [
+    (make_aminov("0.8*u^2+2", (0.2, 1.5)), GridSpec(0.2, 1.5, 0.0, 6.3, 9, 7)),
+    # the v = -1 node of each row fails
+    (make_explicit("u*log(v+1)", "u"), GridSpec(-1.0, 1.0, -1.0, 1.0, 8, 9)),
+])
+def test_fold_merged_from_pieces_is_the_whole_fold(patch, spec):
+    whole = ClassifyFold(patch)
+    whole.add(spec.points())
+    # this process folds nodes 0 to 19 and takes in the other pieces' reports
+    merged = ClassifyFold(patch)
+    merged.add(spec.nodes(0, 20))
+    for start, stop in ((20, 21), (21, 40), (40, spec.nu * spec.nv)):
+        part = ClassifyFold(patch)
+        part.add(spec.nodes(start, stop))
+        merged.merge(part.report())
+    assert merged.report() == whole.report()
+    assert (repr(merged.classification(spec, 1e-8))
+            == repr(classify_surface(patch, spec)))

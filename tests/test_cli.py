@@ -1002,6 +1002,112 @@ def test_table_is_made_in_one_process_where_no_other_can_be(
     _no_child_left()
 
 
+# 48 x 48 nodes in three chunks of classify
+CLASSIFY_SURFACES = {
+    # the benchmark's kind of aminov profile: the profile channels are set
+    "aminov": ["--r", "0.8*u^2+2", "--u0", "0.2", "--u1", "1.5",
+               "--v0", "0", "--v1", "6.283185307179586"],
+    # the v = -1 node of each row, in every chunk, is a domain error:
+    # failed points, indeterminate
+    "domain-error": ["--f", "u^3", "--g", "0-v^3+0*log(v+1)"],
+    "explicit": ["--f", "u^3+sin(v)+u*v", "--g", "exp(u)*v+v^2"],
+}
+
+
+@pytest.mark.parametrize("surface", sorted(CLASSIFY_SURFACES))
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_classify_bytes_do_not_depend_on_jobs(tmp_path, capsys, monkeypatch,
+                                              surface, fmt, to_file):
+    argv = ["classify", *CLASSIFY_SURFACES[surface], "--nu", "48",
+            "--nv", "48", "--format", fmt]
+    forks = _forks(monkeypatch)
+    serial = _table_run(capsys, monkeypatch, tmp_path, argv, 1, to_file)
+    assert serial[0] == 1 and not forks  # not every predicate holds
+    report = serial[3].decode() if to_file else serial[1]
+    if surface == "domain-error":
+        assert "indeterminate" in report
+        assert "holds" not in report and "fails" not in report
+    if fmt == "json":
+        doc = json.loads(report)
+        assert doc["failed_points"] == (48 if surface == "domain-error" else 0)
+        if surface == "aminov":
+            assert doc["aminov_channels"]["profile_k_plus_kn"] > 0.0
+    for jobs in (2, 3):
+        assert _table_run(capsys, monkeypatch, tmp_path, argv, jobs,
+                          to_file) == serial
+        _no_child_left()
+    assert len(forks) == 1 + 2
+
+
+def test_consistency_error_in_a_classify_worker_is_the_serial_error(
+        capsys, monkeypatch):
+    # node 1300 of 51 x 51, where the check fires, is in chunk 1
+    argv = ["classify", *CONSISTENCY_FAILURE[1:]]
+    forks = _forks(monkeypatch)
+    _cores(monkeypatch, 1)
+    serial = (main(argv), *capsys.readouterr())
+    code, out, err = serial
+    assert (code, out) == (3, "")
+    assert err.startswith("error: chen residual paths disagree: ")
+    assert err.count("\n") == 1
+    _cores(monkeypatch, 2)
+    assert (main(argv), *capsys.readouterr()) == serial
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_single_chunk_classify_never_forks(capsys, monkeypatch):
+    forks = _forks(monkeypatch)
+    _cores(monkeypatch, 2)
+    argv = ["classify", "--f", "u^2", "--g", "u*v", "--nv", "32"]
+    code, _, _ = run(capsys, *argv, "--nu", "32")  # 1024 nodes
+    assert code == 1 and not forks
+    code, _, _ = run(capsys, *argv, "--nu", "33")
+    assert code == 1 and len(forks) == 1
+    _no_child_left()
+
+
+def test_classify_worker_that_dies_fails_the_run(tmp_path, capsys,
+                                                 monkeypatch):
+    parent = os.getpid()
+
+    class Dying(cli.ClassifyFold):
+        def add(self, nodes):
+            if os.getpid() != parent:
+                os._exit(0)
+            super().add(nodes)
+
+    monkeypatch.setattr(cli, "ClassifyFold", Dying)
+    report = tmp_path / "report"
+    report.write_bytes(b"earlier result\n")
+    _cores(monkeypatch, 2)
+    argv = ["classify", *CLASSIFY_SURFACES["explicit"], "--nu", "48",
+            "--nv", "48", "--out", str(report)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "error: a chunk worker ended before its last chunk\n"
+    assert report.read_bytes() == b"earlier result\n"
+    assert os.listdir(tmp_path) == ["report"]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--tol", "0"], "error: tol must be finite and > 0, got 0.0\n"),
+    (["--tol", "nan"], "error: tol must be finite and > 0, got nan\n"),
+    (["--predicates", "chen,bogus"], "error: unknown predicate 'bogus'; "
+     "choose from " + ", ".join(PREDICATES) + "\n"),
+])
+def test_classify_usage_error_comes_before_any_fork(capsys, monkeypatch, bad,
+                                                    message):
+    forks = _forks(monkeypatch)
+    _cores(monkeypatch, 2)
+    code, out, err = run(capsys, "classify", *CLASSIFY_SURFACES["explicit"],
+                         "--nu", "48", "--nv", "48", *bad)
+    assert (code, out, err) == (2, "", message)
+    assert not forks
+
+
 def test_out_file_gets_the_mode_of_a_plain_write(tmp_path, capsys):
     argv = ["grid", "--f", "u", "--g", "v", "--nu", "2", "--nv", "2"]
     table, plain = tmp_path / "table", tmp_path / "plain"
