@@ -60,14 +60,21 @@ class SecondForm(NamedTuple):
 # them in records; invariants.point_kernel calls them directly.
 
 def metric(fu: float, fv: float, gu: float, gv: float) -> tuple:
-    """(E, F, G, W2, A, B, C) from the first partials of f and g."""
+    """(E, F, G, W2, A, B, C) from the first partials of f and g.
+
+    W2 = EG - F^2 is taken as Lagrange's sum of the squared 2x2 minors of
+    the tangent matrix, which has no cancellation between large products
+    and is at least 1 by construction.
+    """
     E = 1.0 + fu * fu + gu * gu
     F = fu * fv + gu * gv
     G = 1.0 + fv * fv + gv * gv
     A = 1.0 + fu * fu + fv * fv
     B = fu * gu + fv * gv
     C = 1.0 + gu * gu + gv * gv
-    return E, F, G, E * G - F * F, A, B, C
+    minor = fu * gv - fv * gu
+    W2 = 1.0 + fu * fu + fv * fv + gu * gu + gv * gv + minor * minor
+    return E, F, G, W2, A, B, C
 
 
 def frame(fu: float, fv: float, gu: float, gv: float, A: float, B: float,

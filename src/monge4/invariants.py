@@ -158,17 +158,14 @@ def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
     It runs the stage formulas above in the order of first_form,
     normal_frame, second_form, gauss_curvature, normal_torsion and
     mean_curvature with their checks, taking W and sqrt(A) once.
-    Non-finite data, and a metric ruined by rounding, is a DomainError.
+    Non-finite data, invariants or W2 (a square that overflowed) is a
+    DomainError.
     """
     require_finite("jets", (f0, fu, fv, fuu, fuv, fvv,
                             g0, gu, gv, guu, guv, gvv))
     try:
         ff = metric(fu, fv, gu, gv)
         E, F, G, W2, A, B, C = ff
-        # EG - F^2 >= 1 holds exactly; below 1, cancellation between
-        # products of huge slopes has destroyed it (and W may be 0)
-        if W2 < 1.0:
-            raise jet.DomainError(f"metric lost to rounding: W^2 = {W2!r}")
         W = math.sqrt(W2)
         sqrt_A = math.sqrt(A)
         n1, n2 = frame(fu, fv, gu, gv, A, B, W, sqrt_A)
@@ -191,6 +188,8 @@ def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
     except OverflowError:
         raise jet.DomainError("invariants overflowed") from None
     require_finite("invariants", (K, KN, H1, H2, Hnorm))
+    # W2 bounds E, F, G, A, B and C, so they are finite with it
+    require_finite("metric", (W2,))
     return (_new(FirstForm, ff), _new(NormalFrame, (n1, n2)),
             _new(SecondForm, (c1, c2, h1, h2)),
             _new(InvariantSet, (K, KN, H1, H2, Hnorm)))
@@ -199,7 +198,7 @@ def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
 def point_data(jets: PatchJets) -> PointData:
     """Forms and invariants at one point (point_kernel).
 
-    Non-finite data, and a metric ruined by rounding, is a DomainError.
+    Non-finite data, invariants or W2 is a DomainError.
     """
     f, g = jets
     return _new(PointData, (jets, *point_kernel(*f, *g)))

@@ -90,6 +90,15 @@ def test_eval_text_and_csv_formats(capsys):
     assert len(row.split(",")) == 5
 
 
+def test_eval_steep_plane_keeps_its_metric(capsys):
+    # E*G - F*F rounds to 0.0 here, against an exact W2 of 3e16
+    code, out, err = run(capsys, "eval", "--f", "1e8*u+1.0000001e8*v",
+                         "--g", "v", "-u", "0.1", "-v", "0.2")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"K": 0.0, "KN": 0.0, "H1": 0.0, "H2": 0.0,
+                               "Hnorm": 0.0}
+
+
 def test_eval_outside_domain_is_evaluation_error(capsys):
     code, _, err = run(capsys, "eval", "--r", "u", "-u", "5", "-v", "0")
     assert code == 3

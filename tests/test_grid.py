@@ -488,6 +488,8 @@ def test_row_defaults_are_nan():
     # finite forms at the origin whose chen residual overflows
     ("1e80*(u^2+v^2)", "1e80*(2*u^2+v^2)",
      "domain-error: non-finite predicate residuals"),
+    # a plane whose invariants are 0 but whose W2 = (fu gv)^2 + ... overflows
+    ("1e100*u", "1e100*v", "domain-error: non-finite metric"),
 ])
 def test_non_finite_values_are_flagged_not_returned(f, g, center_flag):
     result = sample_grid(make_explicit(f, g),

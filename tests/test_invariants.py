@@ -268,8 +268,6 @@ def staged_point_data(jets):
     require_finite("jets", (*f, *g))
     try:
         ff = first_form(jets)
-        if ff.W2 < 1.0:
-            raise jet.DomainError(f"metric lost to rounding: W^2 = {ff.W2!r}")
         nf = normal_frame(jets, ff)
         sf = second_form(jets, ff, nf)
         K = gauss_curvature(sf, ff, jets)
@@ -278,6 +276,7 @@ def staged_point_data(jets):
     except OverflowError:
         raise jet.DomainError("invariants overflowed") from None
     require_finite("invariants", (K, KN, H1, H2, Hnorm))
+    require_finite("metric", (ff.W2,))
     return PointData(jets, ff, nf, sf, InvariantSet(K, KN, H1, H2, Hnorm))
 
 
