@@ -446,10 +446,11 @@ def report_to_json(report: ClassificationReport) -> str:
 
 
 __all__ = [
-    "ClassificationReport", "PredicateResult", "aminov_wintgen_residual",
-    "chen_residual", "chen_wintgen", "classify_surface", "first_normal_rank",
-    "integrate_profile_ode", "k_plus_kn_residual", "minimal_aminov_profile",
+    "ClassificationReport", "ClassifyFold", "PredicateResult",
+    "aminov_wintgen_residual", "chen_residual", "chen_wintgen",
+    "classify_surface", "first_normal_rank", "integrate_profile_ode",
+    "k_plus_kn_residual", "minimal_aminov_profile",
     "minimal_translation_family", "minimality_residual", "profile_row",
-    "pseudo_umbilical_residual", "report_to_json", "same_sign_aminov_profile",
-    "wintgen_deficit",
+    "pseudo_umbilical_residual", "report_to_json", "require_tol",
+    "same_sign_aminov_profile", "wintgen_deficit",
 ]
