@@ -188,8 +188,9 @@ def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
     except OverflowError:
         raise jet.DomainError("invariants overflowed") from None
     require_finite("invariants", (K, KN, H1, H2, Hnorm))
-    # W2 bounds E, F, G, A, B and C, so they are finite with it
-    require_finite("metric", (W2,))
+    # inf or nan where a square overflowed; W2 bounds E, F, G, A, B and C
+    if not W2 < math.inf:
+        raise jet.DomainError("non-finite metric")
     return (_new(FirstForm, ff), _new(NormalFrame, (n1, n2)),
             _new(SecondForm, (c1, c2, h1, h2)),
             _new(InvariantSet, (K, KN, H1, H2, Hnorm)))
