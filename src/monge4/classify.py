@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 from . import jet
@@ -25,6 +24,7 @@ from .forms import SecondForm
 from .invariants import (InvariantSet, _check, _larger, mean_frame,
                          point_kernel, require_finite)
 from .patch import MongePatch, jet_floats, make_translation, profile_at
+from .record import Record
 
 MINIMAL_TOL = 1e-8
 RANK_TOL = 1e-8
@@ -270,22 +270,14 @@ def minimal_translation_family(c3: float, c4: float, e3: float, e4: float,
                             domain=(-ulim, ulim, -vlim, vlim))
 
 
-@dataclass(frozen=True)
-class PredicateResult:
-    max_residual: float
-    normalized_residual: float
-    verdict: str
+class PredicateResult(Record):
+    __slots__ = ("max_residual", "normalized_residual", "verdict")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    predicates: dict
-    first_normal_rank: int
-    chen_qualifier: str | None
-    failed_points: int
-    grid: str
-    tol: float
-    aminov_channels: dict | None = None
+class ClassificationReport(Record):
+    __slots__ = ("predicates", "first_normal_rank", "chen_qualifier",
+                 "failed_points", "grid", "tol", "aminov_channels")
+    _defaults = {"aminov_channels": None}
 
 
 def chen_wintgen(sf: SecondForm, inv: InvariantSet) -> tuple:

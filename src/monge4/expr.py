@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import jet
+from .record import Record
 
 
 class ExprError(ValueError):
@@ -43,11 +43,9 @@ class ExprError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number | identifier | operator | lparen | rparen | comma
-    text: str
-    position: int
+class Token(Record):
+    # kind: number | identifier | operator | lparen | rparen | comma
+    __slots__ = ("kind", "text", "position")
 
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -94,35 +92,31 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Node(Record):
+    # nodes of one type with equal fields are equal at any source position
+    __slots__ = ()
+    _defaults = {"position": 0}
+    _uncompared = ("position",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    position: int = field(default=0, compare=False)
+class Num(Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
+class Var(Node):
+    __slots__ = ("name", "position")
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    position: int = field(default=0, compare=False)
+class Neg(Node):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
-    position: int = field(default=0, compare=False)
+class BinOp(Node):
+    __slots__ = ("op", "left", "right", "position")
+
+
+class Call(Node):
+    __slots__ = ("fn", "arg", "position")
 
 
 class _Parser:
@@ -570,12 +564,11 @@ def jet1(field, x: float) -> jet.Jet1:
     return jet.Jet1(r[0], r[1], r[3])
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """A compiled one-variable expression r(u)."""
 
-    text: str
-    fn: object = field(repr=False, compare=False)  # compile_field of the AST
+    __slots__ = ("text", "fn")  # fn: compile_field of the AST
+    _uncompared = _unshown = ("fn",)
 
 
 def compile_profile(text: str) -> Profile:

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
@@ -31,6 +30,7 @@ from .classify import chen_wintgen
 from .invariants import ConsistencyError, point_kernel
 from .jet import Jet2, _new
 from .patch import MongePatch, PatchJets, jet_floats
+from .record import Record
 
 SPACING_RTOL = 1e-9
 
@@ -47,16 +47,11 @@ CHUNK_ROWS = 1024
 JSON_ROWS = 64
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    u0: float
-    u1: float
-    v0: float
-    v1: float
-    nu: int
-    nv: int
+class GridSpec(Record):
+    __slots__ = ("u0", "u1", "v0", "v1", "nu", "nv")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
         if not all(map(math.isfinite, (self.u0, self.u1, self.v0, self.v1))):
@@ -112,10 +107,9 @@ class Row(NamedTuple):
 RESULT_HEADER = Row._fields
 
 
-@dataclass(frozen=True)
-class GridResult:
-    spec: GridSpec
-    rows: list = field(repr=False)
+class GridResult(Record):
+    __slots__ = ("spec", "rows")  # rows: a list of Row
+    _unshown = ("rows",)
 
 
 def _row(u: float, v: float, floats) -> Row:
@@ -172,15 +166,13 @@ def _step(axis) -> float:
     return (axis[-1] - axis[0]) / (len(axis) - 1)
 
 
-@dataclass(frozen=True)
-class DiscretePatch:
-    """Samples of one or two height channels at sorted coordinates us x vs."""
+class DiscretePatch(Record):
+    """Samples of one or two height channels at sorted coordinates us x vs:
+    f holds len(us) rows, each an array('d') of len(vs) samples, f[i][j];
+    g has the same shape, or is None for a one-channel depth map."""
 
-    us: tuple
-    vs: tuple
-    f: list  # len(us) rows, each an array('d') of len(vs) samples: f[i][j]
-    g: list | None = None  # the same shape; None for a one-channel depth map
-    source: str = "<memory>"
+    __slots__ = ("us", "vs", "f", "g", "source")
+    _defaults = {"g": None, "source": "<memory>"}
 
     def spec(self) -> GridSpec:
         us, vs = self.us, self.vs

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import jet
 from .expr import JetCode, compile_expr, compile_field, jet1, seeds
 from .jet import Jet2, _new
+from .record import Record
 
 # the expression fields of each family, in its constructor's argument
 # order, each with the variables its expression may use
@@ -82,15 +82,13 @@ def _compile(family: str, exprs: dict) -> PatchKernel:
                        code.source())
 
 
-@dataclass(frozen=True, eq=False)
-class MongePatch:
-    family: str
-    exprs: dict
-    domain: tuple | None = None
-    integrability_residual: float | None = None
-    gradient_warning: str | None = None
-    # generated and compiled once (_compile); evaluation walks no AST
-    kernel: PatchKernel = field(default=None, repr=False, compare=False)
+class MongePatch(Record):
+    # a patch equals only itself; its kernel is compiled once (_compile)
+    __slots__ = ("family", "exprs", "domain", "integrability_residual",
+                 "gradient_warning", "kernel")
+    _defaults = dict.fromkeys(__slots__[2:])
+    _unshown = ("kernel",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def in_domain(self, u: float, v: float) -> bool:
         if self.domain is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import math
 import random
-from dataclasses import dataclass
 
 from .classify import (chen_residual, classify_surface, integrate_profile_ode,
                        k_plus_kn_residual, minimal_aminov_profile,
@@ -27,15 +26,13 @@ from .invariants import (aminov_closed_forms, invariants_at, point_data,
                          relative_gap, translation_closed_forms)
 from .patch import (eval_patch, make_aminov, make_explicit, make_gradient,
                     make_translation, profile_at)
+from .record import Record
 
 SEED = 20260814
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail")
 
 
 class CheckFailed(Exception):

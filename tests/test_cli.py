@@ -1166,6 +1166,28 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_commands_do_not_load_dataclasses_or_its_imports(tmp_path):
+    # these took about a fifth of a small command's start-up time
+    samples = tmp_path / "samples.csv"
+    export_samples_csv(sample_values(make_explicit("u^3+v", "u*v"),
+                                     GridSpec(-1, 1, -1, 1, 3, 3)), samples)
+    argvs = [
+        ["grid", "--f", "u^3+sin(v)+u*v", "--g", "exp(u)*v+v^2"],
+        ["classify", "--r", "0.8*u^2+2", "--u0", "0.2", "--u1", "1.5",
+         "--v0", "0", "--v1", "6.28", "--predicates", "chen"],
+    ]
+    argvs = [[*argv, "--nu", "2", "--nv", "2"] for argv in argvs]
+    argvs.append(["ingest", str(samples)])
+    script = ("import sys, monge4.cli as cli; "
+              f"codes = [cli.main([*argv, '--out', {str(tmp_path)!r} + "
+              f"f'/out{{k}}']) for k, argv in enumerate({argvs!r})]; "
+              "print(codes, sorted({'dataclasses', 'inspect', 'ast', 'dis', "
+              "'tokenize'} & set(sys.modules)))")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
 def test_package_declares_no_runtime_dependency():
     # a line-level read of the [project] table: tomllib is 3.11+
     lines = (SRC.parent / "pyproject.toml").read_text().splitlines()
