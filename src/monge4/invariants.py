@@ -264,16 +264,12 @@ def translation_closed_forms(patch: MongePatch, u: float, v: float):
     g3, g4 = jet1(fields["g3"], v), jet1(fields["g4"], v)
 
     try:
-        E = 1.0 + f3.d1 ** 2 + f4.d1 ** 2
-        F = f3.d1 * g3.d1 + f4.d1 * g4.d1
-        G = 1.0 + g3.d1 ** 2 + g4.d1 ** 2
-        A = 1.0 + f3.d1 ** 2 + g3.d1 ** 2
-        B = f3.d1 * f4.d1 + g3.d1 * g4.d1
-        W2 = E * G - F * F
+        # f_u, f_v, g_u, g_v are f3', g3', f4', g4'; W2 is Lagrange's sum
+        E, F, G, W2, A, B, C = metric(f3.d1, g3.d1, f4.d1, g4.d1)
         ra = math.sqrt(A)
         w = math.sqrt(W2)
 
-        K = (f3.d2 * g3.d2 * (1.0 + f4.d1 ** 2 + g4.d1 ** 2)
+        K = (f3.d2 * g3.d2 * C
              - (f3.d2 * g4.d2 + f4.d2 * g3.d2) * B
              + f4.d2 * g4.d2 * A) / W2 ** 2
         KN = F * (f4.d2 * g3.d2 - f3.d2 * g4.d2) / W2 ** 2

@@ -9,7 +9,9 @@ measures two things over a sweep of slopes from 1 to 1e6:
 - the formulas' own rounding: point_kernel against the reference on the
   same float jets;
 - the whole path: invariants_at against the reference on the exact jets
-  of the surface at the same (u, v).
+  of the surface at the same (u, v);
+- translation_closed_forms, the closed-form route of the translation
+  family, against the reference on exact jets, for slopes up to 1e8.
 
 Errors are measured in classify's scale, 1 + max(|K|, |K_N|, |H|^2) for
 K and K_N, and 1 + |H| for H1 and H2.  When W2 was computed as
@@ -22,8 +24,9 @@ from mpmath import mp, mpf
 
 from monge4.forms import metric
 from monge4.invariants import (gauss_coord, invariants_at, mean_coord,
-                               point_kernel, torsion_coord)
-from monge4.patch import jet_floats, make_explicit
+                               point_kernel, torsion_coord,
+                               translation_closed_forms)
+from monge4.patch import jet_floats, make_explicit, make_translation
 
 SLOPES = [1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6]
 
@@ -100,5 +103,23 @@ def test_invariants_match_exact_jets_at_any_slope(surface, slope):
             exact = (*_f_jets(mpf(slope), mpf(u), mpf(v)),
                      *g_jets(mpf(u), mpf(v)))
             worst = max(worst, _error((inv.K, inv.KN, inv.H1, inv.H2),
+                                      _reference(exact)))
+    assert worst < BOUND
+
+
+@pytest.mark.parametrize("slope", [1.0, 1e2, 1e4, 1e6, 1e8])
+def test_translation_closed_forms_match_exact_jets_at_any_slope(slope):
+    # f = f3(u) + g3(v) = s*u + u^2 + s*v + v^2, g = f4(u) + g4(v) = u^3 + v^3;
+    # with W2 = E*G - F*F, H2 was off by 0.43 at slope 1e8, (u, v) = (0.3, 0.2)
+    patch = make_translation(f"{slope!r}*u+u^2", "u^3", f"{slope!r}*v+v^2",
+                             "v^3")
+    worst = 0.0
+    with mp.workdps(50):
+        for u, v in [(0.3, 0.2), *_nodes()]:
+            s, u_, v_ = mpf(slope), mpf(u), mpf(v)
+            exact = (s * u_ + u_ ** 2 + s * v_ + v_ ** 2, s + 2 * u_,
+                     s + 2 * v_, 2, 0, 2, u_ ** 3 + v_ ** 3, 3 * u_ ** 2,
+                     3 * v_ ** 2, 6 * u_, 0, 6 * v_)
+            worst = max(worst, _error(translation_closed_forms(patch, u, v),
                                       _reference(exact)))
     assert worst < BOUND
