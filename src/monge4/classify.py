@@ -315,12 +315,12 @@ class ClassifyFold:
     """What classify_surface keeps of the nodes of a grid: the largest raw
     and normalized residual of each predicate, the count of failed nodes,
     the first normal rank and, on an aminov patch, the largest profile
-    residuals.
+    residuals (-inf until one is evaluated, reported as None).
 
     add() takes in nodes, in as many calls as there are pieces of the
     grid.  As with cli._Tally, report() is that state as text, and
     merge() takes in the report of a fold of other nodes, perhaps made in
-    another process.  Each merged value is a largest value (of
+    another process.  Each merged value is a largest value (of -inf or
     non-negative floats that are never -0.0, or of ranks) or a count, so
     the merged state is the one a single fold of every node would hold.
     """
@@ -332,7 +332,7 @@ class ClassifyFold:
         self.failed = 0
         self.rank = 0
         # the largest |k_plus_kn_residual| and |aminov_wintgen_residual|
-        self.profile = [0.0, 0.0]
+        self.profile = [-math.inf, -math.inf]
 
     def add(self, nodes) -> None:
         """Take in the nodes (i, j, u, v).  A node whose evaluation raises
@@ -400,8 +400,10 @@ class ClassifyFold:
 
         channels = None
         if self.patch.family == "aminov":
-            channels = {"profile_k_plus_kn": self.profile[0],
-                        "profile_wintgen": self.profile[1]}
+            k_plus_kn, wintgen = (None if value == -math.inf else value
+                                  for value in self.profile)
+            channels = {"profile_k_plus_kn": k_plus_kn,
+                        "profile_wintgen": wintgen}
 
         g = grid_spec
         return ClassificationReport(

@@ -1049,6 +1049,27 @@ def test_classify_bytes_do_not_depend_on_jobs(tmp_path, capsys, monkeypatch,
     assert len(forks) == 1 + 2
 
 
+def test_classify_reports_null_profile_channels_when_no_node_evaluates(
+        capsys, monkeypatch):
+    # every node overflows: 41 x 41 nodes are two chunks, and neither
+    # evaluates a profile, so the channels are null at any job count
+    argv = ["classify", "--r", "1e40*exp(u)", "--u0", "0.2", "--u1", "1.5",
+            "--v0", "0", "--v1", "6.28", "--nu", "41", "--nv", "41",
+            "--format", "json"]
+    forks = _forks(monkeypatch)
+    _cores(monkeypatch, 1)
+    serial = run(capsys, *argv)
+    code, out, _ = serial
+    doc = json.loads(out)
+    assert (code, doc["failed_points"]) == (1, 41 * 41)
+    assert doc["aminov_channels"] == {"profile_k_plus_kn": None,
+                                      "profile_wintgen": None}
+    _cores(monkeypatch, 2)
+    assert run(capsys, *argv) == serial
+    assert len(forks) == 1
+    _no_child_left()
+
+
 def test_consistency_error_in_a_classify_worker_is_the_serial_error(
         capsys, monkeypatch):
     # node 1300 of 51 x 51, where the check fires, is in chunk 1
