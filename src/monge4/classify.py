@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import islice
+from typing import NamedTuple
 
 from . import jet
 from .expr import Profile, compile_profile
@@ -280,29 +281,55 @@ class ClassificationReport(Record):
     _defaults = {"aminov_channels": None}
 
 
-def chen_wintgen(sf: SecondForm, inv: InvariantSet) -> tuple:
-    """chen_residual and wintgen_deficit at one point, as in a grid row;
-    an overflow or a non-finite value is a DomainError."""
-    try:
-        residuals = chen_residual(sf), wintgen_deficit(inv)
-    except OverflowError:
-        raise jet.DomainError("predicate residuals overflowed") from None
-    require_finite("predicate residuals", residuals)
-    return residuals
+class Row(NamedTuple):
+    u: float
+    v: float
+    E: float = math.nan
+    F: float = math.nan
+    G: float = math.nan
+    W2: float = math.nan
+    K: float = math.nan
+    KN: float = math.nan
+    H1: float = math.nan
+    H2: float = math.nan
+    Hnorm: float = math.nan
+    chen: float = math.nan
+    wintgen: float = math.nan
+    flag: str = ""
 
 
-def _point_residuals(sf: SecondForm, inv: InvariantSet) -> tuple:
-    """Normalizing scale and the predicate residuals, in PREDICATES order,
-    at one point."""
-    chen, wintgen = chen_wintgen(sf, inv)
-    K, KN = abs(inv.K), abs(inv.KN)
-    # wintgen_deficit squared Hnorm without overflow, so this cannot raise
-    scale = 1.0 + _larger(_larger(K, KN), inv.Hnorm ** 2)
-    residuals = (inv.Hnorm, abs(chen), abs(wintgen),
-                 pseudo_umbilical_residual(sf), _larger(K, KN),
-                 abs(inv.K + inv.KN))
-    require_finite("predicate residuals", (scale, *residuals))
-    return scale, residuals
+def exact_jets(patch: MongePatch, nodes):
+    """The exact node source: (u, v, jets) of each node (i, j, u, v), the
+    jets being jet_floats there or the DomainError that it raised."""
+    for *_, u, v in nodes:
+        try:
+            jets = jet_floats(patch, u, v)
+        except jet.DomainError as err:
+            jets = err
+        yield u, v, jets
+
+
+def node_rows(source):
+    """The one per-node body: (Row, SecondForm) of each (u, v, jets) of a
+    node source, the jets being twelve floats, or a flag or DomainError.  A
+    node without jets, or whose point_kernel or residuals fail, gives a
+    flagged Row and None; a ConsistencyError is raised."""
+    for u, v, jets in source:
+        if jets.__class__ is tuple:
+            try:
+                ff, _, sf, inv = point_kernel(*jets)
+                residuals = chen_residual(sf), wintgen_deficit(inv)
+                require_finite("predicate residuals", residuals)
+            except OverflowError:  # the residuals' (point_kernel has none)
+                jets = jet.DomainError("predicate residuals overflowed")
+            except jet.DomainError as err:
+                jets = err
+            else:
+                yield jet._new(Row, (u, v, ff.E, ff.F, ff.G, ff.W2, *inv,
+                                     *residuals, "")), sf
+                continue
+        flag = jets if jets.__class__ is str else f"domain-error: {jets}"
+        yield Row(u, v, flag=flag), None
 
 
 def require_tol(tol: float) -> None:
@@ -317,10 +344,11 @@ class ClassifyFold:
     the first normal rank and, on an aminov patch, the largest profile
     residuals (-inf until one is evaluated, reported as None).
 
-    add() takes in nodes, in as many calls as there are pieces of the
-    grid.  As with cli._Tally, report() is that state as text, and
-    merge() takes in the report of a fold of other nodes, perhaps made in
-    another process.  Each merged value is a largest value (of -inf or
+    add() takes in nodes through node_rows, in as many calls as there
+    are pieces of the grid; a node fails where it is flagged or a
+    residual is not finite.  report() is that state as text, as with
+    cli._Tally, and merge() takes in another fold's report, perhaps made
+    in another process.  Each merged value is a largest value (of -inf or
     non-negative floats that are never -0.0, or of ranks) or a count, so
     the merged state is the one a single fold of every node would hold.
     """
@@ -335,18 +363,23 @@ class ClassifyFold:
         self.profile = [-math.inf, -math.inf]
 
     def add(self, nodes) -> None:
-        """Take in the nodes (i, j, u, v).  A node whose evaluation raises
-        DomainError is counted as failed; a ConsistencyError is raised."""
+        """Take in the nodes (i, j, u, v); a ConsistencyError is raised."""
         patch, raw, normalized, profile = (self.patch, self.raw,
                                            self.normalized, self.profile)
         failed, rank = self.failed, self.rank
         aminov = patch.family == "aminov"
         profile_us = set()
-        for *_, u, v in nodes:
-            try:
-                _, _, sf, inv = point_kernel(*jet_floats(patch, u, v))
-                scale, residuals = _point_residuals(sf, inv)
-            except jet.DomainError:
+        for row, sf in node_rows(exact_jets(patch, nodes)):
+            if sf is None:
+                failed += 1
+                continue
+            K, KN = abs(row.K), abs(row.KN)
+            # wintgen_deficit squared Hnorm without overflow, so this is finite
+            scale = 1.0 + _larger(_larger(K, KN), row.Hnorm ** 2)
+            residuals = (row.Hnorm, abs(row.chen), abs(row.wintgen),
+                         pseudo_umbilical_residual(sf), _larger(K, KN),
+                         abs(row.K + row.KN))
+            if not all(map(math.isfinite, residuals)):
                 failed += 1
                 continue
             for k, value in enumerate(residuals):
@@ -358,9 +391,9 @@ class ClassifyFold:
             if rank < 2:
                 rank = max(rank, first_normal_rank(sf))
             # the profile depends on u alone: one evaluation per grid row
-            if aminov and u not in profile_us:
-                profile_us.add(u)
-                r = profile_at(patch, u)
+            if aminov and row.u not in profile_us:
+                profile_us.add(row.u)
+                r = profile_at(patch, row.u)
                 profile[0] = max(profile[0], abs(k_plus_kn_residual(r)))
                 profile[1] = max(profile[1], abs(aminov_wintgen_residual(r)))
         self.failed, self.rank = failed, rank
@@ -440,11 +473,11 @@ def report_to_json(report: ClassificationReport) -> str:
 
 
 __all__ = [
-    "ClassificationReport", "ClassifyFold", "PredicateResult",
-    "aminov_wintgen_residual", "chen_residual", "chen_wintgen",
-    "classify_surface", "first_normal_rank", "integrate_profile_ode",
+    "ClassificationReport", "ClassifyFold", "PredicateResult", "Row",
+    "aminov_wintgen_residual", "chen_residual", "classify_surface",
+    "exact_jets", "first_normal_rank", "integrate_profile_ode",
     "k_plus_kn_residual", "minimal_aminov_profile",
-    "minimal_translation_family", "minimality_residual", "profile_row",
-    "pseudo_umbilical_residual", "report_to_json", "require_tol",
-    "same_sign_aminov_profile", "wintgen_deficit",
+    "minimal_translation_family", "minimality_residual", "node_rows",
+    "profile_row", "pseudo_umbilical_residual", "report_to_json",
+    "require_tol", "same_sign_aminov_profile", "wintgen_deficit",
 ]

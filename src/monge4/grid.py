@@ -1,18 +1,17 @@
 """Grid sampling, range-data ingestion, CSV import and table output.
 
-sample_grid evaluates the exact-jet pipeline on a uniform grid.  For
-externally sampled data (a depth map with one or two height channels)
-ingest_samples validates the rectangle into a DiscretePatch, which holds
-the sorted sample coordinates of each axis and, packed as 8-byte doubles
-(array('d')), one row of samples per u coordinate and channel.
-evaluate_discrete estimates jets with second-order central differences
-on interior nodes; the boundary ring and any node with a corrupt stencil
-are flagged rather than dropped, so a result always carries one row per
-node, at the node's own coordinates, in a deterministic order (v
-fastest).  grid_rows and discrete_rows yield the same rows one at a
-time, so a caller that streams them never holds the whole grid;
-grid_rows_between and discrete_rows_between yield the rows of a range
-of nodes, and chunk_pieces shares such ranges among forked processes.
+Every node goes through one body, classify.node_rows, fed by one of two
+node sources: classify.exact_jets (a patch's jets at GridSpec nodes) or
+sampled_jets (central-difference stencils of a DiscretePatch, which
+ingest_samples validates from a depth map of one or two height channels,
+held as one array('d') row per u coordinate and channel).  The table
+rows are the body's Rows: a node without values (the boundary ring, a
+corrupt stencil, a domain error) is flagged rather than dropped, so a
+table carries one row per node, at its own coordinates, v fastest.
+grid_rows_between and discrete_rows_between yield the rows of a range of
+nodes one at a time, so a stream never holds the whole grid; grid_rows,
+discrete_rows, sample_grid and evaluate_discrete cover every node, and
+chunk_pieces shares ranges of nodes among forked processes.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ import math
 import os
 import stat
 from itertools import islice
-from typing import NamedTuple
+from operator import itemgetter
 
-from . import jet
-from .classify import chen_wintgen
-from .invariants import ConsistencyError, point_kernel
+from .classify import Row, exact_jets, node_rows
+from .invariants import ConsistencyError
 from .jet import Jet2, _new
 from .patch import MongePatch, PatchJets, jet_floats
 from .record import Record
@@ -77,34 +75,21 @@ class GridSpec(Record):
         return self.v0 * (1.0 - t) + self.v1 * t
 
     def nodes(self, start: int, stop: int):
-        """(i, j, u, v) of the nodes start to stop - 1, in node order."""
-        return _nodes(tuple(map(self.u_at, range(self.nu))),
-                      tuple(map(self.v_at, range(self.nv))), start, stop)
+        """(i, j, u, v) of the nodes start to stop - 1, in node order; only
+        the coordinates of those nodes are made."""
+        nv = self.nv
+        us = {i: self.u_at(i) for i in range(start // nv, -(-stop // nv))}
+        js = {k % nv for k in range(start, min(stop, start + nv))}
+        return _nodes(us, {j: self.v_at(j) for j in js}, nv, start, stop)
 
     def points(self):
         """(i, j, u, v) of every node, in node order."""
         yield from self.nodes(0, self.nu * self.nv)
 
 
-class Row(NamedTuple):
-    u: float
-    v: float
-    E: float = math.nan
-    F: float = math.nan
-    G: float = math.nan
-    W2: float = math.nan
-    K: float = math.nan
-    KN: float = math.nan
-    H1: float = math.nan
-    H2: float = math.nan
-    Hnorm: float = math.nan
-    chen: float = math.nan
-    wintgen: float = math.nan
-    flag: str = ""
-
-
 # a Row is written as is: its fields are the columns of the result table
 RESULT_HEADER = Row._fields
+_row_of = itemgetter(0)  # the table row consumer of the body's (Row, form)
 
 
 class GridResult(Record):
@@ -112,24 +97,9 @@ class GridResult(Record):
     _unshown = ("rows",)
 
 
-def _row(u: float, v: float, floats) -> Row:
-    """The result row of the twelve jet floats at (u, v)."""
-    ff, _, sf, inv = point_kernel(*floats)
-    return Row(u, v, ff.E, ff.F, ff.G, ff.W2, inv.K, inv.KN,
-               inv.H1, inv.H2, inv.Hnorm, *chen_wintgen(sf, inv))
-
-
-def _sample_point(patch: MongePatch, u: float, v: float) -> Row:
-    try:
-        return _row(u, v, jet_floats(patch, u, v))
-    except jet.DomainError as err:
-        return Row(u, v, flag=f"domain-error: {err}")
-
-
-def _nodes(us, vs, start: int, stop: int):
-    """(i, j, u, v) of the nodes start to stop - 1 of the grid us x vs,
-    node k at (i, j) = divmod(k, len(vs)): in node order, v fastest."""
-    nv = len(vs)
+def _nodes(us, vs, nv: int, start: int, stop: int):
+    """(i, j, u, v) of the nodes start to stop - 1 of a grid of rows of nv
+    nodes, node k at (i, j) = divmod(k, nv): in node order, v fastest."""
     for k in range(start, stop):
         i, j = divmod(k, nv)
         yield i, j, us[i], vs[j]
@@ -137,10 +107,9 @@ def _nodes(us, vs, start: int, stop: int):
 
 def grid_rows_between(patch: MongePatch, spec: GridSpec, start: int,
                       stop: int):
-    """Yield the result rows of nodes start to stop - 1 in node order;
-    failures become flags."""
-    for _, _, u, v in spec.nodes(start, stop):
-        yield _sample_point(patch, u, v)
+    """The result rows of nodes start to stop - 1 in node order, the Rows
+    of the body over the exact source; failures become flags."""
+    return map(_row_of, node_rows(exact_jets(patch, spec.nodes(start, stop))))
 
 
 def grid_rows(patch: MongePatch, spec: GridSpec):
@@ -216,33 +185,40 @@ def _stencil(z, i: int, j: int, hu: float, hv: float) -> tuple:
     return z00, du, dv, duu, duv, dvv
 
 
+def _fd_floats(dp: DiscretePatch, i: int, j: int, hu: float, hv: float):
+    """The twelve jet floats of the stencils of dp at interior node (i, j)."""
+    g = FLAT_JET if dp.g is None else _stencil(dp.g, i, j, hu, hv)
+    return _stencil(dp.f, i, j, hu, hv) + g
+
+
 def fd_jets(dp: DiscretePatch, i: int, j: int) -> PatchJets:
     """Second-order central-difference jets at an interior node."""
     if not (1 <= i <= len(dp.us) - 2 and 1 <= j <= len(dp.vs) - 2):
         raise ValueError(f"node ({i}, {j}) is not interior")
-    hu, hv = _step(dp.us), _step(dp.vs)
-    g = FLAT_JET if dp.g is None else _stencil(dp.g, i, j, hu, hv)
-    return PatchJets(_new(Jet2, _stencil(dp.f, i, j, hu, hv)), _new(Jet2, g))
+    floats = _fd_floats(dp, i, j, _step(dp.us), _step(dp.vs))
+    return PatchJets(_new(Jet2, floats[:6]), _new(Jet2, floats[6:]))
+
+
+def sampled_jets(dp: DiscretePatch, start: int, stop: int):
+    """The sampled node source: (u, v, jets) of nodes start to stop - 1, the
+    jets being the stencils' floats, or the flag boundary or bad-sample."""
+    spec = dp.spec()  # also checks the axes of a patch built by hand
+    hu, hv, last_i, last_j = spec.hu, spec.hv, spec.nu - 1, spec.nv - 1
+    for i, j, u, v in _nodes(dp.us, dp.vs, spec.nv, start, stop):
+        if not (0 < i < last_i and 0 < j < last_j):
+            jets = "boundary"
+        else:
+            try:
+                jets = _fd_floats(dp, i, j, hu, hv)
+            except ValueError as err:
+                jets = f"bad-sample: {err}"
+        yield u, v, jets
 
 
 def discrete_rows_between(dp: DiscretePatch, start: int, stop: int):
-    """Yield the rows of nodes start to stop - 1 in node order; the
-    boundary ring is flagged."""
-    spec = dp.spec()  # also checks the axes of a patch built by hand
-    f, g, hu, hv = dp.f, dp.g, spec.hu, spec.hv
-    last_i, last_j = spec.nu - 1, spec.nv - 1
-    for i, j, u, v in _nodes(dp.us, dp.vs, start, stop):
-        if not (0 < i < last_i and 0 < j < last_j):
-            yield Row(u, v, flag="boundary")
-            continue
-        try:
-            gj = FLAT_JET if g is None else _stencil(g, i, j, hu, hv)
-            row = _row(u, v, _stencil(f, i, j, hu, hv) + gj)
-        except jet.DomainError as err:
-            row = Row(u, v, flag=f"domain-error: {err}")
-        except ValueError as err:  # _stencil: a non-finite sample
-            row = Row(u, v, flag=f"bad-sample: {err}")
-        yield row
+    """The rows of nodes start to stop - 1 in node order, the Rows of the
+    body over the sampled source; the boundary ring is flagged."""
+    return map(_row_of, node_rows(sampled_jets(dp, start, stop)))
 
 
 def discrete_rows(dp: DiscretePatch):

@@ -8,12 +8,13 @@ replaced: samples in lists of lists, the nine gathered into a list and
 each tested, so tests can compare the two value for value and flag for
 flag.  Where a one-channel patch has no g channel, monge4 takes the
 flat jet without arithmetic; this module stencils a channel of zeros.
+Its own source of jets and flags feeds the library's one per-node body,
+classify.node_rows, as grid.sampled_jets does.
 """
 
 import math
 
-from monge4 import jet
-from monge4.grid import Row, _row
+from monge4.classify import node_rows
 from monge4.jet import Jet2, _new
 from monge4.patch import PatchJets
 
@@ -54,16 +55,18 @@ def discrete_rows(dp):
     """The rows of grid.discrete_rows, from the nested-list stencil."""
     spec = dp.spec()
     f, g, hu, hv = nested(dp, dp.f), nested(dp, dp.g), spec.hu, spec.hv
-    for i, u in enumerate(dp.us):
-        for j, v in enumerate(dp.vs):
-            if not (1 <= i <= spec.nu - 2 and 1 <= j <= spec.nv - 2):
-                yield Row(u, v, flag="boundary")
-                continue
-            try:
-                row = _row(u, v, stencil(f, i, j, hu, hv)
-                           + stencil(g, i, j, hu, hv))
-            except jet.DomainError as err:
-                row = Row(u, v, flag=f"domain-error: {err}")
-            except ValueError as err:
-                row = Row(u, v, flag=f"bad-sample: {err}")
-            yield row
+
+    def source():
+        for i, u in enumerate(dp.us):
+            for j, v in enumerate(dp.vs):
+                if not (1 <= i <= spec.nu - 2 and 1 <= j <= spec.nv - 2):
+                    yield u, v, "boundary"
+                    continue
+                try:
+                    jets = stencil(f, i, j, hu, hv) + stencil(g, i, j, hu, hv)
+                except ValueError as err:
+                    jets = f"bad-sample: {err}"
+                yield u, v, jets
+
+    for row, _ in node_rows(source()):
+        yield row

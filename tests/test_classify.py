@@ -14,7 +14,7 @@ from monge4.classify import (ClassifyFold, aminov_wintgen_residual,
                              same_sign_aminov_profile, wintgen_deficit)
 from monge4.expr import profile_eval
 from monge4.forms import SecondForm
-from monge4.grid import GridSpec
+from monge4.grid import GridSpec, sample_grid
 from monge4.invariants import ConsistencyError, invariants_at, point_data
 from monge4.patch import (eval_patch, make_aminov, make_explicit, make_gradient,
                           make_translation, profile_at)
@@ -317,6 +317,18 @@ def test_classify_respects_patch_domain():
     report = classify_surface(p, GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5))
     assert report.failed_points > 0
     assert all(pr.verdict == "indeterminate" for pr in report.predicates.values())
+
+
+@pytest.mark.parametrize("f, g, flagged", [
+    ("log(u+1)", "v", 9),  # the jets of the u = -1 row fail
+    ("1e200*u+u*v", "v^2", 81),  # the metric overflows in the body
+    ("u^3+sin(v)+u*v", "exp(u)*v+v^2", 0),
+])
+def test_classify_fails_the_nodes_that_a_grid_flags(f, g, flagged):
+    patch, spec = make_explicit(f, g), GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    rows = sample_grid(patch, spec).rows
+    assert sum(1 for row in rows if row.flag) == flagged
+    assert classify_surface(patch, spec).failed_points == flagged
 
 
 @pytest.mark.parametrize("patch, spec", [

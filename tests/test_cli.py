@@ -23,11 +23,11 @@ from monge4.classify import (PREDICATES, minimal_aminov_profile,
                              same_sign_aminov_profile)
 from monge4.cli import _write_table, main
 from monge4.expr import BinOp, Call, Num, Var, pretty
-from monge4 import cli, grid
+from monge4 import classify, cli, grid
 from monge4.grid import (CHUNK_ROWS, RESULT_HEADER, GridResult, GridSpec, Row,
                          _table_chunks, evaluate_discrete, export_samples_csv,
                          ingest_csv, sample_grid, sample_values)
-from monge4.invariants import invariants_at
+from monge4.invariants import ConsistencyError, invariants_at
 from monge4.jet import DomainError
 from monge4.patch import make_explicit, make_translation, patch_to_json
 
@@ -929,6 +929,38 @@ def test_consistency_error_in_a_worker_is_raised_in_node_order(capsys,
     assert (3, *capsys.readouterr()) == serial
     assert len(forks) == 1
     _no_child_left()
+
+
+def test_grid_ingest_and_classify_share_one_body(tmp_path, capsys,
+                                                  monkeypatch):
+    # f = u and g = v, so the first and seventh jet floats of a node are
+    # its (u, v), from the exact jets and the stencils alike.  The failure
+    # is planted at node 1500 of 41 x 41: in chunk 1, which the forked
+    # worker makes when there are two processes
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
+    node = spec.u_at(1500 // 41), spec.v_at(1500 % 41)
+    kernel = classify.point_kernel
+
+    def planted(*floats):
+        if (floats[0], floats[6]) == node:
+            raise ConsistencyError("planted paths disagree")
+        return kernel(*floats)
+
+    monkeypatch.setattr(classify, "point_kernel", planted)
+    samples = tmp_path / "samples.csv"
+    export_samples_csv(sample_values(make_explicit("u", "v"), spec),
+                       str(samples))
+    surface = ["--f", "u", "--g", "v", "--nu", "41", "--nv", "41"]
+    forks = _forks(monkeypatch)
+    for jobs in (1, 2):
+        _cores(monkeypatch, jobs)
+        for argv in (["grid", *surface], ["ingest", str(samples)],
+                     ["classify", *surface]):
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+            assert capsys.readouterr().err == (
+                "error: planted paths disagree\n")
+            _no_child_left()
+    assert len(forks) == 3
 
 
 def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,

@@ -499,6 +499,32 @@ def test_non_finite_values_are_flagged_not_returned(f, g, center_flag):
     assert all(math.isnan(r.K) for r in result.rows)
 
 
+def test_nodes_make_only_the_coordinates_of_their_nodes(monkeypatch):
+    u_at, v_at = GridSpec.u_at, GridSpec.v_at
+    calls = {u_at: 0, v_at: 0}
+
+    def counted(at):
+        def count(spec, k):
+            calls[at] += 1
+            return at(spec, k)
+        return count
+
+    monkeypatch.setattr(GridSpec, "u_at", counted(u_at))
+    monkeypatch.setattr(GridSpec, "v_at", counted(v_at))
+    # one chunk of a thin grid costs its own nodes, not a whole axis
+    thin = GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 10**6)
+    assert list(thin.nodes(0, 1024)) == [(0, j, -1.0, v_at(thin, j))
+                                         for j in range(1024)]
+    assert calls == {u_at: 1, v_at: 1024}
+    # ranges within a row, across rows, over whole rows and empty
+    spec = GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 4)
+    for start, stop in ((0, 20), (0, 3), (2, 7), (3, 13), (5, 9), (7, 7),
+                        (19, 20), (20, 20)):
+        assert list(spec.nodes(start, stop)) == [
+            (k // 4, k % 4, u_at(spec, k // 4), v_at(spec, k % 4))
+            for k in range(start, stop)]
+
+
 def test_rows_between_split_the_node_order():
     patch = make_explicit("u^3", "0-v^3+0*log(u+1)")
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 4)
