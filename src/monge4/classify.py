@@ -17,13 +17,15 @@ from __future__ import annotations
 import json
 import math
 from itertools import islice
+from math import isfinite
+from operator import truediv
 from typing import NamedTuple
 
 from . import jet
 from .expr import Profile, compile_profile
 from .forms import SecondForm
-from .invariants import (InvariantSet, _check, _larger, mean_frame,
-                         point_kernel, require_finite)
+from .invariants import (CHECK_TOL, ConsistencyError, InvariantSet, _check,
+                         _larger, mean_frame, point_kernel, require_finite)
 from .patch import MongePatch, jet_floats, make_translation, profile_at
 from .record import Record
 
@@ -59,7 +61,9 @@ def chen_residual(sf: SecondForm) -> float:
     across = _combine(H2, h1, -H1, h2)
     traced = (along[0] * across[0] + 2.0 * along[1] * across[1]
               + along[2] * across[2])
-    _check("chen residual paths", expansion, traced)
+    x, y = abs(expansion), abs(traced)  # relative_gap, written out
+    if abs(expansion - traced) / (1.0 + (y if y > x else x)) > CHECK_TOL:
+        _check("chen residual paths", expansion, traced)
     return expansion
 
 
@@ -298,14 +302,48 @@ class Row(NamedTuple):
     flag: str = ""
 
 
+def _part(patch: MongePatch, k: int, part, x: float):
+    """part(x), a u part at k = 0 or a v part at k = 2 of the patch's
+    split kernel, where x is within the domain there and part does not
+    raise; else None."""
+    if patch.within(k, x):
+        try:
+            return part(x)
+        except jet.DomainError:
+            pass
+    return None
+
+
 def exact_jets(patch: MongePatch, nodes):
     """The exact node source: (u, v, jets) of each node (i, j, u, v), the
-    jets being jet_floats there or the DomainError that it raised."""
-    for *_, u, v in nodes:
-        try:
-            jets = jet_floats(patch, u, v)
-        except jet.DomainError as err:
-            jets = err
+    jets being jet_floats there or the DomainError that it raised.
+
+    The split kernel's u part runs once per row of nodes and its v part
+    once per column, keyed by the coordinate object and by j: equal
+    floats such as 0.0 and -0.0 can have different jets.  A node where a
+    part is None, or its mixing part raises, is run through jet_floats,
+    whose DomainError names the statement that fails first.
+    """
+    u_part, v_part, mixing = patch.kernel.split
+    row = U = None
+    columns = {}  # j: (v, the v part at v)
+    for _, j, u, v in nodes:
+        if u is not row:
+            row, U = u, _part(patch, 0, u_part, u)
+        column = columns.get(j)
+        if column is None or column[0] is not v:
+            column = columns[j] = v, _part(patch, 2, v_part, v)
+        jets = None
+        if U is not None and column[1] is not None:
+            try:
+                jets = mixing(U, column[1])
+            except jet.DomainError:
+                pass
+        if jets is None:
+            try:
+                jets = jet_floats(patch, u, v)
+            except jet.DomainError as err:
+                jets = err
         yield u, v, jets
 
 
@@ -313,20 +351,24 @@ def node_rows(source):
     """The one per-node body: (Row, SecondForm) of each (u, v, jets) of a
     node source, the jets being twelve floats, or a flag or DomainError.  A
     node without jets, or whose point_kernel or residuals fail, gives a
-    flagged Row and None; a ConsistencyError is raised."""
+    flagged Row and None; a ConsistencyError is raised, its message
+    ending in the node's " at (u, v)"."""
     for u, v, jets in source:
         if jets.__class__ is tuple:
             try:
                 ff, _, sf, inv = point_kernel(*jets)
-                residuals = chen_residual(sf), wintgen_deficit(inv)
-                require_finite("predicate residuals", residuals)
+                chen, wintgen = chen_residual(sf), wintgen_deficit(inv)
+                if not isfinite(chen + wintgen):
+                    require_finite("predicate residuals", (chen, wintgen))
             except OverflowError:  # the residuals' (point_kernel has none)
                 jets = jet.DomainError("predicate residuals overflowed")
             except jet.DomainError as err:
                 jets = err
+            except ConsistencyError as err:
+                raise ConsistencyError(f"{err} at ({u!r}, {v!r})") from None
             else:
                 yield jet._new(Row, (u, v, ff.E, ff.F, ff.G, ff.W2, *inv,
-                                     *residuals, "")), sf
+                                     chen, wintgen, "")), sf
                 continue
         flag = jets if jets.__class__ is str else f"domain-error: {jets}"
         yield Row(u, v, flag=flag), None
@@ -364,39 +406,56 @@ class ClassifyFold:
 
     def add(self, nodes) -> None:
         """Take in the nodes (i, j, u, v); a ConsistencyError is raised."""
-        patch, raw, normalized, profile = (self.patch, self.raw,
-                                           self.normalized, self.profile)
+        patch, profile = self.patch, self.profile
         failed, rank = self.failed, self.rank
         aminov = patch.family == "aminov"
-        profile_us = set()
+        row_u = None
+        kept = []  # the residuals and scale of each node of a grid row
         for row, sf in node_rows(exact_jets(patch, nodes)):
             if sf is None:
                 failed += 1
                 continue
             K, KN = abs(row.K), abs(row.KN)
-            # wintgen_deficit squared Hnorm without overflow, so this is finite
-            scale = 1.0 + _larger(_larger(K, KN), row.Hnorm ** 2)
-            residuals = (row.Hnorm, abs(row.chen), abs(row.wintgen),
-                         pseudo_umbilical_residual(sf), _larger(K, KN),
-                         abs(row.K + row.KN))
-            if not all(map(math.isfinite, residuals)):
+            larger = _larger(K, KN)
+            # the six residuals and the scale that normalizes them; the
+            # wintgen_deficit squared Hnorm without overflow, so the scale
+            # is finite
+            node = (row.Hnorm, abs(row.chen), abs(row.wintgen),
+                    pseudo_umbilical_residual(sf), larger,
+                    abs(row.K + row.KN), 1.0 + _larger(larger, row.Hnorm ** 2))
+            if not isfinite(sum(node)) and not all(map(isfinite, node)):
                 failed += 1
                 continue
-            for k, value in enumerate(residuals):
-                if value > raw[k]:
-                    raw[k] = value
-                if value / scale > normalized[k]:
-                    normalized[k] = value / scale
+            # a new grid row: the row before is folded in, and the profile,
+            # which depends on u alone, is evaluated once
+            if row.u is not row_u:
+                row_u = row.u
+                self._fold(kept)
+                kept = []
+                if aminov:
+                    r = profile_at(patch, row_u)
+                    profile[0] = max(profile[0], abs(k_plus_kn_residual(r)))
+                    profile[1] = max(profile[1],
+                                     abs(aminov_wintgen_residual(r)))
+            kept.append(node)
             # the rank only rises, and 2 is its largest value
             if rank < 2:
                 rank = max(rank, first_normal_rank(sf))
-            # the profile depends on u alone: one evaluation per grid row
-            if aminov and row.u not in profile_us:
-                profile_us.add(row.u)
-                r = profile_at(patch, row.u)
-                profile[0] = max(profile[0], abs(k_plus_kn_residual(r)))
-                profile[1] = max(profile[1], abs(aminov_wintgen_residual(r)))
+        self._fold(kept)
         self.failed, self.rank = failed, rank
+
+    def _fold(self, kept) -> None:
+        """Take in the largest raw and normalized residuals of the nodes
+        kept.  Every value is finite, non-negative and never -0.0, so the
+        builtin max picks what a strict > would."""
+        if not kept:
+            return
+        *columns, scales = zip(*kept)
+        raw, normalized = self.raw, self.normalized
+        for k, column in enumerate(columns):
+            raw[k] = max(raw[k], max(column))
+            normalized[k] = max(normalized[k],
+                                max(map(truediv, column, scales)))
 
     def report(self) -> str:
         """The state as text, for merge() in another process."""

@@ -18,9 +18,11 @@ Each AST node becomes six local float statements.  These are the only
 jet rules in the package: sum, product, quotient, the chain rule through
 jet's coefficient functions, and one power rule, exp(b log a) or a
 constant power, chosen at run time unless literals decide it.  Evaluating
-at a point then walks no AST and builds no jet.  The tests check the
-generated code, bit for bit and error for error, against a reference
-interpreter over Jet2 arithmetic kept with them.
+at a point then walks no AST and builds no jet.  A patch's kernel is also
+arranged as a u part, a v part and a mixing part (JetCode.split), so that
+a grid pays for what reads one coordinate once per row or column.  The
+tests check the generated code, bit for bit and error for error, against
+a reference interpreter over Jet2 arithmetic kept with them.
 """
 
 from __future__ import annotations
@@ -355,6 +357,10 @@ _KERNEL_GLOBALS = {
     **{"_" + fn: f for fn, f in jet._UNARY.items()}}
 KERNEL_NAMES = frozenset(_KERNEL_GLOBALS) - {"__builtins__"} | {"_fail"}
 GENERATED_NAME = re.compile(r"_[tf]\d+|_e")
+_LOCAL = re.compile(r"\b_t\d+\b")
+# JetCode.split's parts of a statement by what it reads: 0 neither, 1 u,
+# 2 v, 3 both; part 0 is the u part, 1 the v part, 2 the mixing part
+_PARTS = ((0, 1), (0,), (1,), (2,))
 
 
 class JetCode:
@@ -365,13 +371,16 @@ class JetCode:
     and the power functions) are the only statements that can raise;
     each has its own site, which turns the failure of a named elementary
     function into its DomainError (jet.unary_error) and attaches the
-    node's position to a DomainError.  build() compiles the functions
-    defined so far with a single compile().
+    node's position to a DomainError.  The statements of the function
+    being defined are kept (body), so that split() can arrange them
+    again.  build() compiles the functions defined so far with a single
+    compile().
     """
 
     def __init__(self):
         self.lines = []
         self.sites = []  # (unary function name or None, position) per call
+        self.body = []  # the statements of the function being defined
         self.count = 0
         self.functions = 0
         self.depth = 1  # indentation level of emitted statements
@@ -380,8 +389,16 @@ class JetCode:
         self.count += 1
         return f"_t{self.count - 1}"
 
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.depth + line)
+    def emit(self, *lines: str, continues: bool = False) -> None:
+        """Emit a statement of one or more lines.  A statement nested in an
+        if block (depth > 1), or one that `continues` the statement before
+        it, is part of that statement."""
+        lines = ["    " * self.depth + line for line in lines]
+        self.lines += lines
+        if continues or self.depth > 1:
+            self.body[-1] += lines
+        else:
+            self.body.append(lines)
 
     def let(self, expression: str) -> str:
         name = self._local()
@@ -390,15 +407,71 @@ class JetCode:
 
     def define(self, nparams: int):
         """Start a function of nparams floats; returns its name and parameters."""
+        params = tuple(self._local() for _ in range(nparams))
+        return self._def(params), params
+
+    def _def(self, params) -> str:
         name = f"_f{self.functions}"
         self.functions += 1
-        params = tuple(self._local() for _ in range(nparams))
         self.lines.append(f"def {name}({', '.join(params)}):")
-        return name, params
+        self.body = []
+        return name
 
     def finish(self, *jets) -> None:
         """Return the operands of `jets` from the function being defined."""
-        self.emit(f"return ({', '.join(x for j in jets for x in j)},)")
+        self._return([x for j in jets for x in j])
+
+    def _return(self, operands) -> None:
+        self.lines.append(f"    return ({', '.join(operands)},)" if operands
+                          else "    return ()")
+
+    def split(self, u: str, v: str, *jets) -> tuple:
+        """Define the function just finished, of the parameters u and v and
+        returning the operands of `jets`, again as three functions: a u
+        part, a v part and a mixing part.  Returns their names.
+
+        A statement reads u, v, both or neither, through the locals it
+        reads, and its locals read what it reads.  The u part, of u, runs
+        the statements that read u or neither; the v part, of v, those
+        that read v or neither; each returns a tuple of the locals of its
+        statements (and its parameter) that the mixing part reads.  The
+        mixing part, of those two tuples, runs the statements that read
+        both and returns the operands.  The parts hold the function's own
+        statements in its order, so mixing(u_part(u), v_part(v)) gives
+        its floats bit for bit, and raises wherever it raises, though
+        perhaps at another statement first.
+        """
+        reads = {u: 1, v: 2}  # bit 1 for u, bit 2 for v
+        parts = ([], [], [])  # the u, v and mixing parts' statements
+        for statement in self.body:
+            names = _LOCAL.findall("\n".join(statement))
+            mask = 0
+            for name in names:
+                mask |= reads.get(name, 0)
+            for name in names:  # what it assigns reads what it reads
+                reads.setdefault(name, mask)
+            for k in _PARTS[mask]:
+                parts[k].append(statement)
+        mixing = [line for statement in parts[2] for line in statement]
+        operands = [x for j in jets for x in j]
+        # the locals of the u (0) or v (1) part that the mixing part reads
+        taken = ([], [])
+        for name in dict.fromkeys(_LOCAL.findall("\n".join(mixing + operands))):
+            if reads[name] < 3:
+                taken[reads[name] >> 1].append(name)
+        names = []
+        for k, param in enumerate((u, v)):
+            names.append(self._def((param,)))
+            self.lines += (line for statement in parts[k] for line in statement)
+            self._return(taken[k])
+        halves = self._local(), self._local()
+        names.append(self._def(halves))
+        for half, locals_ in zip(halves, taken):
+            if locals_:
+                self.lines.append(f"    {', '.join(locals_)}, = {half}")
+        self.lines += mixing
+        self._return(operands)
+        return tuple(names)
 
     def apply(self, function: str, args) -> tuple:
         """Call a generated function that returns one jet."""
@@ -411,10 +484,8 @@ class JetCode:
         k = len(self.sites)
         self.sites.append(site)
         names = tuple(self._local() for _ in range(n))
-        self.emit("try:")
-        self.emit(f"    {', '.join(names)} = {call}")
-        self.emit("except _errors as _e:")
-        self.emit(f"    raise _fail(_e, {k}, {x})")
+        self.emit("try:", f"    {', '.join(names)} = {call}",
+                  "except _errors as _e:", f"    raise _fail(_e, {k}, {x})")
         return names
 
     def jet(self, node, bound: dict) -> tuple:
@@ -501,9 +572,10 @@ class JetCode:
         if len(literals) == 5:
             return self._constant_power(a, b, position)
         out = tuple(self._local() for _ in range(6))
+        # the if block is one statement
         for head, rule in ((f"if {' or '.join(b[1:])}:", self._varying_power),
                            ("else:", self._constant_power)):
-            self.emit(head)
+            self.emit(head, continues=head == "else:")
             self.depth += 1
             # rule emits its statements before this line is emitted
             self.emit(f"{', '.join(out)} = {', '.join(rule(a, b, position))}")

@@ -15,6 +15,7 @@ forms.normal_frame fix the sign of K_N.  Swapping the graph functions
 from __future__ import annotations
 
 import math
+from math import isfinite
 from typing import NamedTuple
 
 from . import jet
@@ -38,11 +39,18 @@ def _larger(a, b):
 
 
 def relative_gap(a: float, b: float) -> float:
-    """|a - b| scaled so the gap stays meaningful near zero."""
+    """|a - b| scaled so the gap stays meaningful near zero.
+
+    point_kernel and classify.chen_residual write this formula out
+    inline, as abs(a - b) / (1.0 + (y if y > x else x)) with x = abs(a)
+    and y = abs(b), and call _check only where that exceeds CHECK_TOL.
+    """
     return abs(a - b) / (1.0 + _larger(abs(a), abs(b)))
 
 
 def _check(name: str, a: float, b: float) -> None:
+    """ConsistencyError if the relative gap of a and b exceeds CHECK_TOL;
+    a NaN gap never does."""
     if relative_gap(a, b) > CHECK_TOL:
         raise ConsistencyError(f"{name} disagree: {a!r} vs {b!r}")
 
@@ -144,9 +152,12 @@ def require_finite(what: str, values: tuple) -> None:
     """DomainError unless every value is finite.
 
     The dual-path checks cannot catch NaN (relative_gap(nan, nan) > tol
-    is False), so non-finite values are stopped here instead.
+    is False), so non-finite values are stopped here instead.  A value
+    that is not finite makes the sum not finite, so the values are tested
+    one by one only where the sum is not finite (finite values may
+    overflow it).
     """
-    if not all(map(math.isfinite, values)):
+    if not isfinite(sum(values)) and not all(map(isfinite, values)):
         raise jet.DomainError(f"non-finite {what}")
 
 
@@ -157,12 +168,15 @@ def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
 
     It runs the stage formulas above in the order of first_form,
     normal_frame, second_form, gauss_curvature, normal_torsion and
-    mean_curvature with their checks, taking W and sqrt(A) once.
-    Non-finite data, invariants or W2 (a square that overflowed) is a
-    DomainError.
+    mean_curvature with their checks, taking W and sqrt(A) once; each
+    check and require_finite is written out to test its sum or gaps in
+    one pass, and is called only where that fails.  Non-finite data,
+    invariants or W2 (a square that overflowed) is a DomainError.
     """
-    require_finite("jets", (f0, fu, fv, fuu, fuv, fvv,
-                            g0, gu, gv, guu, guv, gvv))
+    if not isfinite(f0 + fu + fv + fuu + fuv + fvv
+                    + g0 + gu + gv + guu + guv + gvv):
+        require_finite("jets", (f0, fu, fv, fuu, fuv, fvv,
+                                g0, gu, gv, guu, guv, gvv))
     try:
         ff = metric(fu, fv, gu, gv)
         E, F, G, W2, A, B, C = ff
@@ -175,19 +189,27 @@ def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
         h2 = h_from_c(c2, E, F, W, W2)
         K_frame = gauss_frame(c1, c2, W2)
         K = gauss_coord(fuu, fuv, fvv, guu, guv, gvv, A, B, C, W2)
-        _check("gauss curvature paths", K, K_frame)
+        x, y = abs(K), abs(K_frame)
+        if abs(K - K_frame) / (1.0 + (y if y > x else x)) > CHECK_TOL:
+            _check("gauss curvature paths", K, K_frame)
         KN_frame = torsion_frame(c1, c2, E, F, G, W2)
         KN = torsion_coord(fuu, fuv, fvv, guu, guv, gvv, E, F, G, W2)
-        _check("normal torsion paths", KN, KN_frame)
+        x, y = abs(KN), abs(KN_frame)
+        if abs(KN - KN_frame) / (1.0 + (y if y > x else x)) > CHECK_TOL:
+            _check("normal torsion paths", KN, KN_frame)
         H1_frame, H2_frame = mean_frame(h1, h2)
         H1, H2 = mean_coord(fuu, fuv, fvv, guu, guv, gvv, E, F, G, W2, A, B,
                             W, sqrt_A)
-        _check("mean curvature H1 paths", H1, H1_frame)
-        _check("mean curvature H2 paths", H2, H2_frame)
+        x, y, z, w = abs(H1), abs(H1_frame), abs(H2), abs(H2_frame)
+        if (abs(H1 - H1_frame) / (1.0 + (y if y > x else x)) > CHECK_TOL
+                or abs(H2 - H2_frame) / (1.0 + (w if w > z else z)) > CHECK_TOL):
+            _check("mean curvature H1 paths", H1, H1_frame)
+            _check("mean curvature H2 paths", H2, H2_frame)
         Hnorm = math.hypot(H1, H2)
     except OverflowError:
         raise jet.DomainError("invariants overflowed") from None
-    require_finite("invariants", (K, KN, H1, H2, Hnorm))
+    if not isfinite(K + KN + H1 + H2 + Hnorm):
+        require_finite("invariants", (K, KN, H1, H2, Hnorm))
     # inf or nan where a square overflowed; W2 bounds E, F, G, A, B and C
     if not W2 < math.inf:
         raise jet.DomainError("non-finite metric")

@@ -43,13 +43,19 @@ class PatchJets(NamedTuple):
 class PatchKernel(NamedTuple):
     """A patch's generated code, compiled once when the patch is made.
 
-    jets maps (u, v) to the twelve floats of the f and g jets.  fields
-    maps each one-variable expression of an aminov or translation patch
-    to its function of a seed jet (six floats), which jets calls too.
-    source is the generated Python text (see expr.KERNEL_NAMES).
+    jets maps (u, v) to the twelve floats of the f and g jets; it is the
+    kernel of a single point, and the authority on errors.  split is the
+    same statements as three functions (JetCode.split): a u part, a v
+    part and a mixing part, mixing(u_part(u), v_part(v)) being jets(u, v)
+    bit for bit wherever neither raises, so a grid runs each part once
+    per row or column.  fields maps each one-variable expression of an
+    aminov or translation patch to its function of a seed jet (six
+    floats), which jets calls too.  source is the generated Python text
+    (see expr.KERNEL_NAMES).
     """
 
     jets: Callable
+    split: tuple
     fields: dict
     source: str
 
@@ -76,8 +82,9 @@ def _compile(family: str, exprs: dict) -> PatchKernel:
     else:
         f, g = (code.jet(ast, {"u": U, "v": V}) for ast in asts.values())
     code.finish(f, g)
+    split = code.split(u, v, f, g)
     namespace = code.build()
-    return PatchKernel(namespace[fname],
+    return PatchKernel(namespace[fname], tuple(map(namespace.get, split)),
                        {name: namespace[f] for name, f in fields.items()},
                        code.source())
 
@@ -91,14 +98,14 @@ class MongePatch(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def in_domain(self, u: float, v: float) -> bool:
-        if self.domain is None:
-            return True
-        u0, u1, v0, v1 = self.domain
-        if u0 is not None and not (u0 <= u <= u1):
-            return False
-        if v0 is not None and not (v0 <= v <= v1):
-            return False
-        return True
+        return self.within(0, u) and self.within(2, v)
+
+    def within(self, k: int, x: float) -> bool:
+        """Whether x lies in the domain's range of entries k and k + 1: the
+        half of in_domain for u at k = 0, for v at k = 2."""
+        domain = self.domain
+        return (domain is None or domain[k] is None
+                or domain[k] <= x <= domain[k + 1])
 
 
 def _check_domain(domain):

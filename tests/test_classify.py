@@ -4,18 +4,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monge4 import jet
+from monge4 import classify, invariants, jet
 from monge4.classify import (ClassifyFold, aminov_wintgen_residual,
-                             chen_residual, classify_surface, first_normal_rank,
-                             integrate_profile_ode, k_plus_kn_residual,
-                             minimal_aminov_profile,
+                             chen_residual, classify_surface, exact_jets,
+                             first_normal_rank, integrate_profile_ode,
+                             k_plus_kn_residual, minimal_aminov_profile,
                              minimal_translation_family, minimality_residual,
-                             pseudo_umbilical_residual, report_to_json,
-                             same_sign_aminov_profile, wintgen_deficit)
+                             node_rows, pseudo_umbilical_residual,
+                             report_to_json, same_sign_aminov_profile,
+                             wintgen_deficit)
 from monge4.expr import profile_eval
 from monge4.forms import SecondForm
 from monge4.grid import GridSpec, sample_grid
-from monge4.invariants import ConsistencyError, invariants_at, point_data
+from monge4.invariants import (CHECK_TOL, ConsistencyError, invariants_at,
+                               point_data, relative_gap)
 from monge4.patch import (eval_patch, make_aminov, make_explicit, make_gradient,
                           make_translation, profile_at)
 from shape_reference import (chen_paths_disagree, chen_traced, normal_rank,
@@ -349,3 +351,109 @@ def test_fold_merged_from_pieces_is_the_whole_fold(patch, spec):
     assert merged.report() == whole.report()
     assert (repr(merged.classification(spec, 1e-8))
             == repr(classify_surface(patch, spec)))
+
+
+# node_rows' guards on crafted jets, and the fold against its strict > form
+
+_PLANE = (0.0, 0.3, -0.2, 1.0, 0.5, -1.0, 0.0, 0.1, 0.4, -0.5, 2.0, 0.25)
+
+
+def _body(*jets):
+    """The flag, or the Row's invariants, of one node at (0.5, -0.25)."""
+    [(row, _)] = node_rows([(0.5, -0.25, tuple(jets))])
+    return row.flag or row[2:13]
+
+
+def test_node_rows_guards_test_sums_in_one_pass():
+    # finite jets whose sum overflows are not flagged
+    big = (1e308, *_PLANE[1:6], 1e308, *_PLANE[7:])
+    assert _body(*big) == _body(*_PLANE)
+    for bad in (math.inf, -math.inf, math.nan):
+        assert _body(*big[:11], bad) == "domain-error: non-finite jets"
+        assert _body(bad, *big[1:]) == "domain-error: non-finite jets"
+
+
+def test_chen_check_nan_gap_never_fires(monkeypatch):
+    monkeypatch.setattr(classify, "_combine", lambda *args: (math.nan,) * 3)
+    assert not isinstance(_body(*_PLANE), str)
+
+
+def _node_error(monkeypatch, shifted):
+    for module, name in shifted:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, f=original: f(*a) + 1.0)
+    with pytest.raises(ConsistencyError) as err:
+        _body(*_PLANE)
+    return str(err.value)
+
+
+def test_chen_check_comes_after_the_invariant_checks(monkeypatch):
+    # a constant frame-rotated operator moves the traced chen path
+    monkeypatch.setattr(classify, "_combine", lambda *args: (1.0, 2.0, 3.0))
+    assert _node_error(monkeypatch, ()).startswith(
+        "chen residual paths disagree: ")
+    assert _node_error(monkeypatch, [(invariants, "gauss_coord")]).startswith(
+        "gauss curvature paths disagree: ")
+
+
+@pytest.mark.parametrize("shift", [0.5, 0.999, 1.001, 1.5, 1.999, 3.0])
+def test_chen_check_fires_as_relative_gap_does(monkeypatch, shift):
+    sf = second_at(make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"), 0.3, -0.4)
+    expansion = chen_residual(sf)
+    traced = expansion + shift * CHECK_TOL * (1.0 + abs(expansion))
+    # along = (traced, 0, 0) and across = (1, 0, 0) trace to traced
+    combined = iter([(traced, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    monkeypatch.setattr(classify, "_combine", lambda *args: next(combined))
+    if relative_gap(expansion, traced) > CHECK_TOL:
+        with pytest.raises(ConsistencyError, match="^chen residual paths"):
+            chen_residual(sf)
+    else:
+        assert chen_residual(sf) == expansion
+
+
+def test_consistency_error_names_its_node(monkeypatch):
+    message = _node_error(monkeypatch, [(invariants, "torsion_coord")])
+    assert message.startswith("normal torsion paths disagree: ")
+    assert message.endswith(" at (0.5, -0.25)")
+    assert message.count(" at (") == 1
+
+
+def _strict_fold(patch, nodes):
+    """ClassifyFold.add's raw and normalized residuals as a strict > loop
+    over node_rows, as it was written before the max reduction."""
+    raw, normalized, failed = [0.0] * 6, [0.0] * 6, 0
+    for row, sf in node_rows(exact_jets(patch, nodes)):
+        if sf is None:
+            failed += 1
+            continue
+        K, KN = abs(row.K), abs(row.KN)
+        scale = 1.0 + max(max(K, KN), row.Hnorm ** 2)
+        residuals = (row.Hnorm, abs(row.chen), abs(row.wintgen),
+                     pseudo_umbilical_residual(sf), max(K, KN),
+                     abs(row.K + row.KN))
+        if not all(map(math.isfinite, residuals)):
+            failed += 1
+            continue
+        for k, value in enumerate(residuals):
+            if value > raw[k]:
+                raw[k] = value
+            if value / scale > normalized[k]:
+                normalized[k] = value / scale
+    return raw, normalized, failed
+
+
+@pytest.mark.parametrize("patch, spec", [
+    (make_aminov("0.8*u^2+2", (0.2, 1.5)), GridSpec(0.2, 1.5, 0.0, 6.3, 15, 13)),
+    (make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"),
+     GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 19)),
+    (make_explicit("u*log(v+1)", "u"), GridSpec(-1.0, 1.0, -1.0, 1.0, 8, 9)),
+    (make_explicit("u^2", "0"), GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)),
+    (make_translation("sin(u)", "u^2", "log(v+2)", "v^3"),
+     GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 300)),
+])
+def test_fold_reduction_is_the_strict_loop(patch, spec):
+    fold = ClassifyFold(patch)
+    fold.add(spec.points())
+    assert (fold.raw, fold.normalized, fold.failed) == _strict_fold(
+        patch, spec.points())

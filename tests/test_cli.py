@@ -957,8 +957,10 @@ def test_grid_ingest_and_classify_share_one_body(tmp_path, capsys,
         for argv in (["grid", *surface], ["ingest", str(samples)],
                      ["classify", *surface]):
             assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+            # the body names the node once, from either source
             assert capsys.readouterr().err == (
-                "error: planted paths disagree\n")
+                f"error: planted paths disagree at ({node[0]!r}, "
+                f"{node[1]!r})\n")
             _no_child_left()
     assert len(forks) == 3
 

@@ -3,13 +3,13 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monge4 import jet
+from monge4 import invariants as invariants_module, jet
 from monge4.forms import first_form, normal_frame, rotate_normal_frame, second_form
-from monge4.invariants import (ConsistencyError, InvariantSet, PointData,
-                               aminov_closed_forms, gauss_curvature,
+from monge4.invariants import (CHECK_TOL, ConsistencyError, InvariantSet,
+                               PointData, aminov_closed_forms, gauss_curvature,
                                invariants_at, mean_curvature, normal_torsion,
-                               point_data, relative_gap, require_finite,
-                               translation_closed_forms)
+                               point_data, point_kernel, relative_gap,
+                               require_finite, translation_closed_forms)
 from monge4.patch import (PatchJets, eval_patch, make_aminov, make_explicit,
                           make_gradient, make_translation, profile_at)
 
@@ -322,3 +322,119 @@ def test_fused_point_data_matches_stage_functions(values):
     jets = PatchJets(jet.Jet2(*values[:6]), jet.Jet2(*values[6:]))
     assert (_point_outcome(point_data, jets)
             == _point_outcome(staged_point_data, jets))
+
+
+# point_kernel's guards test a sum, or the gaps of a check, in one pass,
+# and call require_finite or _check only where that fails
+
+_PLANE = (0.0, 0.3, -0.2, 1.0, 0.5, -1.0, 0.0, 0.1, 0.4, -0.5, 2.0, 0.25)
+
+
+def test_finite_jets_whose_sum_overflows_are_not_flagged():
+    # f and g values take no part in the invariants
+    jets = (1e308, *_PLANE[1:6], 1e308, *_PLANE[7:])
+    assert math.isinf(sum(jets))
+    assert point_kernel(*jets)[3] == point_kernel(*_PLANE)[3]
+    big = tuple(1e308 if k in (0, 6) else x for k, x in enumerate(_PLANE))
+    require_finite("jets", big + (-1e308, 1e308))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("k", [0, 5, 11])
+def test_non_finite_jets_are_flagged_beside_overflowing_ones(bad, k):
+    jets = [1e308, *_PLANE[1:6], 1e308, *_PLANE[7:]]
+    jets[k] = bad
+    with pytest.raises(jet.DomainError, match="^non-finite jets$"):
+        point_kernel(*jets)
+    with pytest.raises(jet.DomainError, match="^non-finite values$"):
+        require_finite("values", (1e308, 1e308, bad))
+
+
+_PATHS = {"gauss_coord": "gauss curvature paths",
+          "torsion_coord": "normal torsion paths",
+          "mean_coord": "mean curvature H1 paths|mean curvature H2 paths"}
+
+
+def _shifted(monkeypatch, name, shift):
+    """Make invariants.name return its value moved by shift (each
+    component of a pair)."""
+    original = getattr(invariants_module, name)
+
+    def moved(*args):
+        value = original(*args)
+        if isinstance(value, tuple):
+            return tuple(shift(x) for x in value)
+        return shift(value)
+
+    monkeypatch.setattr(invariants_module, name, moved)
+
+
+@pytest.mark.parametrize("name", list(_PATHS))
+def test_a_nan_gap_never_fires(monkeypatch, name):
+    _shifted(monkeypatch, name, lambda x: math.nan)
+    with pytest.raises(jet.DomainError, match="^non-finite invariants$"):
+        point_kernel(*_PLANE)
+
+
+@pytest.mark.parametrize("names, message", [
+    (("gauss_coord", "torsion_coord"), "gauss curvature paths"),
+    (("gauss_coord", "mean_coord"), "gauss curvature paths"),
+    (("torsion_coord", "mean_coord"), "normal torsion paths"),
+    (("mean_coord",), "mean curvature H1 paths"),
+])
+def test_the_first_check_in_order_names_the_message(monkeypatch, names,
+                                                    message):
+    for name in names:
+        _shifted(monkeypatch, name, lambda x: x + 1.0)
+    with pytest.raises(ConsistencyError, match=f"^{message} disagree: "):
+        point_kernel(*_PLANE)
+
+
+def test_h2_check_fires_alone(monkeypatch):
+    original = invariants_module.mean_coord
+    monkeypatch.setattr(invariants_module, "mean_coord",
+                        lambda *a: (original(*a)[0], original(*a)[1] + 1.0))
+    with pytest.raises(ConsistencyError,
+                       match="^mean curvature H2 paths disagree: "):
+        point_kernel(*_PLANE)
+
+
+_gap_shift = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.floats(-1e-9, 1e-9),
+                       st.sampled_from([1e-10, -1e-10, 2e-10, 0.0, -0.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_PATHS)), _gap_shift, _gap_shift)
+def test_written_out_checks_fire_as_relative_gap_does(name, a, b):
+    # the coordinate path returns the frame path's value moved by a
+    # relative amount near the tolerance: a check fires exactly where
+    # relative_gap exceeds CHECK_TOL, naming the first such pair
+    frame_name = name.replace("coord", "frame")
+    frame = getattr(invariants_module, frame_name)
+    frames = []
+
+    def recorded(*args):
+        frames.append(frame(*args))
+        return frames[-1]
+
+    def moved(*args):
+        if isinstance(frames[-1], tuple):
+            return tuple(x * (1.0 + a) + b for x in frames[-1])
+        return frames[-1] * (1.0 + a) + b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants_module, frame_name, recorded)
+        mp.setattr(invariants_module, name, moved)
+        try:
+            point_kernel(*_PLANE)
+            fired = None
+        except ConsistencyError as err:
+            fired = str(err)
+        except jet.DomainError:  # non-finite invariants, no check fired
+            fired = None
+    pairs = zip(_PATHS[name].split("|"), *(
+        (x,) if not isinstance(x, tuple) else x for x in (moved(), frames[-1])))
+    assert fired == next((f"{what} disagree: {x!r} vs {y!r}"
+                          for what, x, y in pairs
+                          if relative_gap(x, y) > CHECK_TOL), None)
