@@ -73,13 +73,13 @@ def wintgen_deficit(inv: InvariantSet) -> float:
 
 
 def aminov_wintgen_residual(r: jet.Jet1) -> float:
-    """Polynomial form of the Wintgen equality for radial profiles."""
+    """The Wintgen equality for radial profiles, |g r'' + e r| - 2 e |r'|
+    with e = 1 + r'^2 and g = 1 + r^2: the surface's wintgen_deficit is
+    -(this)^2 / (4 g^2 e^3), for either sign of K_N."""
     rv, rp, rpp = r.val, r.d1, r.d2
     e = 1.0 + rp * rp
     g = 1.0 + rv * rv
-    return (2.0 * rpp * g * e * (2.0 * rp - rv)
-            + e * e * (4.0 * rv * rp - 4.0 * rp * rp - rv * rv)
-            - rpp * rpp * g * g)
+    return abs(g * rpp + e * rv) - 2.0 * e * abs(rp)
 
 
 def k_plus_kn_residual(r: jet.Jet1) -> float:

@@ -414,6 +414,41 @@ def _text_cell(text: str) -> str:
     return text
 
 
+def _cell_lines(rows):
+    """The CSV lines of rows of any shape, one cell at a time: str cells
+    quoted as needed, any other cell as its repr."""
+    return "".join(",".join(_text_cell(c) if isinstance(c, str) else repr(c)
+                            for c in row) + "\n" for row in rows)
+
+
+# a result line: the text of u and of v, each with its comma, the eleven
+# values (repr, as _cell_lines writes them) and the flag as _text_cell has it
+_RESULT_LINE = "%s%s" + "%r," * 11 + "%s\n"
+
+
+def _result_lines(rows):
+    """The CSV lines of Rows (RESULT_HEADER: floats, then a str flag), as
+    _cell_lines writes them, with one format per line.  The text of u is
+    made once per u object and of v once per v object, keyed by identity,
+    not by value: 0.0 == -0.0, but their text differs.  Each v is held
+    while its id is a key, so that no other object can take that id."""
+    u_of = u_text = None
+    v_texts = {}  # id(v): the text of v and its comma
+    held = []  # the v objects whose ids key v_texts
+    lines = []
+    for u, v, E, F, G, W2, K, KN, H1, H2, Hnorm, chen, wintgen, flag in rows:
+        if u is not u_of:
+            u_of, u_text = u, repr(u) + ","
+        v_text = v_texts.get(id(v))
+        if v_text is None:
+            v_text = v_texts[id(v)] = repr(v) + ","
+            held.append(v)
+        lines.append(_RESULT_LINE % (u_text, v_text, E, F, G, W2, K, KN, H1,
+                                     H2, Hnorm, chen, wintgen,
+                                     _text_cell(flag) if flag else flag))
+    return "".join(lines)
+
+
 def _row_pieces(fmt: str, header, rows):
     """The text of some rows of a table in fmt, in pieces.  "csv": lines
     of floats as shortest round-trip decimals and quoted text, CHUNK_ROWS
@@ -423,10 +458,8 @@ def _row_pieces(fmt: str, header, rows):
     after ",\n"."""
     rows = iter(rows)
     if fmt == "csv":
-        while chunk := "".join(
-                ",".join(_text_cell(c) if isinstance(c, str) else repr(c)
-                         for c in row) + "\n"
-                for row in islice(rows, CHUNK_ROWS)):
+        lines = _result_lines if header is RESULT_HEADER else _cell_lines
+        while chunk := lines(islice(rows, CHUNK_ROWS)):
             yield chunk
         return
     encode = json.JSONEncoder(indent=2).encode
@@ -527,10 +560,29 @@ def _serve(fd: int, chunks, render, report) -> None:
         _send(fd, _ERROR, f"{type(err).__name__}\n{err}")
 
 
+# the size asked of a worker's pipe: a CSV chunk (about 250 KB) or a JSON
+# chunk (about 430 KB) fits whole, so a worker sends it in one write and
+# goes on to its next chunk while the parent makes its own.  1 MiB is
+# Linux's default limit for an unprivileged process (pipe-max-size).
+PIPE_BYTES = 1 << 20
+
+
+def _widen(fd: int) -> None:
+    """Ask for a pipe of PIPE_BYTES at fd; where the system has no such
+    request or refuses it, the pipe keeps its default size.  fcntl is
+    imported here, so a command that never forks does not load it."""
+    try:
+        import fcntl
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass
+
+
 def _fork(first: int, count: int, jobs: int, render, report, children):
     """A child that makes chunks first, first + jobs, ... of count and
     sends them through a new pipe: its pid and the pipe's read end."""
     r, w = os.pipe()
+    _widen(w)
     try:
         pid = os.fork()
     except OSError:

@@ -59,10 +59,29 @@ def test_wintgen_deficit_values():
 
 
 def test_aminov_wintgen_polynomial_channel():
-    assert abs(aminov_wintgen_residual(jet.Jet1(1.0, 1.0, 0.0)) + 4.0) < 1e-14
-    p = make_aminov("exp(u)", (-1.0, 1.0))
-    for u in (-0.5, 0.0, 0.8):
-        assert abs(aminov_wintgen_residual(profile_at(p, u))) < 1e-12
+    # the linear form |g r'' + e r| - 2 e |r'|: |0 + 2| - 4 at (1, 1, 0),
+    # where the squared polynomial it replaced gave -4.0
+    assert aminov_wintgen_residual(jet.Jet1(1.0, 1.0, 0.0)) == -2.0
+    # both mirror images u -> -u of a Wintgen ideal profile, for either
+    # sign of r'; the squared polynomial read 8320.2 over exp(-u)
+    for profile in ("exp(u)", "exp(-u)"):
+        p = make_aminov(profile, (-1.0, 1.0))
+        for u in (-0.5, 0.0, 0.2, 0.8):
+            assert abs(aminov_wintgen_residual(profile_at(p, u))) < 1e-14
+
+
+@pytest.mark.parametrize("profile", ["exp(u)", "exp(-u)", "u^2+1",
+                                     "sin(u)+2", "cosh(u)"])
+def test_aminov_wintgen_channel_is_the_root_of_the_deficit(profile):
+    # wintgen_deficit = -(channel)^2 / (4 g^2 e^3), on either sign branch
+    p = make_aminov(profile, (-1.0, 1.0))
+    for u in (-0.7, -0.2, 0.0, 0.2, 0.5, 0.9):
+        r = profile_at(p, u)
+        e, g = 1.0 + r.d1 ** 2, 1.0 + r.val ** 2
+        inv = invariants_at(p, u, 0.3)
+        scale = inv.Hnorm ** 2 + abs(inv.K) + abs(inv.KN)
+        assert abs(-aminov_wintgen_residual(r) ** 2 / (4 * g * g * e ** 3)
+                   - wintgen_deficit(inv)) <= 1e-15 * scale
 
 
 def test_k_plus_kn_profile_residual():
