@@ -542,9 +542,10 @@ def _receive(fd: int) -> str | None:
 
 
 def _serve(fd: int, chunks, render, report) -> None:
-    """A worker's run: each of its chunks as one text frame, so that it
-    makes a whole chunk before it waits for the parent to read, then its
-    report.  An error sends the text made before it, then the error."""
+    """A worker's run: each of its chunks as one text frame, made whole
+    before it is written (a pipe of PIPE_BYTES takes it without waiting
+    for the parent to read), then its report.  An error sends the text
+    made before it, then the error."""
     made = []
     try:
         for k in chunks:
@@ -567,22 +568,15 @@ def _serve(fd: int, chunks, render, report) -> None:
 PIPE_BYTES = 1 << 20
 
 
-def _widen(fd: int) -> None:
-    """Ask for a pipe of PIPE_BYTES at fd; where the system has no such
-    request or refuses it, the pipe keeps its default size.  fcntl is
-    imported here, so a command that never forks does not load it."""
-    try:
-        import fcntl
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):
-        pass
-
-
 def _fork(first: int, count: int, jobs: int, render, report, children):
     """A child that makes chunks first, first + jobs, ... of count and
     sends them through a new pipe: its pid and the pipe's read end."""
     r, w = os.pipe()
-    _widen(w)
+    try:  # fcntl is loaded here, so a command that never forks skips it
+        import fcntl
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass  # no such request here, or refused: the default size
     try:
         pid = os.fork()
     except OSError:

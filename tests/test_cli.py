@@ -1222,7 +1222,9 @@ def test_import_does_not_load_numpy():
 
 
 def test_commands_do_not_load_dataclasses_or_its_imports(tmp_path):
-    # these took about a fifth of a small command's start-up time
+    # these took about a fifth of a small command's start-up time; fcntl
+    # is loaded only to size the pipes of chunk workers, and these
+    # one-chunk forms (those of the benchmark's set-up runs) fork none
     samples = tmp_path / "samples.csv"
     export_samples_csv(sample_values(make_explicit("u^3+v", "u*v"),
                                      GridSpec(-1, 1, -1, 1, 3, 3)), samples)
@@ -1237,7 +1239,7 @@ def test_commands_do_not_load_dataclasses_or_its_imports(tmp_path):
               f"codes = [cli.main([*argv, '--out', {str(tmp_path)!r} + "
               f"f'/out{{k}}']) for k, argv in enumerate({argvs!r})]; "
               "print(codes, sorted({'dataclasses', 'inspect', 'ast', 'dis', "
-              "'tokenize'} & set(sys.modules)))")
+              "'tokenize', 'fcntl'} & set(sys.modules)))")
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -1,9 +1,11 @@
+import errno
 import io
 import math
 import os
 import signal
 import stat
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -574,6 +576,76 @@ def test_chunk_pieces_in_a_process_that_ignores_sigchld(monkeypatch):
         assert list(pieces) == ["0", "1", "2"]
     finally:
         signal.signal(signal.SIGCHLD, old)
+    _no_child_left()
+
+
+# about the text of one CSV chunk of a 1024-node grid table
+RUN_AHEAD_TEXT = 200_000
+
+
+def _pipes_hold_a_mib() -> bool:
+    """Whether this system gives a pipe of grid.PIPE_BYTES when asked."""
+    import fcntl
+    r, w = os.pipe()
+    try:
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, grid.PIPE_BYTES)
+        return fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) == grid.PIPE_BYTES
+    except (AttributeError, OSError):
+        return False
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def _ahead_render(marker, waited):
+    """Chunks of RUN_AHEAD_TEXT characters each.  The worker (chunks 1, 3,
+    5) creates marker as it starts chunk 3; the parent's chunk 0 waits for
+    it up to 20 s and records in waited whether it came."""
+    parent = os.getpid()
+
+    def render(k):
+        if os.getpid() != parent and k == 3:
+            marker.touch()
+        if os.getpid() == parent and k == 0 and waited is not None:
+            deadline = time.monotonic() + 20.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            waited.append(marker.exists())
+        yield str(k) * RUN_AHEAD_TEXT
+    return render
+
+
+def test_chunk_workers_run_ahead_of_the_parent(tmp_path, monkeypatch):
+    # with a pipe of PIPE_BYTES the worker sends its chunk 1 whole and
+    # starts chunk 3 while the parent still makes chunk 0; with a 64 KiB
+    # pipe it waits in the write of chunk 1 until the parent reads it
+    monkeypatch.setattr(grid, "cores", lambda: 2)
+    ahead = _pipes_hold_a_mib()
+    waited = []
+    pieces = chunk_pieces(6, _ahead_render(tmp_path / "marker",
+                                           waited if ahead else None),
+                          str, print)
+    assert list(pieces) == [str(k) * RUN_AHEAD_TEXT for k in range(6)]
+    assert waited == ([True] if ahead else [])
+    _no_child_left()
+
+
+def test_chunk_pieces_with_a_refused_pipe_size(tmp_path, monkeypatch):
+    # where the system refuses the pipe size, the pipe keeps its default
+    # and the pieces are the same, in the same order
+    import fcntl
+    monkeypatch.setattr(grid, "cores", lambda: 2)
+    asked = []
+
+    def refuse(fd, command, arg=0):
+        asked.append(command)
+        raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    pieces = chunk_pieces(6, _ahead_render(tmp_path / "marker", None), str,
+                          print)
+    assert list(pieces) == [str(k) * RUN_AHEAD_TEXT for k in range(6)]
+    assert asked == [fcntl.F_SETPIPE_SZ]
     _no_child_left()
 
 
