@@ -2,9 +2,15 @@
 
 Predicates (minimal, Chen, Wintgen ideal, pseudo-umbilical, flat,
 K + K_N = 0) are evaluated pointwise as residuals and aggregated over a
-grid into a ClassificationReport.  Verdicts compare the residual
-normalized by 1 + max(|K|, |K_N|, ||H||^2), so tolerances behave the
-same on surfaces of very different curvature scale.
+grid into a ClassificationReport.  A verdict compares each residual,
+divided by the per-node scale 1 + max(|K|, |K_N|, ||H||^2), with the
+tolerance.  The scale is 1 on nearly flat surfaces and grows as the
+square of the curvature on curved ones.  It does not make a verdict
+independent of the size of the surface: under X -> lambda X the
+residuals scale as lambda^-1 (|H|), lambda^-2 (K, K_N, Wintgen,
+pseudo-umbilical) and lambda^-4 (chen), and MINIMAL_TOL is an absolute
+threshold on |H|, so scaling a surface can move its verdicts (ROADMAP
+item 14 tabulates this).
 
 The module also builds the two closed-form minimal families: profiles
 r(u) solving r'' (1 + r^2) = r (1 + r'^2) for the radial family, and
@@ -17,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import islice
-from math import isfinite
+from math import hypot, isfinite, sqrt
 from operator import truediv
 from typing import NamedTuple
 
@@ -25,7 +31,7 @@ from . import jet
 from .expr import Profile, compile_profile
 from .forms import SecondForm
 from .invariants import (CHECK_TOL, ConsistencyError, InvariantSet, _check,
-                         _larger, mean_frame, point_kernel, require_finite)
+                         _larger, mean_frame, point_floats, require_finite)
 from .patch import MongePatch, jet_floats, make_translation, profile_at
 from .record import Record
 
@@ -37,34 +43,47 @@ PREDICATES = ("minimal", "chen", "wintgen_ideal", "pseudo_umbilical",
               "flat", "k_plus_kn_zero")
 
 
-def _combine(s1: float, h1: tuple, s2: float, h2: tuple) -> tuple:
-    """(11, 12, 22) entries of the shape operator s1 A1 + s2 A2."""
-    return (s1 * h1[0] + s2 * h2[0], s1 * h1[1] + s2 * h2[1],
-            s1 * h1[2] + s2 * h2[2])
+def _traced_route(H1: float, H2: float, h1: tuple, h2: tuple,
+                  along: tuple) -> float:
+    """The chen residual's independent route: rotate the normal frame to
+    point along H and read off the trace obstruction <A_H, A_H⊥>, with
+    A_H = along = H1 A1 + H2 A2 and A_H⊥ = H2 A1 - H1 A2."""
+    across = (H2 * h1[0] - H1 * h2[0], H2 * h1[1] - H1 * h2[1],
+              H2 * h1[2] - H1 * h2[2])
+    return (along[0] * across[0] + 2.0 * along[1] * across[1]
+            + along[2] * across[2])
+
+
+def normal_plane(h1: tuple, h2: tuple, H1: float, H2: float,
+                 chen: bool = True) -> tuple:
+    """(chen, A_H) of a point whose second form has the tangent-frame
+    coefficients h1, h2 and the mean curvature (H1, H2) along N1 and N2:
+    the chen residual, once the traced route agrees with it, and the
+    (11, 12, 22) entries of the shape operator along H.  A minimal point
+    (|H| < MINIMAL_TOL) gives (0.0, None); with chen False, the residual
+    and its check are skipped and chen is None.
+    """
+    if hypot(H1, H2) < MINIMAL_TOL:
+        return 0.0, None
+    h11, h12, h22 = h1
+    k11, k12, k22 = h2
+    along = (H1 * h11 + H2 * k11, H1 * h12 + H2 * k12, H1 * h22 + H2 * k22)
+    if not chen:
+        return None, along
+    expansion = ((h11 ** 2 - k11 ** 2 + h22 ** 2 - k22 ** 2
+                  + 2.0 * h12 ** 2 - 2.0 * k12 ** 2) * H1 * H2
+                 + (h11 * k11 + h22 * k22 + 2.0 * h12 * k12)
+                 * (H2 ** 2 - H1 ** 2))
+    traced = _traced_route(H1, H2, h1, h2, along)
+    x, y = abs(expansion), abs(traced)  # relative_gap, written out
+    if abs(expansion - traced) / (1.0 + (y if y > x else x)) > CHECK_TOL:
+        _check("chen residual paths", expansion, traced)
+    return expansion, along
 
 
 def chen_residual(sf: SecondForm) -> float:
     """Allied-vector obstruction; zero by convention at minimal points."""
-    h1, h2 = sf.h1, sf.h2
-    H1, H2 = mean_frame(h1, h2)
-    hnorm = math.hypot(H1, H2)
-    if hnorm < MINIMAL_TOL:
-        return 0.0
-    expansion = ((h1[0] ** 2 - h2[0] ** 2 + h1[2] ** 2 - h2[2] ** 2
-                  + 2.0 * h1[1] ** 2 - 2.0 * h2[1] ** 2) * H1 * H2
-                 + (h1[0] * h2[0] + h1[2] * h2[2] + 2.0 * h1[1] * h2[1])
-                 * (H2 ** 2 - H1 ** 2))
-
-    # independent route: rotate the normal frame to point along H and
-    # read off the trace obstruction <H1 A1 + H2 A2, H2 A1 - H1 A2>
-    along = _combine(H1, h1, H2, h2)
-    across = _combine(H2, h1, -H1, h2)
-    traced = (along[0] * across[0] + 2.0 * along[1] * across[1]
-              + along[2] * across[2])
-    x, y = abs(expansion), abs(traced)  # relative_gap, written out
-    if abs(expansion - traced) / (1.0 + (y if y > x else x)) > CHECK_TOL:
-        _check("chen residual paths", expansion, traced)
-    return expansion
+    return normal_plane(sf.h1, sf.h2, *mean_frame(sf.h1, sf.h2))[0]
 
 
 def wintgen_deficit(inv: InvariantSet) -> float:
@@ -88,34 +107,45 @@ def k_plus_kn_residual(r: jet.Jet1) -> float:
     return (rv - rp) * (rp * (1.0 + rp * rp) - rpp * (1.0 + rv * rv))
 
 
-def pseudo_umbilical_residual(sf: SecondForm) -> float:
-    """Deviation of the shape operator along H from a multiple of I."""
-    H1, H2 = mean_frame(sf.h1, sf.h2)
-    if math.hypot(H1, H2) < MINIMAL_TOL:
+def _umbilical_gap(along) -> float:
+    """The pseudo-umbilical residual of the shape operator along H, of
+    entries along; 0.0 at a minimal point, where along is None."""
+    if along is None:
         return 0.0
-    a, b, c = _combine(H1, sf.h1, H2, sf.h2)
-    norm = math.sqrt(a * a + 2.0 * b * b + c * c)  # Frobenius norm of A_H
+    a, b, c = along
+    norm = sqrt(a * a + 2.0 * b * b + c * c)  # Frobenius norm of A_H
     return _larger(abs(b), abs(a - c)) / (1.0 + norm)
 
 
-def first_normal_rank(sf: SecondForm) -> int:
-    """Numerical rank of the span of the second fundamental form.
+def pseudo_umbilical_residual(sf: SecondForm) -> float:
+    """Deviation of the shape operator along H from a multiple of I."""
+    return _umbilical_gap(normal_plane(sf.h1, sf.h2,
+                                       *mean_frame(sf.h1, sf.h2),
+                                       chen=False)[1])
 
-    The singular values of the 2x3 matrix with rows h1, h2 satisfy
-    s0^2 + s1^2 = |h1|^2 + |h2|^2 and s0 s1 = |h1 x h2|.  The rows are
-    first scaled to a largest entry of 1, so no square under- or
-    overflows.
+
+def first_normal_rank(sf: SecondForm) -> int:
+    """Numerical rank of the span of the second fundamental form."""
+    return _normal_rank(sf.h1, sf.h2)
+
+
+def _normal_rank(h1: tuple, h2: tuple) -> int:
+    """The numerical rank of the 2x3 matrix with rows h1, h2.
+
+    Its singular values satisfy s0^2 + s1^2 = |h1|^2 + |h2|^2 and
+    s0 s1 = |h1 x h2|.  The rows are first scaled to a largest entry of
+    1, so no square under- or overflows.
     """
-    m = max(map(abs, sf.h1 + sf.h2))
+    m = max(map(abs, h1 + h2))
     if m == 0.0:
         return 0
-    (a, b, c), (d, e, f) = ([x / m for x in sf.h1], [x / m for x in sf.h2])
+    (a, b, c), (d, e, f) = ([x / m for x in h1], [x / m for x in h2])
     n1 = a * a + b * b + c * c
     n2 = d * d + e * e + f * f
     dot = a * d + b * e + c * f
-    s0 = math.sqrt(0.5 * (n1 + n2 + math.hypot(n1 - n2, 2.0 * dot)))
+    s0 = sqrt(0.5 * (n1 + n2 + hypot(n1 - n2, 2.0 * dot)))
     x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
-    s1 = math.sqrt(x * x + y * y + z * z) / s0
+    s1 = sqrt(x * x + y * y + z * z) / s0
     return (s0 > RANK_TOL * s0) + (s1 > RANK_TOL * s0)
 
 
@@ -348,27 +378,31 @@ def exact_jets(patch: MongePatch, nodes):
 
 
 def node_rows(source):
-    """The one per-node body: (Row, SecondForm) of each (u, v, jets) of a
-    node source, the jets being twelve floats, or a flag or DomainError.  A
-    node without jets, or whose point_kernel or residuals fail, gives a
-    flagged Row and None; a ConsistencyError is raised, its message
-    ending in the node's " at (u, v)"."""
+    """The one per-node body: (Row, plane) of each (u, v, jets) of a node
+    source, the jets being twelve floats, or a flag or DomainError.
+    plane is (h1, h2, A_H) of an evaluated node, what ClassifyFold reads
+    besides its Row (A_H is None at a minimal point).  A node without
+    jets, or whose point_floats or residuals fail, gives a flagged Row and
+    None; a ConsistencyError is raised, its message ending in the node's
+    " at (u, v)"."""
     for u, v, jets in source:
         if jets.__class__ is tuple:
             try:
-                ff, _, sf, inv = point_kernel(*jets)
-                chen, wintgen = chen_residual(sf), wintgen_deficit(inv)
+                (E, F, G, W2, _, _, _, _, _, _, _, h1, h2, K, KN, H1, H2,
+                 Hnorm, H1_frame, H2_frame) = point_floats(*jets)
+                chen, along = normal_plane(h1, h2, H1_frame, H2_frame)
+                wintgen = K + abs(KN) - Hnorm ** 2  # wintgen_deficit
                 if not isfinite(chen + wintgen):
                     require_finite("predicate residuals", (chen, wintgen))
-            except OverflowError:  # the residuals' (point_kernel has none)
+            except OverflowError:  # the residuals' (point_floats has none)
                 jets = jet.DomainError("predicate residuals overflowed")
             except jet.DomainError as err:
                 jets = err
             except ConsistencyError as err:
                 raise ConsistencyError(f"{err} at ({u!r}, {v!r})") from None
             else:
-                yield jet._new(Row, (u, v, ff.E, ff.F, ff.G, ff.W2, *inv,
-                                     chen, wintgen, "")), sf
+                yield jet._new(Row, (u, v, E, F, G, W2, K, KN, H1, H2, Hnorm,
+                                     chen, wintgen, "")), (h1, h2, along)
                 continue
         flag = jets if jets.__class__ is str else f"domain-error: {jets}"
         yield Row(u, v, flag=flag), None
@@ -411,25 +445,28 @@ class ClassifyFold:
         aminov = patch.family == "aminov"
         row_u = None
         kept = []  # the residuals and scale of each node of a grid row
-        for row, sf in node_rows(exact_jets(patch, nodes)):
-            if sf is None:
+        for row, plane in node_rows(exact_jets(patch, nodes)):
+            if plane is None:
                 failed += 1
                 continue
-            K, KN = abs(row.K), abs(row.KN)
-            larger = _larger(K, KN)
+            u, _, _, _, _, _, K, KN, _, _, Hnorm, chen, wintgen, _ = row
+            h1, h2, along = plane
+            x, y = abs(K), abs(KN)
+            larger = y if y > x else x  # _larger(x, y)
             # the six residuals and the scale that normalizes them; the
-            # wintgen_deficit squared Hnorm without overflow, so the scale
+            # wintgen deficit squared Hnorm without overflow, so the scale
             # is finite
-            node = (row.Hnorm, abs(row.chen), abs(row.wintgen),
-                    pseudo_umbilical_residual(sf), larger,
-                    abs(row.K + row.KN), 1.0 + _larger(larger, row.Hnorm ** 2))
+            Hnorm2 = Hnorm ** 2
+            node = (Hnorm, abs(chen), abs(wintgen), _umbilical_gap(along),
+                    larger, abs(K + KN),
+                    1.0 + (Hnorm2 if Hnorm2 > larger else larger))
             if not isfinite(sum(node)) and not all(map(isfinite, node)):
                 failed += 1
                 continue
             # a new grid row: the row before is folded in, and the profile,
             # which depends on u alone, is evaluated once
-            if row.u is not row_u:
-                row_u = row.u
+            if u is not row_u:
+                row_u = u
                 self._fold(kept)
                 kept = []
                 if aminov:
@@ -440,7 +477,7 @@ class ClassifyFold:
             kept.append(node)
             # the rank only rises, and 2 is its largest value
             if rank < 2:
-                rank = max(rank, first_normal_rank(sf))
+                rank = max(rank, _normal_rank(h1, h2))
         self._fold(kept)
         self.failed, self.rank = failed, rank
 

@@ -55,9 +55,11 @@ class SecondForm(NamedTuple):
     h2: tuple
 
 
-# Float-level bodies: each formula of this module is written once, in a
-# function of floats and float tuples.  The stage functions below wrap
-# them in records; invariants.point_kernel calls them directly.
+# Float-level bodies: each formula of this module is a function of floats
+# and float tuples, which the stage functions below wrap in records.
+# invariants.point_floats writes metric, frame, project and h_from_c out
+# inline, operation for operation; the fused point_data and node tests
+# hold the two copies together bit for bit.
 
 def metric(fu: float, fv: float, gu: float, gv: float) -> tuple:
     """(E, F, G, W2, A, B, C) from the first partials of f and g.

@@ -15,14 +15,13 @@ forms.normal_frame fix the sign of K_N.  Swapping the graph functions
 from __future__ import annotations
 
 import math
-from math import isfinite
+from math import hypot, isfinite, sqrt
 from typing import NamedTuple
 
 from . import jet
 from .expr import jet1
 from .jet import _new
-from .forms import (FirstForm, NormalFrame, SecondForm, frame, h_from_c,
-                    metric, project)
+from .forms import FirstForm, NormalFrame, SecondForm, metric
 from .patch import MongePatch, PatchJets, jet_floats
 
 CHECK_TOL = 1e-10
@@ -41,9 +40,10 @@ def _larger(a, b):
 def relative_gap(a: float, b: float) -> float:
     """|a - b| scaled so the gap stays meaningful near zero.
 
-    point_kernel and classify.chen_residual write this formula out
-    inline, as abs(a - b) / (1.0 + (y if y > x else x)) with x = abs(a)
-    and y = abs(b), and call _check only where that exceeds CHECK_TOL.
+    point_floats (gauss, torsion, H1 and H2) and classify.normal_plane
+    (chen) write this formula out inline, as
+    abs(a - b) / (1.0 + (y if y > x else x)) with x = abs(a) and
+    y = abs(b), and call _check only where that exceeds CHECK_TOL.
     """
     return abs(a - b) / (1.0 + _larger(abs(a), abs(b)))
 
@@ -63,8 +63,9 @@ class InvariantSet(NamedTuple):
     Hnorm: float
 
 
-# Float-level bodies of the invariant formulas, each written once; the
-# stage functions below and point_kernel call them.
+# Float-level bodies of the invariant formulas; the stage functions below
+# call them.  point_floats writes the frame route's out inline and calls
+# the coordinate route's.
 
 def gauss_frame(c1: tuple, c2: tuple, W2: float) -> float:
     return (c1[0] * c1[2] - c1[1] ** 2 + c2[0] * c2[2] - c2[1] ** 2) / W2
@@ -161,43 +162,72 @@ def require_finite(what: str, values: tuple) -> None:
         raise jet.DomainError(f"non-finite {what}")
 
 
-def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
-    """(FirstForm, NormalFrame, SecondForm, InvariantSet) from the twelve
-    jet floats: the one per-node body behind point_data, invariants_at,
-    the grids and classify_surface.
+def point_floats(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
+    """The forms and invariants at a node, as floats, from its twelve jet
+    floats: the one per-node body behind point_data, invariants_at, the
+    grids and classify, in one straight-line pass.
 
-    It runs the stage formulas above in the order of first_form,
-    normal_frame, second_form, gauss_curvature, normal_torsion and
-    mean_curvature with their checks, taking W and sqrt(A) once; each
-    check and require_finite is written out to test its sum or gaps in
-    one pass, and is called only where that fails.  Non-finite data,
-    invariants or W2 (a square that overflowed) is a DomainError.
+    It returns (E, F, G, W2, A, B, C, N1, N2, c1, c2, h1, h2, K, KN, H1,
+    H2, Hnorm, H1_frame, H2_frame): the first form, the normal frame, the
+    second form, the invariants and the frame route's mean curvature.
+
+    The frame route is metric, frame, project, h_from_c, gauss_frame,
+    torsion_frame and mean_frame written out, each float operation as
+    there and in that order, with W, sqrt(A), F/E and F*F/E taken once;
+    the coordinate route is the calls of gauss_coord, torsion_coord and
+    mean_coord.  Each check and require_finite is written out to test its
+    sum or gaps in one pass, and is called only where that fails.
+    Non-finite data, invariants or W2 (a square that overflowed) is a
+    DomainError.
     """
     if not isfinite(f0 + fu + fv + fuu + fuv + fvv
                     + g0 + gu + gv + guu + guv + gvv):
         require_finite("jets", (f0, fu, fv, fuu, fuv, fvv,
                                 g0, gu, gv, guu, guv, gvv))
     try:
-        ff = metric(fu, fv, gu, gv)
-        E, F, G, W2, A, B, C = ff
-        W = math.sqrt(W2)
-        sqrt_A = math.sqrt(A)
-        n1, n2 = frame(fu, fv, gu, gv, A, B, W, sqrt_A)
-        c1 = project(n1, fuu, fuv, fvv, guu, guv, gvv)
-        c2 = project(n2, fuu, fuv, fvv, guu, guv, gvv)
-        h1 = h_from_c(c1, E, F, W, W2)
-        h2 = h_from_c(c2, E, F, W, W2)
-        K_frame = gauss_frame(c1, c2, W2)
+        # metric: W2 = A + g_u^2 + g_v^2 + minor^2 is Lagrange's sum
+        fu2, fv2, gu2, gv2 = fu * fu, fv * fv, gu * gu, gv * gv
+        E = 1.0 + fu2 + gu2
+        F = fu * fv + gu * gv
+        G = 1.0 + fv2 + gv2
+        A = 1.0 + fu2 + fv2
+        B = fu * gu + fv * gv
+        C = 1.0 + gu2 + gv2
+        minor = fu * gv - fv * gu
+        W2 = A + gu2 + gv2 + minor * minor
+        W = sqrt(W2)
+        sqrt_A = sqrt(A)
+        # frame, and project onto N1 = (.., ra, 0.0) and N2 = (.., a2, b2)
+        ra = 1.0 / sqrt_A
+        rwa = 1.0 / (W * sqrt_A)
+        a2, b2 = -B * rwa, A * rwa
+        n1 = (-fu * ra, -fv * ra, ra, 0.0)
+        n2 = ((B * fu - A * gu) * rwa, (B * fv - A * gv) * rwa, a2, b2)
+        c1 = (fuu * ra + guu * 0.0, fuv * ra + guv * 0.0, fvv * ra + gvv * 0.0)
+        c2 = (fuu * a2 + guu * b2, fuv * a2 + guv * b2, fvv * a2 + gvv * b2)
+        p11, p12, p22 = c1
+        q11, q12, q22 = c2
+        # h_from_c of c1 and c2
+        FE, FFE, F2 = F / E, F * F / E, 2.0 * F
+        h11 = p11 / E
+        h12 = (p12 - FE * p11) / W
+        h22 = (E * p22 - F2 * p12 + FFE * p11) / W2
+        k11 = q11 / E
+        k12 = (q12 - FE * q11) / W
+        k22 = (E * q22 - F2 * q12 + FFE * q11) / W2
+        K_frame = (p11 * p22 - p12 ** 2 + q11 * q22 - q12 ** 2) / W2
         K = gauss_coord(fuu, fuv, fvv, guu, guv, gvv, A, B, C, W2)
         x, y = abs(K), abs(K_frame)
         if abs(K - K_frame) / (1.0 + (y if y > x else x)) > CHECK_TOL:
             _check("gauss curvature paths", K, K_frame)
-        KN_frame = torsion_frame(c1, c2, E, F, G, W2)
+        KN_frame = (E * (p12 * q22 - q12 * p22)
+                    - F * (p11 * q22 - q11 * p22)
+                    + G * (p11 * q12 - q11 * p12)) / W2 ** 1.5
         KN = torsion_coord(fuu, fuv, fvv, guu, guv, gvv, E, F, G, W2)
         x, y = abs(KN), abs(KN_frame)
         if abs(KN - KN_frame) / (1.0 + (y if y > x else x)) > CHECK_TOL:
             _check("normal torsion paths", KN, KN_frame)
-        H1_frame, H2_frame = mean_frame(h1, h2)
+        H1_frame, H2_frame = 0.5 * (h11 + h22), 0.5 * (k11 + k22)
         H1, H2 = mean_coord(fuu, fuv, fvv, guu, guv, gvv, E, F, G, W2, A, B,
                             W, sqrt_A)
         x, y, z, w = abs(H1), abs(H1_frame), abs(H2), abs(H2_frame)
@@ -205,7 +235,7 @@ def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
                 or abs(H2 - H2_frame) / (1.0 + (w if w > z else z)) > CHECK_TOL):
             _check("mean curvature H1 paths", H1, H1_frame)
             _check("mean curvature H2 paths", H2, H2_frame)
-        Hnorm = math.hypot(H1, H2)
+        Hnorm = hypot(H1, H2)
     except OverflowError:
         raise jet.DomainError("invariants overflowed") from None
     if not isfinite(K + KN + H1 + H2 + Hnorm):
@@ -213,13 +243,20 @@ def point_kernel(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
     # inf or nan where a square overflowed; W2 bounds E, F, G, A, B and C
     if not W2 < math.inf:
         raise jet.DomainError("non-finite metric")
-    return (_new(FirstForm, ff), _new(NormalFrame, (n1, n2)),
-            _new(SecondForm, (c1, c2, h1, h2)),
-            _new(InvariantSet, (K, KN, H1, H2, Hnorm)))
+    return (E, F, G, W2, A, B, C, n1, n2, c1, c2, (h11, h12, h22),
+            (k11, k12, k22), K, KN, H1, H2, Hnorm, H1_frame, H2_frame)
+
+
+def point_kernel(*jets) -> tuple:
+    """(FirstForm, NormalFrame, SecondForm, InvariantSet) from the twelve
+    jet floats, the records of point_floats."""
+    p = point_floats(*jets)
+    return (_new(FirstForm, p[:7]), _new(NormalFrame, p[7:9]),
+            _new(SecondForm, p[9:13]), _new(InvariantSet, p[13:18]))
 
 
 def point_data(jets: PatchJets) -> PointData:
-    """Forms and invariants at one point (point_kernel).
+    """Forms and invariants at one point (point_floats).
 
     Non-finite data, invariants or W2 is a DomainError.
     """
@@ -228,7 +265,7 @@ def point_data(jets: PatchJets) -> PointData:
 
 
 def invariants_at(patch: MongePatch, u: float, v: float) -> InvariantSet:
-    return point_kernel(*jet_floats(patch, u, v))[3]
+    return _new(InvariantSet, point_floats(*jet_floats(patch, u, v))[13:18])
 
 
 class AminovClosedForms(NamedTuple):
@@ -306,7 +343,7 @@ def translation_closed_forms(patch: MongePatch, u: float, v: float):
 __all__ = [
     "AminovClosedForms", "CHECK_TOL", "ConsistencyError", "InvariantSet",
     "PointData", "aminov_closed_forms", "gauss_curvature", "invariants_at",
-    "mean_curvature", "normal_torsion", "point_data", "point_kernel",
-    "relative_gap",
+    "mean_curvature", "normal_torsion", "point_data", "point_floats",
+    "point_kernel", "relative_gap",
     "require_finite", "translation_closed_forms",
 ]

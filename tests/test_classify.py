@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monge4 import classify, invariants, jet
 from monge4.classify import (ClassifyFold, aminov_wintgen_residual,
@@ -18,8 +18,9 @@ from monge4.forms import SecondForm
 from monge4.grid import GridSpec, sample_grid
 from monge4.invariants import (CHECK_TOL, ConsistencyError, invariants_at,
                                point_data, relative_gap)
-from monge4.patch import (eval_patch, make_aminov, make_explicit, make_gradient,
-                          make_translation, profile_at)
+from monge4.patch import (eval_patch, jet_floats, make_aminov, make_explicit,
+                          make_gradient, make_translation, profile_at)
+from node_reference import jet_component, staged_fold_report, staged_node_rows
 from shape_reference import (chen_paths_disagree, chen_traced, normal_rank,
                              pseudo_umbilical, shape_operators)
 
@@ -392,8 +393,13 @@ def test_node_rows_guards_test_sums_in_one_pass():
         assert _body(bad, *big[1:]) == "domain-error: non-finite jets"
 
 
+def _traced_at(monkeypatch, value):
+    """Make the chen residual's traced route return value."""
+    monkeypatch.setattr(classify, "_traced_route", lambda *args: value)
+
+
 def test_chen_check_nan_gap_never_fires(monkeypatch):
-    monkeypatch.setattr(classify, "_combine", lambda *args: (math.nan,) * 3)
+    _traced_at(monkeypatch, math.nan)
     assert not isinstance(_body(*_PLANE), str)
 
 
@@ -408,8 +414,8 @@ def _node_error(monkeypatch, shifted):
 
 
 def test_chen_check_comes_after_the_invariant_checks(monkeypatch):
-    # a constant frame-rotated operator moves the traced chen path
-    monkeypatch.setattr(classify, "_combine", lambda *args: (1.0, 2.0, 3.0))
+    # a constant traced route moves it off the expansion
+    _traced_at(monkeypatch, 1e3)
     assert _node_error(monkeypatch, ()).startswith(
         "chen residual paths disagree: ")
     assert _node_error(monkeypatch, [(invariants, "gauss_coord")]).startswith(
@@ -421,12 +427,13 @@ def test_chen_check_fires_as_relative_gap_does(monkeypatch, shift):
     sf = second_at(make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"), 0.3, -0.4)
     expansion = chen_residual(sf)
     traced = expansion + shift * CHECK_TOL * (1.0 + abs(expansion))
-    # along = (traced, 0, 0) and across = (1, 0, 0) trace to traced
-    combined = iter([(traced, 0.0, 0.0), (1.0, 0.0, 0.0)])
-    monkeypatch.setattr(classify, "_combine", lambda *args: next(combined))
+    _traced_at(monkeypatch, traced)
     if relative_gap(expansion, traced) > CHECK_TOL:
         with pytest.raises(ConsistencyError, match="^chen residual paths"):
             chen_residual(sf)
+        with pytest.raises(ConsistencyError, match="^chen residual paths"):
+            _body(*jet_floats(make_explicit("u^3+sin(v)+u*v",
+                                            "exp(u)*v+v^2"), 0.3, -0.4))
     else:
         assert chen_residual(sf) == expansion
 
@@ -440,16 +447,18 @@ def test_consistency_error_names_its_node(monkeypatch):
 
 def _strict_fold(patch, nodes):
     """ClassifyFold.add's raw and normalized residuals as a strict > loop
-    over node_rows, as it was written before the max reduction."""
+    over node_rows, as it was written before the max reduction; the
+    pseudo-umbilical residual is the public function's, of the second
+    form's h1 and h2."""
     raw, normalized, failed = [0.0] * 6, [0.0] * 6, 0
-    for row, sf in node_rows(exact_jets(patch, nodes)):
-        if sf is None:
+    for row, plane in node_rows(exact_jets(patch, nodes)):
+        if plane is None:
             failed += 1
             continue
         K, KN = abs(row.K), abs(row.KN)
         scale = 1.0 + max(max(K, KN), row.Hnorm ** 2)
         residuals = (row.Hnorm, abs(row.chen), abs(row.wintgen),
-                     pseudo_umbilical_residual(sf), max(K, KN),
+                     pseudo_umbilical_residual(_form(*plane[:2])), max(K, KN),
                      abs(row.K + row.KN))
         if not all(map(math.isfinite, residuals)):
             failed += 1
@@ -476,3 +485,103 @@ def test_fold_reduction_is_the_strict_loop(patch, spec):
     fold.add(spec.points())
     assert (fold.raw, fold.normalized, fold.failed) == _strict_fold(
         patch, spec.points())
+
+
+# node_rows and ClassifyFold against the staged reference of
+# tests/node_reference.py: value for value, flag for flag, error for error
+
+def _node_outcome(body, jets):
+    """repr of the (Row, extra) that body makes of one node at
+    (0.5, -0.25), extra being the rank, the pseudo-umbilical residual and
+    the tangent-frame coefficients; or the ConsistencyError it raises."""
+    try:
+        [(row, extra)] = body([(0.5, -0.25, jets)])
+    except ConsistencyError as err:
+        return ConsistencyError, str(err)
+    if extra is None:
+        return repr(row), None
+    if isinstance(extra, SecondForm):
+        h1, h2, umbilical = (extra.h1, extra.h2,
+                             pseudo_umbilical_residual(extra))
+    else:
+        h1, h2, along = extra
+        umbilical = classify._umbilical_gap(along)
+    return repr(row), repr((classify._normal_rank(h1, h2), umbilical, h1, h2))
+
+
+_ITEM_1 = [  # the chen check fires on rounding alone (ROADMAP item 1)
+    (make_explicit("10*u^2+7.868*v^2", "100*u^2+78.68*v^2"), 0.0, 0.0),
+    (make_aminov("1e2*(u-0.5)^2+1e-3", (0.2, 0.8)), 0.5, 0.15708),
+]
+
+
+@pytest.mark.parametrize("jets, expected", [
+    *((jet_floats(*node), "chen residual paths disagree: ")
+      for node in _ITEM_1),
+    # the residuals overflow, the invariants do not
+    ((0.0, 0.3, -0.2, 1e160, 0.5, -1.0, 0.0, 0.1, 0.4, -0.5, 2.0, 0.25),
+     "flag='domain-error: predicate residuals overflowed'"),
+    ("boundary", "flag='boundary'"),
+    ("bad-sample: nan at (1, 2)", "flag='bad-sample: nan at (1, 2)'"),
+    (jet.DomainError("log of a non-positive value"),
+     "flag='domain-error: log of a non-positive value'"),
+], ids=["item-1-grid", "item-1-aminov", "residuals-overflow", "boundary",
+        "bad-sample", "domain-error"])
+def test_node_rows_match_staged_body_on_crafted_nodes(jets, expected):
+    outcome = _node_outcome(node_rows, jets)
+    assert outcome == _node_outcome(staged_node_rows, jets)
+    assert expected in str(outcome)
+
+
+@settings(max_examples=600, deadline=None)
+# finite jets of moderate size, where every row is evaluated, beside jets
+# that overflow or are not finite
+@given(st.one_of(st.tuples(*[jet_component] * 12),
+                 st.tuples(*[st.floats(-3.0, 3.0)] * 12)))
+@example((1.7489592054744065, 2.382889533834142, 0.3005813358305969,
+          0.6449694943360917, -2.919985566407261, 4.1215515654830306e+133,
+          -2.359754827121935e+53, 8575635.794310046, -1.1482856557207915e+58,
+          1.2565320608732847e+38, 2.48310939110395, 0.07938261122804358))
+@example((0.0, 1e150, 0.0, 1.0, 0.0, 0.0) + (0.0,) * 6)
+@example((0.0, 1e200, 0.0, 1.0, 0.0, 0.0) + (0.0,) * 6)
+@example((0.0, math.nan, 0.0, 1.0, 0.0, 0.0) + (0.0,) * 6)
+@example((0.0, -0.0, 0.0, -0.0, 0.0, -0.0) * 2)
+def test_node_rows_match_staged_body(jets):
+    assert (_node_outcome(node_rows, jets)
+            == _node_outcome(staged_node_rows, jets))
+
+
+@pytest.mark.parametrize("patch, spec", [
+    # the benchmark's classify_aminov surface
+    (make_aminov("1.136962*u^2+1.516528", (0.2, 1.5)),
+     GridSpec(0.2, 1.5, 0.0, 2.0 * math.pi, 151, 151)),
+    # the four families of monge4 verify
+    (make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"),
+     GridSpec(-1.0, 1.0, -1.0, 1.0, 31, 31)),
+    (make_translation("sin(u)", "u^2", "log(v+2)", "v^3"),
+     GridSpec(-1.0, 1.0, -1.0, 1.0, 31, 31)),
+    (make_aminov("exp(u)", (-1.0, 1.0)), GridSpec(-1.0, 1.0, 0.0, 6.3, 31, 31)),
+    (make_gradient("exp(u)*cos(v)", "-exp(u)*sin(v)"),
+     GridSpec(-1.0, 1.0, -1.0, 1.0, 31, 31)),
+    # failed nodes: whole rows and columns, and every node
+    (make_explicit("log(u)+sqrt(v)", "u*v"),
+     GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21)),
+    (make_aminov("1e40*exp(u)", (0.2, 1.5)), GridSpec(0.2, 1.5, 0.0, 6.28, 9, 9)),
+])
+def test_fold_report_matches_staged_fold(patch, spec):
+    fold = ClassifyFold(patch)
+    fold.add(spec.points())
+    assert fold.report() == staged_fold_report(
+        patch, exact_jets(patch, spec.points()))
+
+
+def test_fold_raises_as_staged_fold_does():
+    # ROADMAP item 1: the chen check fires on the paper's own family
+    patch = make_aminov("1e2*(u-0.5)^2+1e-3", (0.2, 0.8))
+    spec = GridSpec(0.2, 0.8, 0.0, 6.2832, 41, 41)
+    with pytest.raises(ConsistencyError) as fused:
+        ClassifyFold(patch).add(spec.points())
+    with pytest.raises(ConsistencyError) as staged:
+        staged_fold_report(patch, exact_jets(patch, spec.points()))
+    assert str(fused.value) == str(staged.value)
+    assert str(fused.value).startswith("chen residual paths disagree: ")

@@ -939,14 +939,14 @@ def test_grid_ingest_and_classify_share_one_body(tmp_path, capsys,
     # worker makes when there are two processes
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
     node = spec.u_at(1500 // 41), spec.v_at(1500 % 41)
-    kernel = classify.point_kernel
+    kernel = classify.point_floats
 
     def planted(*floats):
         if (floats[0], floats[6]) == node:
             raise ConsistencyError("planted paths disagree")
         return kernel(*floats)
 
-    monkeypatch.setattr(classify, "point_kernel", planted)
+    monkeypatch.setattr(classify, "point_floats", planted)
     samples = tmp_path / "samples.csv"
     export_samples_csv(sample_values(make_explicit("u", "v"), spec),
                        str(samples))

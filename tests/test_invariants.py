@@ -5,13 +5,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from monge4 import invariants as invariants_module, jet
 from monge4.forms import first_form, normal_frame, rotate_normal_frame, second_form
-from monge4.invariants import (CHECK_TOL, ConsistencyError, InvariantSet,
-                               PointData, aminov_closed_forms, gauss_curvature,
+from monge4.invariants import (CHECK_TOL, ConsistencyError,
+                               aminov_closed_forms, gauss_curvature,
                                invariants_at, mean_curvature, normal_torsion,
                                point_data, point_kernel, relative_gap,
                                require_finite, translation_closed_forms)
 from monge4.patch import (PatchJets, eval_patch, make_aminov, make_explicit,
                           make_gradient, make_translation, profile_at)
+from node_reference import jet_component, staged_point_data
 
 FLAT = make_explicit("u^2+v^2", "u^2-v^2")
 
@@ -262,24 +263,6 @@ def test_point_data_rejects_non_finite_values(fu, message):
         point_data(jets)
 
 
-def staged_point_data(jets):
-    """point_data as the composition of the public stage functions."""
-    f, g = jets
-    require_finite("jets", (*f, *g))
-    try:
-        ff = first_form(jets)
-        nf = normal_frame(jets, ff)
-        sf = second_form(jets, ff, nf)
-        K = gauss_curvature(sf, ff, jets)
-        KN = normal_torsion(sf, ff, jets)
-        H1, H2, Hnorm = mean_curvature(sf, ff, jets)
-    except OverflowError:
-        raise jet.DomainError("invariants overflowed") from None
-    require_finite("invariants", (K, KN, H1, H2, Hnorm))
-    require_finite("metric", (ff.W2,))
-    return PointData(jets, ff, nf, sf, InvariantSet(K, KN, H1, H2, Hnorm))
-
-
 def _point_outcome(evaluate, jets):
     try:
         return repr(evaluate(jets))
@@ -287,12 +270,8 @@ def _point_outcome(evaluate, jets):
         return (type(err), str(err))
 
 
-_component = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e160, 1e160),
-                       st.floats(), st.sampled_from([0.0, -0.0, 1e150, 1e200]))
-
-
 @settings(max_examples=600, deadline=None)
-@given(st.tuples(*[_component] * 12))
+@given(st.tuples(*[jet_component] * 12))
 # each dual-path check firing on rounding, and each DomainError
 @example((1.7489592054744065, 2.382889533834142, 0.3005813358305969,
           0.6449694943360917, -2.919985566407261, 4.1215515654830306e+133,
@@ -404,27 +383,35 @@ _gap_shift = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                        st.sampled_from([1e-10, -1e-10, 2e-10, 0.0, -0.0]))
 
 
+def _frame_route(name):
+    """The frame route's value (a pair for mean_coord) that point_kernel
+    checks name's against at _PLANE, from the stage functions; the fused
+    point_data test pins the two bit for bit."""
+    jets = PatchJets(jet.Jet2(*_PLANE[:6]), jet.Jet2(*_PLANE[6:]))
+    ff = first_form(jets)
+    sf = second_form(jets, ff, normal_frame(jets, ff))
+    if name == "gauss_coord":
+        return invariants_module.gauss_frame(sf.c1, sf.c2, ff.W2)
+    if name == "torsion_coord":
+        return invariants_module.torsion_frame(sf.c1, sf.c2, ff.E, ff.F,
+                                               ff.G, ff.W2)
+    return invariants_module.mean_frame(sf.h1, sf.h2)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(_PATHS)), _gap_shift, _gap_shift)
 def test_written_out_checks_fire_as_relative_gap_does(name, a, b):
     # the coordinate path returns the frame path's value moved by a
     # relative amount near the tolerance: a check fires exactly where
     # relative_gap exceeds CHECK_TOL, naming the first such pair
-    frame_name = name.replace("coord", "frame")
-    frame = getattr(invariants_module, frame_name)
-    frames = []
-
-    def recorded(*args):
-        frames.append(frame(*args))
-        return frames[-1]
+    frame = _frame_route(name)
 
     def moved(*args):
-        if isinstance(frames[-1], tuple):
-            return tuple(x * (1.0 + a) + b for x in frames[-1])
-        return frames[-1] * (1.0 + a) + b
+        if isinstance(frame, tuple):
+            return tuple(x * (1.0 + a) + b for x in frame)
+        return frame * (1.0 + a) + b
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invariants_module, frame_name, recorded)
         mp.setattr(invariants_module, name, moved)
         try:
             point_kernel(*_PLANE)
@@ -434,7 +421,7 @@ def test_written_out_checks_fire_as_relative_gap_does(name, a, b):
         except jet.DomainError:  # non-finite invariants, no check fired
             fired = None
     pairs = zip(_PATHS[name].split("|"), *(
-        (x,) if not isinstance(x, tuple) else x for x in (moved(), frames[-1])))
+        (x,) if not isinstance(x, tuple) else x for x in (moved(), frame)))
     assert fired == next((f"{what} disagree: {x!r} vs {y!r}"
                           for what, x, y in pairs
                           if relative_gap(x, y) > CHECK_TOL), None)
