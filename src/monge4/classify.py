@@ -31,7 +31,7 @@ from . import jet
 from .expr import Profile, compile_profile
 from .forms import SecondForm
 from .invariants import (CHECK_TOL, ConsistencyError, InvariantSet, _check,
-                         _larger, mean_frame, point_floats, require_finite)
+                         mean_frame, point_floats, require_finite)
 from .patch import MongePatch, jet_floats, make_translation, profile_at
 from .record import Record
 
@@ -54,15 +54,15 @@ def _traced_route(H1: float, H2: float, h1: tuple, h2: tuple,
             + along[2] * across[2])
 
 
-def normal_plane(h1: tuple, h2: tuple, H1: float, H2: float,
-                 chen: bool = True) -> tuple:
+def normal_plane(h1: tuple, h2: tuple, H: tuple, chen: bool = True) -> tuple:
     """(chen, A_H) of a point whose second form has the tangent-frame
-    coefficients h1, h2 and the mean curvature (H1, H2) along N1 and N2:
-    the chen residual, once the traced route agrees with it, and the
+    coefficients h1, h2 and the mean curvature H = (H1, H2) along N1 and
+    N2: the chen residual, once the traced route agrees with it, and the
     (11, 12, 22) entries of the shape operator along H.  A minimal point
     (|H| < MINIMAL_TOL) gives (0.0, None); with chen False, the residual
     and its check are skipped and chen is None.
     """
+    H1, H2 = H
     if hypot(H1, H2) < MINIMAL_TOL:
         return 0.0, None
     h11, h12, h22 = h1
@@ -83,7 +83,7 @@ def normal_plane(h1: tuple, h2: tuple, H1: float, H2: float,
 
 def chen_residual(sf: SecondForm) -> float:
     """Allied-vector obstruction; zero by convention at minimal points."""
-    return normal_plane(sf.h1, sf.h2, *mean_frame(sf.h1, sf.h2))[0]
+    return normal_plane(sf.h1, sf.h2, mean_frame(sf.h1, sf.h2))[0]
 
 
 def wintgen_deficit(inv: InvariantSet) -> float:
@@ -114,13 +114,14 @@ def _umbilical_gap(along) -> float:
         return 0.0
     a, b, c = along
     norm = sqrt(a * a + 2.0 * b * b + c * c)  # Frobenius norm of A_H
-    return _larger(abs(b), abs(a - c)) / (1.0 + norm)
+    x, y = abs(b), abs(a - c)
+    return (y if y > x else x) / (1.0 + norm)  # _larger(x, y)
 
 
 def pseudo_umbilical_residual(sf: SecondForm) -> float:
     """Deviation of the shape operator along H from a multiple of I."""
     return _umbilical_gap(normal_plane(sf.h1, sf.h2,
-                                       *mean_frame(sf.h1, sf.h2),
+                                       mean_frame(sf.h1, sf.h2),
                                        chen=False)[1])
 
 
@@ -389,8 +390,8 @@ def node_rows(source):
         if jets.__class__ is tuple:
             try:
                 (E, F, G, W2, _, _, _, _, _, _, _, h1, h2, K, KN, H1, H2,
-                 Hnorm, H1_frame, H2_frame) = point_floats(*jets)
-                chen, along = normal_plane(h1, h2, H1_frame, H2_frame)
+                 Hnorm, H_frame) = point_floats(*jets)
+                chen, along = normal_plane(h1, h2, H_frame)
                 wintgen = K + abs(KN) - Hnorm ** 2  # wintgen_deficit
                 if not isfinite(chen + wintgen):
                     require_finite("predicate residuals", (chen, wintgen))

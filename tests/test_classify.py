@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -585,3 +586,19 @@ def test_fold_raises_as_staged_fold_does():
         staged_fold_report(patch, exact_jets(patch, spec.points()))
     assert str(fused.value) == str(staged.value)
     assert str(fused.value).startswith("chen residual paths disagree: ")
+
+
+def test_node_body_keeps_no_memory_per_node():
+    # CPython 3.11 keeps every freed tuple of 20 items, up to 2000 of them
+    # (0.4 MB), so the body's per-node tuples must not have 20 items
+    patch = make_aminov("0.8*u^2+2", (0.2, 1.5))
+    source = list(exact_jets(patch, GridSpec(0.2, 1.5, 0.0, 6.3, 50, 50)
+                             .points()))
+    tracemalloc.start()
+    try:
+        for _ in node_rows(source):
+            pass
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 50_000
