@@ -199,7 +199,8 @@ def point_floats(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
         W2 = A + gu2 + gv2 + minor * minor
         W = sqrt(W2)
         sqrt_A = sqrt(A)
-        # frame, and project onto N1 = (.., ra, 0.0) and N2 = (.., a2, b2)
+        # frame, and project onto N1 = (.., ra, 0.0) and N2 = (.., a2, b2);
+        # "+ guu * 0.0" stays, since it turns a -0.0 into 0.0 as project does
         ra = 1.0 / sqrt_A
         rwa = 1.0 / (W * sqrt_A)
         a2, b2 = -B * rwa, A * rwa
@@ -217,6 +218,7 @@ def point_floats(f0, fu, fv, fuu, fuv, fvv, g0, gu, gv, guu, guv, gvv) -> tuple:
         k11 = q11 / E
         k12 = (q12 - FE * q11) / W
         k22 = (E * q22 - F2 * q12 + FFE * q11) / W2
+        # "** 2" as gauss_frame: it raises OverflowError where x * x is inf
         K_frame = (p11 * p22 - p12 ** 2 + q11 * q22 - q12 ** 2) / W2
         K = gauss_coord(fuu, fuv, fvv, guu, guv, gvv, A, B, C, W2)
         x, y = abs(K), abs(K_frame)

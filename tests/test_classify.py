@@ -510,15 +510,20 @@ def _node_outcome(body, jets):
     return repr(row), repr((classify._normal_rank(h1, h2), umbilical, h1, h2))
 
 
-_ITEM_1 = [  # the chen check fires on rounding alone (ROADMAP item 1)
-    (make_explicit("10*u^2+7.868*v^2", "100*u^2+78.68*v^2"), 0.0, 0.0),
-    (make_aminov("1e2*(u-0.5)^2+1e-3", (0.2, 0.8)), 0.5, 0.15708),
+_ITEM_1 = [  # a check fires on rounding alone (ROADMAP item 1)
+    ((make_explicit("10*u^2+7.868*v^2", "100*u^2+78.68*v^2"), 0.0, 0.0),
+     "chen residual paths disagree: "),
+    ((make_aminov("1e2*(u-0.5)^2+1e-3", (0.2, 0.8)), 0.5, 0.15708),
+     "chen residual paths disagree: "),
+    # a rotated cone, K = 0, where W2 is 3e12
+    ((make_explicit("-0.644217687237691*tan(tan(u/v))",
+                    "0.7648421872844885*tan(tan(u/v))"), 0.015625, 0.015625),
+     "gauss curvature paths disagree: "),
 ]
 
 
 @pytest.mark.parametrize("jets, expected", [
-    *((jet_floats(*node), "chen residual paths disagree: ")
-      for node in _ITEM_1),
+    *((jet_floats(*node), expected) for node, expected in _ITEM_1),
     # the residuals overflow, the invariants do not
     ((0.0, 0.3, -0.2, 1e160, 0.5, -1.0, 0.0, 0.1, 0.4, -0.5, 2.0, 0.25),
      "flag='domain-error: predicate residuals overflowed'"),
@@ -526,8 +531,8 @@ _ITEM_1 = [  # the chen check fires on rounding alone (ROADMAP item 1)
     ("bad-sample: nan at (1, 2)", "flag='bad-sample: nan at (1, 2)'"),
     (jet.DomainError("log of a non-positive value"),
      "flag='domain-error: log of a non-positive value'"),
-], ids=["item-1-grid", "item-1-aminov", "residuals-overflow", "boundary",
-        "bad-sample", "domain-error"])
+], ids=["item-1-grid", "item-1-aminov", "item-1-cone", "residuals-overflow",
+        "boundary", "bad-sample", "domain-error"])
 def test_node_rows_match_staged_body_on_crafted_nodes(jets, expected):
     outcome = _node_outcome(node_rows, jets)
     assert outcome == _node_outcome(staged_node_rows, jets)
