@@ -421,13 +421,14 @@ class ClassifyFold:
     the first normal rank and, on an aminov patch, the largest profile
     residuals (-inf until one is evaluated, reported as None).
 
-    add() takes in nodes through node_rows, in as many calls as there
-    are pieces of the grid; a node fails where it is flagged or a
-    residual is not finite.  report() is that state as text, as with
-    cli._Tally, and merge() takes in another fold's report, perhaps made
-    in another process.  Each merged value is a largest value (of -inf or
-    non-negative floats that are never -0.0, or of ranks) or a count, so
-    the merged state is the one a single fold of every node would hold.
+    add() takes in a node source (exact_jets, grid.sampled_jets) through
+    node_rows, in as many calls as there are pieces of the grid; a node
+    fails where it is flagged or a residual is not finite.  report() is
+    that state as text, as with cli._Tally, and merge() takes in another
+    fold's report, perhaps made in another process.  Each merged value is
+    a largest value (of -inf or non-negative floats that are never -0.0,
+    or of ranks) or a count, so the merged state is the one a single fold
+    of every node would hold.
     """
 
     def __init__(self, patch: MongePatch):
@@ -439,14 +440,14 @@ class ClassifyFold:
         # the largest |k_plus_kn_residual| and |aminov_wintgen_residual|
         self.profile = [-math.inf, -math.inf]
 
-    def add(self, nodes) -> None:
-        """Take in the nodes (i, j, u, v); a ConsistencyError is raised."""
+    def add(self, source) -> None:
+        """Take in the nodes of a node source; a ConsistencyError is raised."""
         patch, profile = self.patch, self.profile
         failed, rank = self.failed, self.rank
         aminov = patch.family == "aminov"
         row_u = None
         kept = []  # the residuals and scale of each node of a grid row
-        for row, plane in node_rows(exact_jets(patch, nodes)):
+        for row, plane in node_rows(source):
             if plane is None:
                 failed += 1
                 continue
@@ -550,7 +551,7 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
     """
     require_tol(tol)
     fold = ClassifyFold(patch)
-    fold.add(grid_spec.points())
+    fold.add(exact_jets(patch, grid_spec.points()))
     return fold.classification(grid_spec, tol)
 
 

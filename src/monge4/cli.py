@@ -19,14 +19,13 @@ import sys
 from functools import partial
 
 from . import jet
-from .classify import (DEFAULT_TOL, PREDICATES, ClassifyFold,
+from .classify import (DEFAULT_TOL, PREDICATES, ClassifyFold, exact_jets,
                        integrate_profile_ode, minimal_aminov_profile,
                        profile_row, report_to_json, require_tol)
 from .expr import profile_eval
-from .grid import (CHUNK_ROWS, MODES, RESULT_HEADER, GridSpec, _row_pieces,
-                   _table_chunks, _table_pieces, chunk_pieces,
-                   discrete_rows_between, grid_rows_between, ingest_samples,
-                   read_samples_csv, write_text)
+from .grid import (MODES, RESULT_HEADER, GridSpec, _row_pieces, _table_chunks,
+                   _table_pieces, chunk_pieces, ingest_samples,
+                   read_samples_csv, rows, sampled_jets, write_text)
 from .invariants import ConsistencyError, invariants_at
 from .patch import FIELDS, make_patch, patch_from_json
 
@@ -93,8 +92,18 @@ def _add_output_flags(p, default_format):
 
 # "-" and a digit, "." or "(": a negative number such as -1e-05, or an
 # expression such as -(2)^u, which argparse's own pattern takes for options;
-# or -inf, -infinity or -nan in any case, as float() reads them
-_NEGATIVE_NUMBER = re.compile(r"^-([\d.(]|(inf|infinity|nan)$)", re.IGNORECASE)
+# -inf, -infinity or -nan in any case, as float() reads them; or "-", a name
+# and a character no name holds (-exp(u), -u*v), so no flag (-u) matches.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-([\d.(]|(inf|infinity|nan)$|[a-z][a-z0-9_]*[^a-z0-9_])", re.IGNORECASE)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,6 +114,14 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def _get_option_tuples(self, option_string):
+        """argparse's readings of an argument as flags, less a flag joined
+        to no number where _NEGATIVE_NUMBER matches: -u*v is a value."""
+        found = super()._get_option_tuples(option_string)
+        if _NEGATIVE_NUMBER.match(option_string):
+            found = [t for t in found if t[-1] is None or _is_number(t[-1])]
+        return found
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,36 +330,21 @@ def _text_summary(spec, tally) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _chunked(spec, render, state):
-    """The pieces of render(start, stop) over the nodes of spec in chunks
-    of CHUNK_ROWS, in node order, made by one process per core
-    (chunk_pieces); state has the report() and merge() of what render
-    keeps."""
-    nodes = spec.nu * spec.nv
-
-    def chunk(k):
-        start = k * CHUNK_ROWS
-        return render(start, min(start + CHUNK_ROWS, nodes))
-
-    return chunk_pieces(-(-nodes // CHUNK_ROWS), chunk, state.report,
-                        state.merge)
-
-
-def _write_table(spec, rows_between, args) -> _Tally:
+def _write_table(spec, source, args) -> _Tally:
     """Stream the result rows of every node of spec to --out or stdout in
-    --format; their tally.  rows_between(start, stop) yields the rows of
-    nodes start to stop - 1.  The nodes go in chunks to one process per
-    core, and the text is the same for any number of them."""
+    --format; their tally.  source(start, stop) is the node source of nodes
+    start to stop - 1.  The nodes go in chunks to one process per core
+    (chunk_pieces), and the text is the same for any number of them."""
     tally = _Tally()
 
     def render(start, stop):
-        rows = tally.count(rows_between(start, stop))
+        counted = tally.count(rows(source(start, stop)))
         if args.format == "text":
-            tally.top(rows)
-            return ()
-        return _row_pieces(args.format, RESULT_HEADER, rows)
+            tally.top(counted)
+            return ""
+        return "".join(_row_pieces(args.format, RESULT_HEADER, counted))
 
-    body = _chunked(spec, render, tally)
+    body = chunk_pieces(spec.nu * spec.nv, render, tally)
 
     def summary():
         yield from body
@@ -360,7 +362,9 @@ def _write_table(spec, rows_between, args) -> _Tally:
 def cmd_grid(args) -> int:
     patch = _build_patch(args)
     spec = _grid_spec(args)
-    tally = _write_table(spec, partial(grid_rows_between, patch, spec), args)
+    tally = _write_table(
+        spec, lambda start, stop: exact_jets(patch, spec.nodes(start, stop)),
+        args)
     _note(f"sampled {tally.nodes} nodes ({tally.flagged} flagged)", args.out)
     return EXIT_OK
 
@@ -381,17 +385,17 @@ def _parse_predicates(text):
 def cmd_classify(args) -> int:
     patch = _build_patch(args)
     spec = _grid_spec(args)
-    requested = (_parse_predicates(args.predicates)
-                 if args.predicates else list(PREDICATES))
+    requested = (list(PREDICATES) if args.predicates is None
+                 else _parse_predicates(args.predicates))
     require_tol(args.tol)
     # classify_surface's fold, over the chunks of nodes of every process
     fold = ClassifyFold(patch)
 
     def render(start, stop):
-        fold.add(spec.nodes(start, stop))
-        return ()
+        fold.add(exact_jets(patch, spec.nodes(start, stop)))
+        return ""
 
-    for _ in _chunked(spec, render, fold):
+    for _ in chunk_pieces(spec.nu * spec.nv, render, fold):
         pass
     report = fold.classification(spec, args.tol)
     if args.format == "json":
@@ -482,7 +486,7 @@ def cmd_ode(args) -> int:
 def cmd_ingest(args) -> int:
     dp = ingest_samples(read_samples_csv(args.input), hu=args.hu, hv=args.hv,
                         mode=args.mode, source=args.input)
-    tally = _write_table(dp.spec(), partial(discrete_rows_between, dp), args)
+    tally = _write_table(dp.spec(), partial(sampled_jets, dp), args)
     _note(f"evaluated {len(dp.us)} x {len(dp.vs)} samples from {args.input} "
           f"({tally.flagged - tally.boundary} flagged beyond the boundary "
           f"ring)", args.out)

@@ -4,14 +4,13 @@ Every node goes through one body, classify.node_rows, fed by one of two
 node sources: classify.exact_jets (a patch's jets at GridSpec nodes) or
 sampled_jets (central-difference stencils of a DiscretePatch, which
 ingest_samples validates from a depth map of one or two height channels,
-held as one array('d') row per u coordinate and channel).  The table
-rows are the body's Rows: a node without values (the boundary ring, a
-corrupt stencil, a domain error) is flagged rather than dropped, so a
-table carries one row per node, at its own coordinates, v fastest.
-grid_rows_between and discrete_rows_between yield the rows of a range of
-nodes one at a time, so a stream never holds the whole grid; grid_rows,
-discrete_rows, sample_grid and evaluate_discrete cover every node, and
-chunk_pieces shares ranges of nodes among forked processes.
+held as one array('d') row per u coordinate and channel).  rows makes
+the table rows of any node source one at a time, so a stream never holds
+the whole grid: the body's Rows, where a node without values (the
+boundary ring, a corrupt stencil, a domain error) is flagged rather than
+dropped, one row per node at its own coordinates, v fastest.
+sample_grid and evaluate_discrete cover every node; chunk_pieces cuts
+the nodes into chunks and shares them among forked processes.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from operator import itemgetter
 from .classify import Row, exact_jets, node_rows
 from .invariants import ConsistencyError
 from .jet import Jet2, _new
-from .patch import MongePatch, PatchJets, jet_floats
+from .patch import MongePatch, PatchJets
 from .record import Record
 
 SPACING_RTOL = 1e-9
@@ -105,21 +104,15 @@ def _nodes(us, vs, nv: int, start: int, stop: int):
         yield i, j, us[i], vs[j]
 
 
-def grid_rows_between(patch: MongePatch, spec: GridSpec, start: int,
-                      stop: int):
-    """The result rows of nodes start to stop - 1 in node order, the Rows
-    of the body over the exact source; failures become flags."""
-    return map(_row_of, node_rows(exact_jets(patch, spec.nodes(start, stop))))
-
-
-def grid_rows(patch: MongePatch, spec: GridSpec):
-    """Yield the result row of every node in order; failures become flags."""
-    yield from grid_rows_between(patch, spec, 0, spec.nu * spec.nv)
+def rows(source):
+    """The result row of each (u, v, jets) of a node source, in its order:
+    the Rows of the body; failures become flags."""
+    return map(_row_of, node_rows(source))
 
 
 def sample_grid(patch: MongePatch, spec: GridSpec) -> GridResult:
     """Evaluate the full pipeline at every node; failures become flags."""
-    return GridResult(spec, list(grid_rows(patch, spec)))
+    return GridResult(spec, list(rows(exact_jets(patch, spec.points()))))
 
 
 def _doubles(values=()):
@@ -149,14 +142,17 @@ class DiscretePatch(Record):
 
 
 def sample_values(patch: MongePatch, spec: GridSpec, mode: str = "monge4") -> DiscretePatch:
-    """Discretize a patch to height samples only (no jets); monge3 keeps f."""
+    """Discretize a patch to height samples only (no jets); monge3 keeps f.
+    A node of the exact source without jets raises its DomainError."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    f = [_doubles([0.0]) * spec.nv for _ in range(spec.nu)]
-    g = [_doubles([0.0]) * spec.nv for _ in range(spec.nu)]
-    for i, j, u, v in spec.points():
-        floats = jet_floats(patch, u, v)
-        f[i][j], g[i][j] = floats[0], floats[6]
+    f = [_doubles() for _ in range(spec.nu)]
+    g = [_doubles() for _ in range(spec.nu)]
+    for k, (_, _, jets) in enumerate(exact_jets(patch, spec.points())):
+        if jets.__class__ is not tuple:
+            raise jets
+        f[k // spec.nv].append(jets[0])
+        g[k // spec.nv].append(jets[6])
     return DiscretePatch(tuple(map(spec.u_at, range(spec.nu))),
                          tuple(map(spec.v_at, range(spec.nv))),
                          f, g if mode == "monge4" else None)
@@ -215,20 +211,10 @@ def sampled_jets(dp: DiscretePatch, start: int, stop: int):
         yield u, v, jets
 
 
-def discrete_rows_between(dp: DiscretePatch, start: int, stop: int):
-    """The rows of nodes start to stop - 1 in node order, the Rows of the
-    body over the sampled source; the boundary ring is flagged."""
-    return map(_row_of, node_rows(sampled_jets(dp, start, stop)))
-
-
-def discrete_rows(dp: DiscretePatch):
-    """Yield the row of every node in order; the boundary ring is flagged."""
-    yield from discrete_rows_between(dp, 0, len(dp.us) * len(dp.vs))
-
-
 def evaluate_discrete(dp: DiscretePatch) -> GridResult:
     """Run the pipeline over interior nodes; boundary ring is flagged."""
-    return GridResult(dp.spec(), list(discrete_rows(dp)))
+    nodes = len(dp.us) * len(dp.vs)
+    return GridResult(dp.spec(), list(rows(sampled_jets(dp, 0, nodes))))
 
 
 def _uniform_axis(values, name: str):
@@ -500,13 +486,12 @@ def cores() -> int:
 
 
 # the frames of a worker's pipe: kind, payload size (8 bytes, little
-# endian) and payload.  Text (a chunk, the part of one before an error, or
-# the worker's report after its last chunk), the end of a chunk, or an
-# error that ended it.
-_TEXT, _CHUNK_END, _ERROR = b"T", b"C", b"E"
+# endian) and payload.  Text (a whole chunk, or the worker's report after
+# its last chunk), or an error that took the place of a chunk.
+_TEXT, _ERROR = b"T", b"E"
 
 
-def _send(fd: int, kind: bytes, text: str = "") -> None:
+def _send(fd: int, kind: bytes, text: str) -> None:
     payload = text.encode("utf-8", "surrogatepass")
     frame = memoryview(kind + len(payload).to_bytes(8, "little") + payload)
     while frame:
@@ -525,39 +510,30 @@ def _read(fd: int, size: int) -> bytes:
     return b"".join(parts)
 
 
-def _receive(fd: int) -> str | None:
-    """The text of the next frame on fd, None at the end of a chunk; an
-    error frame is raised: a ConsistencyError as itself, which evaluation
-    raises, and any other error as a failed worker."""
+def _receive(fd: int) -> str:
+    """The text of the next frame on fd; an error frame is raised: a
+    ConsistencyError as itself, which evaluation raises, and any other
+    error as a failed worker."""
     head = _read(fd, 9)
     text = _read(fd, int.from_bytes(head[1:], "little")).decode(
         "utf-8", "surrogatepass")
-    kind = head[:1]
-    if kind == _ERROR:
+    if head[:1] == _ERROR:
         name, _, message = text.partition("\n")
         if name == ConsistencyError.__name__:
             raise ConsistencyError(message)
         raise ChildProcessError(f"a chunk worker failed: {name}: {message}")
-    return None if kind == _CHUNK_END else text
+    return text
 
 
 def _serve(fd: int, chunks, render, report) -> None:
-    """A worker's run: each of its chunks as one text frame, made whole
-    before it is written (a pipe of PIPE_BYTES takes it without waiting
-    for the parent to read), then its report.  An error sends the text
-    made before it, then the error."""
-    made = []
+    """A worker's run: each of its chunks (start, stop) as one text frame,
+    which a pipe of PIPE_BYTES takes without waiting for the parent to
+    read, then its report; an error is sent in place of its chunk."""
     try:
-        for k in chunks:
-            for piece in render(k):
-                made.append(piece)
-            _send(fd, _TEXT, "".join(made))
-            made.clear()
-            _send(fd, _CHUNK_END)
+        for start, stop in chunks:
+            _send(fd, _TEXT, render(start, stop))
         _send(fd, _TEXT, report())
     except Exception as err:  # sent to the parent, which raises it in order
-        if made:
-            _send(fd, _TEXT, "".join(made))
         _send(fd, _ERROR, f"{type(err).__name__}\n{err}")
 
 
@@ -568,9 +544,9 @@ def _serve(fd: int, chunks, render, report) -> None:
 PIPE_BYTES = 1 << 20
 
 
-def _fork(first: int, count: int, jobs: int, render, report, children):
-    """A child that makes chunks first, first + jobs, ... of count and
-    sends them through a new pipe: its pid and the pipe's read end."""
+def _fork(chunks, render, report, children):
+    """A child that makes the chunks (start, stop) and sends them through
+    a new pipe: its pid and the pipe's read end."""
     r, w = os.pipe()
     try:  # fcntl is loaded here, so a command that never forks skips it
         import fcntl
@@ -589,7 +565,7 @@ def _fork(first: int, count: int, jobs: int, render, report, children):
             os.close(r)
             for _, fd in children:
                 os.close(fd)
-            _serve(w, range(first, count, jobs), render, report)
+            _serve(w, chunks, render, report)
             code = 0
         finally:
             os._exit(code)
@@ -612,38 +588,36 @@ def _end(children) -> None:
     children.clear()
 
 
-def chunk_pieces(count: int, render, report, merge):
-    """Yield the pieces of text that render(0), ..., render(count - 1)
-    yield, in that order, made by jobs = min(cores(), count) processes.
+def chunk_pieces(nodes: int, render, state):
+    """Yield the text of nodes 0 to nodes - 1 in chunks of CHUNK_ROWS,
+    each whole: render(start, stop), the text of nodes start to stop - 1.
 
-    Chunk k is made by process k % jobs: 0 is this one, and each other is
-    a child forked here, which sends its chunks through its own pipe,
-    then report(), the text of whatever state render() kept in it; the
-    parent passes that to merge().  An error in a child is raised when
-    its chunk's turn comes, after the text that the chunk made before
-    it, so the pieces are those a single process would yield.  Where no
-    pipe or process can be made, this process makes every chunk.  On
-    every way out, the children are reaped and every pipe is closed.
+    Chunk k is made by process k % jobs of jobs = min(cores(), chunks): 0
+    is this one, and each other is a child forked here, which sends its
+    chunks through its own pipe, then state.report(), the text of what
+    render() kept in state; the parent passes it to state.merge().  An
+    error in a child is raised when its chunk's turn comes, so the text is
+    what one process yields.  Where no pipe or process can be made, this
+    process makes every chunk.  On every way out, the children are reaped
+    and every pipe is closed.
     """
-    jobs = min(cores(), count)
+    chunks = [(start, min(start + CHUNK_ROWS, nodes))
+              for start in range(0, nodes, CHUNK_ROWS)]
+    jobs = min(cores(), len(chunks))
     children = []  # (pid, read end of its pipe)
     try:
         try:
             for first in range(1, jobs):
-                children.append(
-                    _fork(first, count, jobs, render, report, children))
+                children.append(_fork(chunks[first::jobs], render,
+                                      state.report, children))
         except OSError:
             _end(children)
             jobs = 1
-        for k in range(count):
-            if k % jobs == 0:
-                yield from render(k)
-                continue
-            fd = children[k % jobs - 1][1]
-            while (piece := _receive(fd)) is not None:
-                yield piece
+        for k, (start, stop) in enumerate(chunks):
+            yield (render(start, stop) if k % jobs == 0
+                   else _receive(children[k % jobs - 1][1]))
         for _, fd in children:
-            merge(_receive(fd))
+            state.merge(_receive(fd))
     finally:
         _end(children)
 
@@ -664,9 +638,8 @@ def export_samples_csv(dp: DiscretePatch, destination) -> None:
 
 __all__ = [
     "DiscretePatch", "GridResult", "GridSpec", "MODES", "RESULT_HEADER",
-    "Row", "chunk_pieces", "cores", "discrete_rows", "discrete_rows_between",
-    "evaluate_discrete", "export_csv", "export_samples_csv", "fd_jets",
-    "grid_rows", "grid_rows_between", "ingest_csv", "ingest_samples",
+    "Row", "chunk_pieces", "cores", "evaluate_discrete", "export_csv",
+    "export_samples_csv", "fd_jets", "ingest_csv", "ingest_samples", "rows",
     "SampleRecords", "read_samples_csv", "sample_grid", "sample_values",
     "write_text",
 ]

@@ -52,7 +52,8 @@ def fd_jets(dp, i: int, j: int) -> PatchJets:
 
 
 def discrete_rows(dp):
-    """The rows of grid.discrete_rows, from the nested-list stencil."""
+    """The rows of grid.rows over grid.sampled_jets, from the nested-list
+    stencil."""
     spec = dp.spec()
     f, g, hu, hv = nested(dp, dp.f), nested(dp, dp.g), spec.hu, spec.hv
 

@@ -16,7 +16,7 @@ from monge4.classify import (ClassifyFold, aminov_wintgen_residual,
                              wintgen_deficit)
 from monge4.expr import profile_eval
 from monge4.forms import SecondForm
-from monge4.grid import GridSpec, sample_grid
+from monge4.grid import GridSpec, sample_grid, sample_values, sampled_jets
 from monge4.invariants import (CHECK_TOL, ConsistencyError, invariants_at,
                                point_data, relative_gap)
 from monge4.patch import (eval_patch, jet_floats, make_aminov, make_explicit,
@@ -361,17 +361,64 @@ def test_classify_fails_the_nodes_that_a_grid_flags(f, g, flagged):
 ])
 def test_fold_merged_from_pieces_is_the_whole_fold(patch, spec):
     whole = ClassifyFold(patch)
-    whole.add(spec.points())
+    whole.add(exact_jets(patch, spec.points()))
     # this process folds nodes 0 to 19 and takes in the other pieces' reports
     merged = ClassifyFold(patch)
-    merged.add(spec.nodes(0, 20))
+    merged.add(exact_jets(patch, spec.nodes(0, 20)))
     for start, stop in ((20, 21), (21, 40), (40, spec.nu * spec.nv)):
         part = ClassifyFold(patch)
-        part.add(spec.nodes(start, stop))
+        part.add(exact_jets(patch, spec.nodes(start, stop)))
         merged.merge(part.report())
     assert merged.report() == whole.report()
     assert (repr(merged.classification(spec, 1e-8))
             == repr(classify_surface(patch, spec)))
+
+
+def _fold_sources():
+    """(patch, source as a list) of two node sources: the exact source of
+    an aminov grid with a boundary flag, a bad-sample flag and two
+    DomainErrors planted, and the sampled source of a depth map with a
+    NaN hole."""
+    aminov = make_aminov("0.8*u^2+2", (0.2, 1.5))
+    planted = list(exact_jets(aminov, GridSpec(0.2, 1.5, 0.0, 6.3, 9, 7)
+                              .points()))
+    for k, jets in ((0, "boundary"),
+                    (10, "bad-sample: non-finite sample near node (1, 3)"),
+                    (30, jet.DomainError("planted")),
+                    (62, jet.DomainError("planted"))):
+        u, v, _ = planted[k]
+        planted[k] = (u, v, jets)
+    explicit = make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2")
+    dp = sample_values(explicit, GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 8))
+    dp.f[4][3] = math.nan
+    return {"planted": (aminov, planted),
+            "sampled": (explicit, list(sampled_jets(dp, 0, 9 * 8)))}
+
+
+FOLD_SOURCES = _fold_sources()
+
+
+@pytest.mark.parametrize("name, failed", [("planted", 4), ("sampled", 39)])
+@settings(max_examples=30, deadline=None)
+@given(cuts=st.lists(st.integers(0, 63), max_size=4))
+def test_fold_takes_any_node_source(name, failed, cuts):
+    # the sampled source: 30 boundary nodes and the 9 around the hole
+    patch, source = FOLD_SOURCES[name]
+    whole = ClassifyFold(patch)
+    whole.add(source)
+    assert whole.failed == failed
+    streamed = ClassifyFold(patch)
+    streamed.add(iter(source))
+    assert streamed.report() == whole.report()
+    # this process folds the first piece and takes in the others' reports
+    bounds = [0, *sorted(cuts), len(source)]
+    merged = ClassifyFold(patch)
+    merged.add(source[:bounds[1]])
+    for start, stop in zip(bounds[1:], bounds[2:]):
+        part = ClassifyFold(patch)
+        part.add(iter(source[start:stop]))
+        merged.merge(part.report())
+    assert merged.report() == whole.report()
 
 
 # node_rows' guards on crafted jets, and the fold against its strict > form
@@ -483,7 +530,7 @@ def _strict_fold(patch, nodes):
 ])
 def test_fold_reduction_is_the_strict_loop(patch, spec):
     fold = ClassifyFold(patch)
-    fold.add(spec.points())
+    fold.add(exact_jets(patch, spec.points()))
     assert (fold.raw, fold.normalized, fold.failed) == _strict_fold(
         patch, spec.points())
 
@@ -576,7 +623,7 @@ def test_node_rows_match_staged_body(jets):
 ])
 def test_fold_report_matches_staged_fold(patch, spec):
     fold = ClassifyFold(patch)
-    fold.add(spec.points())
+    fold.add(exact_jets(patch, spec.points()))
     assert fold.report() == staged_fold_report(
         patch, exact_jets(patch, spec.points()))
 
@@ -586,7 +633,7 @@ def test_fold_raises_as_staged_fold_does():
     patch = make_aminov("1e2*(u-0.5)^2+1e-3", (0.2, 0.8))
     spec = GridSpec(0.2, 0.8, 0.0, 6.2832, 41, 41)
     with pytest.raises(ConsistencyError) as fused:
-        ClassifyFold(patch).add(spec.points())
+        ClassifyFold(patch).add(exact_jets(patch, spec.points()))
     with pytest.raises(ConsistencyError) as staged:
         staged_fold_report(patch, exact_jets(patch, spec.points()))
     assert str(fused.value) == str(staged.value)

@@ -12,13 +12,12 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monge4.classify import (PREDICATES, minimal_aminov_profile,
+from monge4.classify import (PREDICATES, exact_jets, minimal_aminov_profile,
                              minimal_translation_family,
                              same_sign_aminov_profile)
 from monge4.cli import _write_table, main
@@ -197,6 +196,27 @@ def test_expression_starting_with_minus_is_a_value(capsys, g, H2):
     assert code == 2 and "expected one argument" in err
 
 
+@pytest.mark.parametrize("q", ["-exp(u)*sin(v)", "-sin(v)", "-u*v"])
+def test_expression_starting_with_minus_and_a_name_is_a_value(capsys, q):
+    # -u*v too, though -u is eval's own flag: "*v" is no number
+    argv = ["eval", "--p", "exp(u)*cos(v)", "-u", "0.5", "-v", "0.25"]
+    code, out, err = run(capsys, *argv, "--q", q)
+    assert code == 0 and json.loads(out)
+    assert (code, out, err) == run(capsys, *argv, f"--q={q}")
+
+
+@pytest.mark.parametrize("u, v", [("0.5", "-0.25"), ("-0.5", "0.25")])
+def test_flags_joined_to_numbers_still_parse(capsys, u, v):
+    # -u0.5 and -u-0.5 match the pattern (a name, then "." or "-"), yet are
+    # -u with a number; and were -u itself matched, argparse would take
+    # -0.5 for an option in -u -0.5
+    argv = ["eval", "--f", "u^3", "--g", "u*v"]
+    want = run(capsys, *argv, f"-u={u}", f"-v={v}")
+    assert want[0] == 0
+    for spelling in ([f"-u{u}", f"-v{v}"], ["-u", u, "-v", v]):
+        assert run(capsys, *argv, *spelling) == want
+
+
 DOMAIN_DOCS = {
     "three": "[0, 1, 0]", "string": '[0, "1", 0, 1]', "bool": "[0, true, 0, 1]",
     "nan": "[0, NaN, 0, 1]", "infinities": "[-Infinity, Infinity, 0, 1]",
@@ -351,6 +371,13 @@ def test_classify_rejects_unknown_predicate(capsys):
                        "--predicates", "bogus")
     assert code == 2
     assert "unknown predicate" in err
+
+
+def test_classify_rejects_an_empty_predicate_list(capsys):
+    code, out, err = run(capsys, "classify", "--f", "u", "--g", "v",
+                         "--nu", "3", "--nv", "3", "--predicates", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown predicate ''; choose from ")
 
 
 def test_classify_text_format(capsys):
@@ -521,6 +548,8 @@ NON_FINITE_ARGUMENTS = {
     "eval-u-minus-inf": (["eval", "--f", "u", "--g", "v", "-u", "-iNf",
                           "-v", "0"],
                          "-u and -v must be finite, got -inf and 0.0"),
+    "grid-u0-minus-inf": (["grid", "--f", "u", "--g", "v", "--u0", "-inf"],
+                          "grid bounds must be finite"),
     "ode-r0-nan": (["ode", "--r0", "nan", "--r0p", "0"],
                    "parameter r0 must be finite"),
     "ode-r0p-nan": (["ode", "--r0", "1", "--r0p", "nan"],
@@ -723,10 +752,12 @@ ODD_ROWS = [Row(0.5, -0.0, -0.0, 1.0, 2.0, 3.0, -4.0, 0.25, -0.0, 1e-300,
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
-def test_table_writer_streams_odd_rows(tmp_path, fmt):
+def test_table_writer_streams_odd_rows(tmp_path, monkeypatch, fmt):
     spec = GridSpec(0, 1, 0, 1, 2, 2)
     table = tmp_path / "table"
     args = argparse.Namespace(format=fmt, out=str(table))
+    # no node source makes these rows: the writer takes them as they are
+    monkeypatch.setattr(cli, "rows", lambda source: source)
     tally = _write_table(spec, lambda start, stop: iter(ODD_ROWS[start:stop]),
                          args)
     assert (tally.nodes, tally.flagged, tally.boundary) == (4, 1, 0)
@@ -924,6 +955,9 @@ def test_consistency_error_in_a_worker_is_raised_in_node_order(capsys,
     assert err.count("\n") == 1
     if fmt == "csv":  # the header and chunk 0, not a row of chunk 1
         assert out.count("\n") == 1 + CHUNK_ROWS
+    if fmt == "json":  # chunk 0 whole and unclosed, not a row of chunk 1
+        assert out.startswith("[\n  {\n") and out.endswith("\n  }")
+        assert out.count("\n  {\n") == CHUNK_ROWS
     _cores(monkeypatch, 2)
     assert main(argv) == 3
     assert (3, *capsys.readouterr()) == serial
@@ -979,11 +1013,11 @@ def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,
         _no_child_left()
         # also while the error, and the frames of its traceback, live on
         spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 64, 64)
-        rows = partial(grid.grid_rows_between, make_explicit(*STREAM_SURFACE),
-                       spec)
+        patch = make_explicit(*STREAM_SURFACE)
         args = argparse.Namespace(format="csv", out="/dev/full")
         with pytest.raises(OSError) as caught:
-            _write_table(spec, rows, args)
+            _write_table(spec, lambda start, stop: exact_jets(
+                patch, spec.nodes(start, stop)), args)
         _no_child_left()
         assert caught.value.errno == errno.ENOSPC
     assert len(forks) >= 2
@@ -992,14 +1026,13 @@ def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,
 def test_worker_that_dies_fails_the_table(tmp_path, capsys, monkeypatch):
     parent = os.getpid()
 
-    def rows_between(patch, spec, start, stop):
-        for k, row in enumerate(grid.grid_rows_between(patch, spec, start,
-                                                       stop)):
+    def dying(patch, nodes):
+        for k, node in enumerate(exact_jets(patch, nodes)):
             if os.getpid() != parent and k == 100:
                 os._exit(0)
-            yield row
+            yield node
 
-    monkeypatch.setattr(cli, "grid_rows_between", rows_between)
+    monkeypatch.setattr(cli, "exact_jets", dying)
     table = tmp_path / "table"
     table.write_bytes(b"earlier result\n")
     _cores(monkeypatch, 2)

@@ -11,12 +11,12 @@ import tracemalloc
 import pytest
 
 from monge4 import grid
-from monge4.grid import (MODES, DiscretePatch, GridResult, GridSpec, Row,
-                         chunk_pieces, discrete_rows,
-                         discrete_rows_between, evaluate_discrete, export_csv,
-                         export_samples_csv, fd_jets, grid_rows,
-                         grid_rows_between, ingest_csv, ingest_samples,
-                         read_samples_csv, sample_grid, sample_values)
+from monge4.classify import exact_jets
+from monge4.grid import (CHUNK_ROWS, MODES, DiscretePatch, GridResult,
+                         GridSpec, Row, chunk_pieces, evaluate_discrete,
+                         export_csv, export_samples_csv, fd_jets, ingest_csv,
+                         ingest_samples, read_samples_csv, rows, sample_grid,
+                         sample_values, sampled_jets)
 from monge4.invariants import ConsistencyError
 from monge4.patch import make_aminov, make_explicit, make_translation
 from monge4.selfcheck import fd_convergence
@@ -225,8 +225,8 @@ def test_ingest_spacing_range_matches_the_stencil(axis, h, accepted):
     records = [((a, b) if axis == 0 else (b, a)) + (1.0, 0.0)
                for a in values for b in (0.0, 1.0, 2.0)]
     if accepted:  # the stencil runs at the interior nodes without raising
-        rows = list(discrete_rows(ingest_samples(records)))
-        assert sum(row.flag != "boundary" for row in rows) == 2
+        made = evaluate_discrete(ingest_samples(records)).rows
+        assert sum(row.flag != "boundary" for row in made) == 2
         return
     with pytest.raises(ValueError) as err:
         ingest_samples(records)
@@ -437,7 +437,7 @@ def _disagreeing_stream():
     # the dual-path check fires after about a thousand rows have streamed
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 51, 51)
     patch = make_explicit("10*u^2+7.868*v^2", "100*u^2+78.68*v^2")
-    return GridResult(spec, grid_rows(patch, spec))
+    return GridResult(spec, rows(exact_jets(patch, spec.points())))
 
 
 def _short_row_samples():
@@ -531,10 +531,11 @@ def test_rows_between_split_the_node_order():
     patch = make_explicit("u^3", "0-v^3+0*log(u+1)")
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 4)
     dp = sample_values(make_explicit("u*v", "u-v"), spec)
-    for whole, between in ((list(grid_rows(patch, spec)),
-                            lambda a, b: grid_rows_between(patch, spec, a, b)),
-                           (list(discrete_rows(dp)),
-                            lambda a, b: discrete_rows_between(dp, a, b))):
+    for whole, between in (
+            (sample_grid(patch, spec).rows,
+             lambda a, b: rows(exact_jets(patch, spec.nodes(a, b)))),
+            (evaluate_discrete(dp).rows,
+             lambda a, b: rows(sampled_jets(dp, a, b)))):
         assert [repr(r) for r in between(0, 7)] + \
             [repr(r) for r in between(7, 20)] == [repr(r) for r in whole]
         assert list(between(3, 3)) == []
@@ -545,25 +546,71 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class _Reports:
+    """A chunk_pieces state: report() names the chunks that render()
+    recorded in made in this process, merge() keeps the reports."""
+
+    def __init__(self):
+        self.made, self.merged = [], []
+
+    def report(self):
+        return ",".join(map(str, self.made))
+
+    def merge(self, report):
+        self.merged.append(report)
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 3, 6])
 def test_chunk_pieces_come_in_chunk_order(monkeypatch, jobs):
     monkeypatch.setattr(grid, "cores", lambda: jobs)
-    made = []
+    state = _Reports()
 
-    def render(k):
-        made.append(k)
-        yield f"{k}a"
-        yield f"{k}b"
+    def render(start, stop):
+        k = start // CHUNK_ROWS
+        state.made.append(k)
+        return f"{k}a{k}b"
 
-    merged = []
-    pieces = chunk_pieces(5, render, lambda: ",".join(map(str, made)),
-                          merged.append)
+    pieces = chunk_pieces(5 * CHUNK_ROWS, render, state)
     n = min(jobs, 5)  # the processes that make chunks
-    # a worker sends each chunk whole, as one piece
-    assert list(pieces) == [piece for k in range(5) for piece in (
-        [f"{k}a", f"{k}b"] if k % n == 0 else [f"{k}a{k}b"])]
-    assert made == list(range(0, 5, n))
-    assert merged == [",".join(map(str, range(c, 5, n))) for c in range(1, n)]
+    # every chunk comes whole, as one piece, from any process
+    assert list(pieces) == [f"{k}a{k}b" for k in range(5)]
+    assert state.made == list(range(0, 5, n))
+    assert state.merged == [",".join(map(str, range(c, 5, n)))
+                            for c in range(1, n)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("nodes", [1, 1023, 1024, 1025, 2 * 3000])
+def test_chunk_pieces_cut_the_nodes_into_whole_chunks(monkeypatch, jobs,
+                                                      nodes):
+    monkeypatch.setattr(grid, "cores", lambda: jobs)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    state = _Reports()
+
+    def render(start, stop):
+        state.made.append(f"{start}-{stop}")
+        return f"{start}-{stop};"
+
+    cuts = [(start, min(start + CHUNK_ROWS, nodes))
+            for start in range(0, nodes, CHUNK_ROWS)]
+    assert list(chunk_pieces(nodes, render, state)) == [
+        f"{start}-{stop};" for start, stop in cuts]
+    n = min(jobs, len(cuts))
+    assert len(forks) == n - 1
+    assert state.made == [f"{start}-{stop}" for start, stop in cuts[::n]]
+    assert state.merged == [",".join(f"{start}-{stop}"
+                                     for start, stop in cuts[c::n])
+                            for c in range(1, n)]
     _no_child_left()
 
 
@@ -572,7 +619,9 @@ def test_chunk_pieces_in_a_process_that_ignores_sigchld(monkeypatch):
     monkeypatch.setattr(grid, "cores", lambda: 2)
     old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        pieces = chunk_pieces(3, lambda k: iter([str(k)]), str, print)
+        pieces = chunk_pieces(3 * CHUNK_ROWS,
+                              lambda start, stop: str(start // CHUNK_ROWS),
+                              _Reports())
         assert list(pieces) == ["0", "1", "2"]
     finally:
         signal.signal(signal.SIGCHLD, old)
@@ -603,7 +652,8 @@ def _ahead_render(marker, waited):
     it up to 20 s and records in waited whether it came."""
     parent = os.getpid()
 
-    def render(k):
+    def render(start, stop):
+        k = start // CHUNK_ROWS
         if os.getpid() != parent and k == 3:
             marker.touch()
         if os.getpid() == parent and k == 0 and waited is not None:
@@ -611,7 +661,7 @@ def _ahead_render(marker, waited):
             while not marker.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             waited.append(marker.exists())
-        yield str(k) * RUN_AHEAD_TEXT
+        return str(k) * RUN_AHEAD_TEXT
     return render
 
 
@@ -622,9 +672,10 @@ def test_chunk_workers_run_ahead_of_the_parent(tmp_path, monkeypatch):
     monkeypatch.setattr(grid, "cores", lambda: 2)
     ahead = _pipes_hold_a_mib()
     waited = []
-    pieces = chunk_pieces(6, _ahead_render(tmp_path / "marker",
-                                           waited if ahead else None),
-                          str, print)
+    pieces = chunk_pieces(6 * CHUNK_ROWS,
+                          _ahead_render(tmp_path / "marker",
+                                        waited if ahead else None),
+                          _Reports())
     assert list(pieces) == [str(k) * RUN_AHEAD_TEXT for k in range(6)]
     assert waited == ([True] if ahead else [])
     _no_child_left()
@@ -642,18 +693,18 @@ def test_chunk_pieces_with_a_refused_pipe_size(tmp_path, monkeypatch):
         raise OSError(errno.EPERM, os.strerror(errno.EPERM))
 
     monkeypatch.setattr(fcntl, "fcntl", refuse)
-    pieces = chunk_pieces(6, _ahead_render(tmp_path / "marker", None), str,
-                          print)
+    pieces = chunk_pieces(6 * CHUNK_ROWS,
+                          _ahead_render(tmp_path / "marker", None), _Reports())
     assert list(pieces) == [str(k) * RUN_AHEAD_TEXT for k in range(6)]
     assert asked == [fcntl.F_SETPIPE_SZ]
     _no_child_left()
 
 
 def _failing_at_chunk_1(error):
-    def render(k):
-        yield str(k)
-        if k == 1:
+    def render(start, stop):
+        if start == CHUNK_ROWS:
             raise error
+        return str(start // CHUNK_ROWS)
     return render
 
 
@@ -665,9 +716,10 @@ def _failing_at_chunk_1(error):
 def test_chunk_worker_errors_are_raised_in_chunk_order(monkeypatch, error,
                                                        raised, message):
     monkeypatch.setattr(grid, "cores", lambda: 2)
-    pieces = chunk_pieces(3, _failing_at_chunk_1(error), str, print)
-    # the text of chunk 1 before its error, then the error
-    assert (next(pieces), next(pieces)) == ("0", "1")
+    pieces = chunk_pieces(3 * CHUNK_ROWS, _failing_at_chunk_1(error),
+                          _Reports())
+    # chunk 0, then the error in place of chunk 1: no text of it
+    assert next(pieces) == "0"
     with pytest.raises(raised, match=message):
         next(pieces)
     _no_child_left()

@@ -12,7 +12,7 @@ from array import array
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monge4.grid import DiscretePatch, _stencil, discrete_rows, fd_jets
+from monge4.grid import DiscretePatch, _stencil, fd_jets, rows, sampled_jets
 
 import stencil_reference as ref
 
@@ -23,6 +23,11 @@ SAMPLES = st.one_of(st.sampled_from(SPECIAL), st.floats(-10.0, 10.0),
                     st.floats(allow_nan=True, allow_infinity=True))
 STEPS = st.one_of(st.sampled_from([1e-3, 0.1, 0.25, 1.0]),
                   st.floats(1e-6, 1e6))
+
+
+def discrete_rows(dp):
+    """The result row of every node of dp: its sampled source through rows."""
+    return rows(sampled_jets(dp, 0, len(dp.us) * len(dp.vs)))
 
 
 def outcome(fn, *args):
