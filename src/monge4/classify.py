@@ -114,6 +114,9 @@ def _umbilical_gap(along) -> float:
         return 0.0
     a, b, c = along
     norm = sqrt(a * a + 2.0 * b * b + c * c)  # Frobenius norm of A_H
+    if not isfinite(norm):  # the squares overflowed: as _normal_rank does
+        m = max(abs(a), abs(b), abs(c))
+        norm = m * sqrt((a / m) ** 2 + 2.0 * (b / m) ** 2 + (c / m) ** 2)
     x, y = abs(b), abs(a - c)
     return (y if y > x else x) / (1.0 + norm)  # _larger(x, y)
 
@@ -241,7 +244,9 @@ def integrate_profile_ode(r0: float, r0p: float, u_range, steps: int):
         r, rp = state
         return (rp, r * (1.0 + rp * rp) / (1.0 + r * r))
 
-    us = [u0 + i * h for i in range(steps + 1)]
+    # blend, as GridSpec.u_at does, so the last node is exactly u1
+    ts = (i / steps for i in range(steps + 1))
+    us = [u0 * (1.0 - t) + u1 * t for t in ts]
     rs = [r0]
     rps = [r0p]
     state = (r0, r0p)
@@ -345,37 +350,38 @@ def _part(patch: MongePatch, k: int, part, x: float):
     return None
 
 
-def exact_jets(patch: MongePatch, nodes):
-    """The exact node source: (u, v, jets) of each node (i, j, u, v), the
-    jets being jet_floats there or the DomainError that it raised.
+def exact_jets(patch: MongePatch, spec, start: int, stop: int):
+    """The exact node source: (u, v, jets) of nodes start to stop - 1 of
+    the GridSpec spec, the jets being jet_floats there or the DomainError
+    that it raised.  Only the coordinates of those nodes are made.
 
-    The split kernel's u part runs once per row of nodes and its v part
-    once per column, keyed by the coordinate object and by j: equal
-    floats such as 0.0 and -0.0 can have different jets.  A node where a
-    part is None, or its mixing part raises, is run through jet_floats,
-    whose DomainError names the statement that fails first.
+    The split kernel's u part runs once per row i of spec.spans and its
+    v part once per column j.  A node where a part is None, or its mixing
+    part raises, is run through jet_floats, whose DomainError names the
+    statement that fails first.
     """
     u_part, v_part, mixing = patch.kernel.split
-    row = U = None
     columns = {}  # j: (v, the v part at v)
-    for _, j, u, v in nodes:
-        if u is not row:
-            row, U = u, _part(patch, 0, u_part, u)
-        column = columns.get(j)
-        if column is None or column[0] is not v:
-            column = columns[j] = v, _part(patch, 2, v_part, v)
-        jets = None
-        if U is not None and column[1] is not None:
-            try:
-                jets = mixing(U, column[1])
-            except jet.DomainError:
-                pass
-        if jets is None:
-            try:
-                jets = jet_floats(patch, u, v)
-            except jet.DomainError as err:
-                jets = err
-        yield u, v, jets
+    for i, js in spec.spans(start, stop):
+        u = spec.u_at(i)
+        U = _part(patch, 0, u_part, u)
+        for j in js:
+            if j not in columns:
+                v = spec.v_at(j)
+                columns[j] = v, _part(patch, 2, v_part, v)
+            v, V = columns[j]
+            jets = None
+            if U is not None and V is not None:
+                try:
+                    jets = mixing(U, V)
+                except jet.DomainError:
+                    pass
+            if jets is None:
+                try:
+                    jets = jet_floats(patch, u, v)
+                except jet.DomainError as err:
+                    jets = err
+            yield u, v, jets
 
 
 def node_rows(source):
@@ -551,7 +557,7 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
     """
     require_tol(tol)
     fold = ClassifyFold(patch)
-    fold.add(exact_jets(patch, grid_spec.points()))
+    fold.add(exact_jets(patch, grid_spec, 0, grid_spec.nu * grid_spec.nv))
     return fold.classification(grid_spec, tol)
 
 

@@ -362,9 +362,7 @@ def _write_table(spec, source, args) -> _Tally:
 def cmd_grid(args) -> int:
     patch = _build_patch(args)
     spec = _grid_spec(args)
-    tally = _write_table(
-        spec, lambda start, stop: exact_jets(patch, spec.nodes(start, stop)),
-        args)
+    tally = _write_table(spec, partial(exact_jets, patch, spec), args)
     _note(f"sampled {tally.nodes} nodes ({tally.flagged} flagged)", args.out)
     return EXIT_OK
 
@@ -390,9 +388,10 @@ def cmd_classify(args) -> int:
     require_tol(args.tol)
     # classify_surface's fold, over the chunks of nodes of every process
     fold = ClassifyFold(patch)
+    source = partial(exact_jets, patch, spec)
 
     def render(start, stop):
-        fold.add(exact_jets(patch, spec.nodes(start, stop)))
+        fold.add(source(start, stop))
         return ""
 
     for _ in chunk_pieces(spec.nu * spec.nv, render, fold):

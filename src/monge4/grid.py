@@ -1,14 +1,15 @@
 """Grid sampling, range-data ingestion, CSV import and table output.
 
 Every node goes through one body, classify.node_rows, fed by one of two
-node sources: classify.exact_jets (a patch's jets at GridSpec nodes) or
-sampled_jets (central-difference stencils of a DiscretePatch, which
-ingest_samples validates from a depth map of one or two height channels,
-held as one array('d') row per u coordinate and channel).  rows makes
-the table rows of any node source one at a time, so a stream never holds
-the whole grid: the body's Rows, where a node without values (the
-boundary ring, a corrupt stencil, a domain error) is flagged rather than
-dropped, one row per node at its own coordinates, v fastest.
+node sources of nodes start to stop - 1 of a grid, which GridSpec.spans
+walks row by row: classify.exact_jets(patch, spec, start, stop), a
+patch's jets, or sampled_jets(dp, start, stop), the stencils of a
+DiscretePatch, which ingest_samples validates from a depth map of one or
+two height channels, held as one array('d') row per u coordinate and
+channel.  rows makes the table rows of any node source one at a time, so
+a stream never holds the whole grid: the body's Rows, where a node
+without values (the boundary ring, a corrupt stencil, a domain error) is
+flagged rather than dropped, one row per node at its own coordinates.
 sample_grid and evaluate_discrete cover every node; chunk_pieces cuts
 the nodes into chunks and shares them among forked processes.
 """
@@ -73,17 +74,12 @@ class GridSpec(Record):
         t = j / (self.nv - 1)
         return self.v0 * (1.0 - t) + self.v1 * t
 
-    def nodes(self, start: int, stop: int):
-        """(i, j, u, v) of the nodes start to stop - 1, in node order; only
-        the coordinates of those nodes are made."""
+    def spans(self, start: int, stop: int):
+        """(i, js) of each row i that nodes start to stop - 1 meet, in node
+        order: js is the range of their columns j, node k is divmod(k, nv)."""
         nv = self.nv
-        us = {i: self.u_at(i) for i in range(start // nv, -(-stop // nv))}
-        js = {k % nv for k in range(start, min(stop, start + nv))}
-        return _nodes(us, {j: self.v_at(j) for j in js}, nv, start, stop)
-
-    def points(self):
-        """(i, j, u, v) of every node, in node order."""
-        yield from self.nodes(0, self.nu * self.nv)
+        for i in range(start // nv, -(-stop // nv) if start < stop else 0):
+            yield i, range(max(start - i * nv, 0), min(stop - i * nv, nv))
 
 
 # a Row is written as is: its fields are the columns of the result table
@@ -96,14 +92,6 @@ class GridResult(Record):
     _unshown = ("rows",)
 
 
-def _nodes(us, vs, nv: int, start: int, stop: int):
-    """(i, j, u, v) of the nodes start to stop - 1 of a grid of rows of nv
-    nodes, node k at (i, j) = divmod(k, nv): in node order, v fastest."""
-    for k in range(start, stop):
-        i, j = divmod(k, nv)
-        yield i, j, us[i], vs[j]
-
-
 def rows(source):
     """The result row of each (u, v, jets) of a node source, in its order:
     the Rows of the body; failures become flags."""
@@ -112,7 +100,8 @@ def rows(source):
 
 def sample_grid(patch: MongePatch, spec: GridSpec) -> GridResult:
     """Evaluate the full pipeline at every node; failures become flags."""
-    return GridResult(spec, list(rows(exact_jets(patch, spec.points()))))
+    nodes = spec.nu * spec.nv
+    return GridResult(spec, list(rows(exact_jets(patch, spec, 0, nodes))))
 
 
 def _doubles(values=()):
@@ -148,7 +137,8 @@ def sample_values(patch: MongePatch, spec: GridSpec, mode: str = "monge4") -> Di
         raise ValueError(f"unknown mode {mode!r}")
     f = [_doubles() for _ in range(spec.nu)]
     g = [_doubles() for _ in range(spec.nu)]
-    for k, (_, _, jets) in enumerate(exact_jets(patch, spec.points())):
+    nodes = spec.nu * spec.nv
+    for k, (_, _, jets) in enumerate(exact_jets(patch, spec, 0, nodes)):
         if jets.__class__ is not tuple:
             raise jets
         f[k // spec.nv].append(jets[0])
@@ -196,19 +186,22 @@ def fd_jets(dp: DiscretePatch, i: int, j: int) -> PatchJets:
 
 
 def sampled_jets(dp: DiscretePatch, start: int, stop: int):
-    """The sampled node source: (u, v, jets) of nodes start to stop - 1, the
-    jets being the stencils' floats, or the flag boundary or bad-sample."""
+    """The sampled node source: (u, v, jets) of nodes start to stop - 1 of
+    dp.spec(), in node order, the jets being the stencils' floats, or the
+    flag boundary or bad-sample.  u and v are dp's own coordinates."""
     spec = dp.spec()  # also checks the axes of a patch built by hand
     hu, hv, last_i, last_j = spec.hu, spec.hv, spec.nu - 1, spec.nv - 1
-    for i, j, u, v in _nodes(dp.us, dp.vs, spec.nv, start, stop):
-        if not (0 < i < last_i and 0 < j < last_j):
-            jets = "boundary"
-        else:
-            try:
-                jets = _fd_floats(dp, i, j, hu, hv)
-            except ValueError as err:
-                jets = f"bad-sample: {err}"
-        yield u, v, jets
+    for i, js in spec.spans(start, stop):
+        u = dp.us[i]
+        for j in js:
+            if not (0 < i < last_i and 0 < j < last_j):
+                jets = "boundary"
+            else:
+                try:
+                    jets = _fd_floats(dp, i, j, hu, hv)
+                except ValueError as err:
+                    jets = f"bad-sample: {err}"
+            yield u, dp.vs[j], jets
 
 
 def evaluate_discrete(dp: DiscretePatch) -> GridResult:

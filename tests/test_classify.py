@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -28,6 +29,11 @@ from shape_reference import (chen_paths_disagree, chen_traced, normal_rank,
 
 def second_at(p, u, v):
     return point_data(eval_patch(p, u, v)).second
+
+
+def every_node(patch, spec):
+    """The exact node source of every node of spec."""
+    return exact_jets(patch, spec, 0, spec.nu * spec.nv)
 
 
 def max_h(patch, grid):
@@ -103,6 +109,20 @@ def test_pseudo_umbilical_residual():
     proportional = SecondForm((0.7, 0.0, 0.7), (0.2, 0.0, 0.2),
                               (0.7, 0.0, 0.7), (0.2, 0.0, 0.2))
     assert pseudo_umbilical_residual(proportional) == 0.0
+
+
+def test_pseudo_umbilical_residual_where_the_norm_of_a_h_overflows():
+    # |A_H|^2 overflows at 1e100 but not at 1e60: the residual is
+    # homothety-invariant here, so both scales give the same value
+    def residual(scale):
+        patch = make_explicit(f"{scale}*u^2+3*{scale}*v^2", "0")
+        h = 1 / scale / 10
+        report = classify_surface(patch, GridSpec(-h, h, -h, h, 5, 5))
+        return report.predicates["pseudo_umbilical"].max_residual
+
+    small, large = residual(1e60), residual(1e100)
+    assert small == 0.6470636059773064
+    assert large == pytest.approx(small, rel=1e-15)
 
 
 def test_first_normal_rank():
@@ -205,6 +225,23 @@ def test_ode_matches_exponential_solution():
     assert u == 1.0
     assert abs(r - 0.5 * math.e) < 1e-8
     assert abs(rp - 0.5 * math.e) < 1e-8
+
+
+def test_ode_rows_end_at_the_range_end():
+    # node i is labelled as GridSpec.u_at and the closed form place it, by
+    # the blend of the ends; u0 + i*h ends at 0.30000000000000004 here
+    rows = integrate_profile_ode(0.5, 0.5, (0.1, 0.3), 3)
+    assert [row[0] for row in rows] == [0.1, 0.16666666666666669,
+                                        0.23333333333333334, 0.3]
+    draw = random.Random(0)
+    for _ in range(200):
+        lo = draw.uniform(-10.0, 1.0)
+        hi, steps = lo + draw.uniform(0.01, 2.0), draw.randint(3, 60)
+        us = [row[0] for row in integrate_profile_ode(0.5, 0.1, (lo, hi),
+                                                      steps)]
+        assert us[0] == lo and us[-1] == hi
+        assert us == [lo * (1.0 - k / steps) + hi * (k / steps)
+                      for k in range(steps + 1)]
 
 
 def test_ode_matches_cosh_solution():
@@ -361,13 +398,13 @@ def test_classify_fails_the_nodes_that_a_grid_flags(f, g, flagged):
 ])
 def test_fold_merged_from_pieces_is_the_whole_fold(patch, spec):
     whole = ClassifyFold(patch)
-    whole.add(exact_jets(patch, spec.points()))
+    whole.add(every_node(patch, spec))
     # this process folds nodes 0 to 19 and takes in the other pieces' reports
     merged = ClassifyFold(patch)
-    merged.add(exact_jets(patch, spec.nodes(0, 20)))
+    merged.add(exact_jets(patch, spec, 0, 20))
     for start, stop in ((20, 21), (21, 40), (40, spec.nu * spec.nv)):
         part = ClassifyFold(patch)
-        part.add(exact_jets(patch, spec.nodes(start, stop)))
+        part.add(exact_jets(patch, spec, start, stop))
         merged.merge(part.report())
     assert merged.report() == whole.report()
     assert (repr(merged.classification(spec, 1e-8))
@@ -380,8 +417,7 @@ def _fold_sources():
     DomainErrors planted, and the sampled source of a depth map with a
     NaN hole."""
     aminov = make_aminov("0.8*u^2+2", (0.2, 1.5))
-    planted = list(exact_jets(aminov, GridSpec(0.2, 1.5, 0.0, 6.3, 9, 7)
-                              .points()))
+    planted = list(every_node(aminov, GridSpec(0.2, 1.5, 0.0, 6.3, 9, 7)))
     for k, jets in ((0, "boundary"),
                     (10, "bad-sample: non-finite sample near node (1, 3)"),
                     (30, jet.DomainError("planted")),
@@ -493,13 +529,13 @@ def test_consistency_error_names_its_node(monkeypatch):
     assert message.count(" at (") == 1
 
 
-def _strict_fold(patch, nodes):
+def _strict_fold(patch, spec):
     """ClassifyFold.add's raw and normalized residuals as a strict > loop
     over node_rows, as it was written before the max reduction; the
     pseudo-umbilical residual is the public function's, of the second
     form's h1 and h2."""
     raw, normalized, failed = [0.0] * 6, [0.0] * 6, 0
-    for row, plane in node_rows(exact_jets(patch, nodes)):
+    for row, plane in node_rows(every_node(patch, spec)):
         if plane is None:
             failed += 1
             continue
@@ -530,9 +566,9 @@ def _strict_fold(patch, nodes):
 ])
 def test_fold_reduction_is_the_strict_loop(patch, spec):
     fold = ClassifyFold(patch)
-    fold.add(exact_jets(patch, spec.points()))
+    fold.add(every_node(patch, spec))
     assert (fold.raw, fold.normalized, fold.failed) == _strict_fold(
-        patch, spec.points())
+        patch, spec)
 
 
 # node_rows and ClassifyFold against the staged reference of
@@ -623,9 +659,8 @@ def test_node_rows_match_staged_body(jets):
 ])
 def test_fold_report_matches_staged_fold(patch, spec):
     fold = ClassifyFold(patch)
-    fold.add(exact_jets(patch, spec.points()))
-    assert fold.report() == staged_fold_report(
-        patch, exact_jets(patch, spec.points()))
+    fold.add(every_node(patch, spec))
+    assert fold.report() == staged_fold_report(patch, every_node(patch, spec))
 
 
 def test_fold_raises_as_staged_fold_does():
@@ -633,9 +668,9 @@ def test_fold_raises_as_staged_fold_does():
     patch = make_aminov("1e2*(u-0.5)^2+1e-3", (0.2, 0.8))
     spec = GridSpec(0.2, 0.8, 0.0, 6.2832, 41, 41)
     with pytest.raises(ConsistencyError) as fused:
-        ClassifyFold(patch).add(exact_jets(patch, spec.points()))
+        ClassifyFold(patch).add(every_node(patch, spec))
     with pytest.raises(ConsistencyError) as staged:
-        staged_fold_report(patch, exact_jets(patch, spec.points()))
+        staged_fold_report(patch, every_node(patch, spec))
     assert str(fused.value) == str(staged.value)
     assert str(fused.value).startswith("chen residual paths disagree: ")
 
@@ -644,8 +679,7 @@ def test_node_body_keeps_no_memory_per_node():
     # CPython 3.11 keeps every freed tuple of 20 items, up to 2000 of them
     # (0.4 MB), so the body's per-node tuples must not have 20 items
     patch = make_aminov("0.8*u^2+2", (0.2, 1.5))
-    source = list(exact_jets(patch, GridSpec(0.2, 1.5, 0.0, 6.3, 50, 50)
-                             .points()))
+    source = list(every_node(patch, GridSpec(0.2, 1.5, 0.0, 6.3, 50, 50)))
     tracemalloc.start()
     try:
         for _ in node_rows(source):

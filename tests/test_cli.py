@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -1016,8 +1017,7 @@ def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,
         patch = make_explicit(*STREAM_SURFACE)
         args = argparse.Namespace(format="csv", out="/dev/full")
         with pytest.raises(OSError) as caught:
-            _write_table(spec, lambda start, stop: exact_jets(
-                patch, spec.nodes(start, stop)), args)
+            _write_table(spec, partial(exact_jets, patch, spec), args)
         _no_child_left()
         assert caught.value.errno == errno.ENOSPC
     assert len(forks) >= 2
@@ -1026,8 +1026,8 @@ def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,
 def test_worker_that_dies_fails_the_table(tmp_path, capsys, monkeypatch):
     parent = os.getpid()
 
-    def dying(patch, nodes):
-        for k, node in enumerate(exact_jets(patch, nodes)):
+    def dying(patch, spec, start, stop):
+        for k, node in enumerate(exact_jets(patch, spec, start, stop)):
             if os.getpid() != parent and k == 100:
                 os._exit(0)
             yield node

@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import stat
+import struct
 import sys
 import time
 import tracemalloc
@@ -18,7 +19,9 @@ from monge4.grid import (CHUNK_ROWS, MODES, DiscretePatch, GridResult,
                          ingest_samples, read_samples_csv, rows, sample_grid,
                          sample_values, sampled_jets)
 from monge4.invariants import ConsistencyError
-from monge4.patch import make_aminov, make_explicit, make_translation
+from monge4.jet import DomainError
+from monge4.patch import (jet_floats, make_aminov, make_explicit,
+                          make_translation)
 from monge4.selfcheck import fd_convergence
 
 
@@ -36,11 +39,11 @@ def test_grid_spec_validation():
     assert spec.u_at(0) == 0.5
     assert spec.u_at(4) == 2.0
     assert spec.v_at(4) == math.pi
-    pts = list(spec.points())
-    assert len(pts) == 25
-    assert pts[0][:2] == (0, 0)
-    assert pts[1][:2] == (0, 1)  # v runs fastest
-    assert pts[5][:2] == (1, 0)
+    # nodes 0 .. 24 in rows of 5, v fastest: node k is (k // 5, k % 5)
+    assert list(spec.spans(0, 25)) == [(i, range(5)) for i in range(5)]
+    assert list(spec.spans(3, 12)) == [(0, range(3, 5)), (1, range(5)),
+                                       (2, range(2))]
+    assert list(spec.spans(7, 7)) == []
 
 
 def test_sample_grid_plane():
@@ -278,7 +281,8 @@ def test_sampled_rows_sit_at_the_spec_nodes(tmp_path):
     spec = GridSpec(-5.3564774387397085, 4.9238181083811545, -1, 1, 298, 5)
     dp = sample_values(make_explicit("u^2+v^2", "u*v"), spec)
     result = evaluate_discrete(dp)
-    nodes = [(u, v) for _, _, u, v in spec.points()]
+    nodes = [(spec.u_at(i), spec.v_at(j))
+             for i in range(spec.nu) for j in range(spec.nv)]
     assert result.spec == spec
     assert [(r.u, r.v) for r in result.rows] == nodes
     path = tmp_path / "samples.csv"
@@ -437,7 +441,7 @@ def _disagreeing_stream():
     # the dual-path check fires after about a thousand rows have streamed
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 51, 51)
     patch = make_explicit("10*u^2+7.868*v^2", "100*u^2+78.68*v^2")
-    return GridResult(spec, rows(exact_jets(patch, spec.points())))
+    return GridResult(spec, rows(exact_jets(patch, spec, 0, 51 * 51)))
 
 
 def _short_row_samples():
@@ -501,8 +505,37 @@ def test_non_finite_values_are_flagged_not_returned(f, g, center_flag):
     assert all(math.isnan(r.K) for r in result.rows)
 
 
+def bits(floats):
+    """The floats as bytes, so that -0.0 and 0.0 differ and NaN equals NaN."""
+    return b"".join(struct.pack("d", x) for x in floats)
+
+
+class _Axis:
+    """The coordinates of one axis of a GridSpec, made as they are read,
+    as a DiscretePatch's us or vs; reads counts them."""
+
+    def __init__(self, at, spec, n):
+        self.at, self.spec, self.n, self.reads = at, spec, n, 0
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return self.at(self.spec, k % self.n)
+
+
+# (start, stop) of both sources: whole grid, within a row, across rows,
+# over whole rows, at the ends and empty, of the 5 x 4 spec below
+RANGES = ((0, 20), (0, 3), (2, 7), (3, 13), (4, 12), (5, 9), (7, 7),
+          (8, 8), (19, 20), (20, 20), (0, 0))
+
+
 def test_nodes_make_only_the_coordinates_of_their_nodes(monkeypatch):
     u_at, v_at = GridSpec.u_at, GridSpec.v_at
+    patch = make_explicit("u*v", "u-v+0*log(u+1)")
+    spec = GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 4)
+    dp = sample_values(make_explicit("u^2", "u*v"), spec)
     calls = {u_at: 0, v_at: 0}
 
     def counted(at):
@@ -513,32 +546,76 @@ def test_nodes_make_only_the_coordinates_of_their_nodes(monkeypatch):
 
     monkeypatch.setattr(GridSpec, "u_at", counted(u_at))
     monkeypatch.setattr(GridSpec, "v_at", counted(v_at))
-    # one chunk of a thin grid costs its own nodes, not a whole axis
+    # one chunk of a thin grid costs its own nodes, not a whole axis, for
+    # both sources: this one crosses from row 0 into row 1
     thin = GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 10**6)
-    assert list(thin.nodes(0, 1024)) == [(0, j, -1.0, v_at(thin, j))
-                                         for j in range(1024)]
-    assert calls == {u_at: 1, v_at: 1024}
-    # ranges within a row, across rows, over whole rows and empty
-    spec = GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 4)
-    for start, stop in ((0, 20), (0, 3), (2, 7), (3, 13), (5, 9), (7, 7),
-                        (19, 20), (20, 20)):
-        assert list(spec.nodes(start, stop)) == [
-            (k // 4, k % 4, u_at(spec, k // 4), v_at(spec, k % 4))
-            for k in range(start, stop)]
+    cut = range(10**6 - 512, 10**6 + 512)
+    nodes = [(u_at(thin, k // 10**6), v_at(thin, k % 10**6)) for k in cut]
+    exact = list(exact_jets(patch, thin, cut.start, cut.stop))
+    assert [(u, v) for u, v, _ in exact] == nodes
+    assert calls == {u_at: 2, v_at: 1024}
+    assert [_outcome(jets) for *_, jets in exact] == [
+        _jet_floats(patch, u, v) for u, v in nodes]
+    us, vs = _Axis(u_at, thin, 2), _Axis(v_at, thin, 10**6)
+    sampled = list(sampled_jets(DiscretePatch(us, vs, None), cut.start,
+                                cut.stop))
+    assert sampled == [(u, v, "boundary") for u, v in nodes]
+    assert us.reads + vs.reads < 2 * len(cut)
+    # the same nodes of both sources, each made once per range
+    for start, stop in RANGES:
+        calls = {u_at: 0, v_at: 0}
+        ks = range(start, stop)
+        nodes = [(u_at(spec, k // 4), v_at(spec, k % 4)) for k in ks]
+        exact = list(exact_jets(patch, spec, start, stop))
+        sampled = list(sampled_jets(dp, start, stop))  # reads dp's own
+        assert calls == {u_at: len({k // 4 for k in ks}),
+                         v_at: len({k % 4 for k in ks})}
+        assert [(u, v) for u, v, _ in exact] == nodes
+        assert [(u, v) for u, v, _ in sampled] == nodes
+        assert [_outcome(jets) for *_, jets in exact] == [
+            _jet_floats(patch, u, v) for u, v in nodes]
+        assert [_outcome(jets) for *_, jets in sampled] == [
+            _fd_jets(dp, k // 4, k % 4) for k in ks]
+
+
+def _outcome(jets):
+    """The jets of a node source as bytes, or its flag or error as text."""
+    return bits(jets) if isinstance(jets, tuple) else str(jets)
+
+
+def _jet_floats(patch, u, v):
+    try:
+        return bits(jet_floats(patch, u, v))
+    except DomainError as err:
+        return str(err)
+
+
+def _fd_jets(dp, i, j):
+    try:
+        return bits(sum(fd_jets(dp, i, j), ()))
+    except ValueError as err:
+        return ("boundary" if "not interior" in str(err)
+                else f"bad-sample: {err}")
 
 
 def test_rows_between_split_the_node_order():
+    # the u = -1 row fails its domain, and a hole flags the nodes near it
     patch = make_explicit("u^3", "0-v^3+0*log(u+1)")
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 4)
     dp = sample_values(make_explicit("u*v", "u-v"), spec)
+    dp.f[2][1] = math.nan
     for whole, between in (
             (sample_grid(patch, spec).rows,
-             lambda a, b: rows(exact_jets(patch, spec.nodes(a, b)))),
+             lambda a, b: rows(exact_jets(patch, spec, a, b))),
             (evaluate_discrete(dp).rows,
              lambda a, b: rows(sampled_jets(dp, a, b)))):
-        assert [repr(r) for r in between(0, 7)] + \
-            [repr(r) for r in between(7, 20)] == [repr(r) for r in whole]
-        assert list(between(3, 3)) == []
+        for cuts in ((0, 7, 20), (0, 4, 8, 20), (0, 3, 3, 5, 13, 19, 20),
+                     tuple(range(21))):
+            assert [repr(r) for a, b in zip(cuts, cuts[1:])
+                    for r in between(a, b)] == [repr(r) for r in whole]
+        for start, stop in RANGES:
+            assert ([repr(r) for r in between(start, stop)]
+                    == [repr(r) for r in whole[start:stop]])
 
 
 def _no_child_left():

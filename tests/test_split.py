@@ -2,7 +2,6 @@
 exact node source, which runs the split kernel's parts once per row and
 column, against jet_floats at every node."""
 
-import math
 import struct
 
 import pytest
@@ -84,7 +83,8 @@ def test_split_kernel_gives_the_fused_floats(monkeypatch):
                *_benchmark_patches(), *_verify_patches(monkeypatch)]
     assert len(patches) > 20
     spec = GridSpec(-1.0, 1.5, -1.0, 6.3, 13, 11)
-    points = POINTS + [(u, v) for *_, u, v in spec.points()]
+    points = POINTS + [(spec.u_at(i), spec.v_at(j))
+                       for i in range(spec.nu) for j in range(spec.nv)]
     for patch in patches:
         fused = patch.kernel.jets
         for u, v in points:
@@ -109,11 +109,15 @@ def test_split_parts_read_one_coordinate():
     assert "try:" not in mixing
 
 
+def every_node(patch, spec):
+    """The exact node source of every node of spec."""
+    return exact_jets(patch, spec, 0, spec.nu * spec.nv)
+
+
 def _flags(patch, spec):
     """Each node's DomainError text from exact_jets, and from jet_floats."""
     got, want = [], []
-    for (*_, u, v), (_, _, jets) in zip(spec.points(),
-                                        exact_jets(patch, spec.points())):
+    for u, v, jets in every_node(patch, spec):
         try:
             expected = bits(jet_floats(patch, u, v))
         except DomainError as err:
@@ -157,18 +161,6 @@ def test_grid_rows_and_columns_outside_the_domain(patch):
                if isinstance(x, str)) > 9
 
 
-def test_node_caches_keep_the_sign_of_zero():
-    # 0.0 == -0.0, but f = u has the jet value -0.0 at u = -0.0: equal
-    # coordinates that are not the same object are evaluated anew
-    patch = make_explicit("u", "v")
-    nodes = [(0, 0, 0.0, 0.0), (0, 1, 0.0, -0.0), (1, 0, -0.0, 0.0),
-             (1, 1, -0.0, -0.0), (2, 0, 1.0, math.copysign(0.0, -1.0))]
-    for (*_, u, v), (_, _, jets) in zip(nodes, exact_jets(patch, nodes)):
-        assert bits(jets) == bits(jet_floats(patch, u, v))
-    assert [bits(j[:1] + j[6:7]) for *_, j in exact_jets(patch, nodes)] == [
-        bits((u, v)) for *_, u, v in nodes]
-
-
 def test_exact_jets_runs_each_part_once_per_row_and_column():
     patch = make_explicit("exp(u)*v", "sin(v)+u")
     calls = {"u": 0, "v": 0}
@@ -183,6 +175,12 @@ def test_exact_jets_runs_each_part_once_per_row_and_column():
     patch = patch._replace(kernel=patch.kernel._replace(
         split=(counted("u", u_part), counted("v", v_part), mixing)))
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 5)
-    assert [bits(j) for *_, j in exact_jets(patch, spec.points())] == [
-        bits(jet_floats(patch, u, v)) for *_, u, v in spec.points()]
-    assert calls == {"u": 7, "v": 5}
+    # per call, once per row index and column index that the range meets
+    for start, stop, rows, columns in ((0, 35, 7, 5), (3, 4, 1, 1),
+                                       (3, 12, 3, 5), (5, 10, 1, 5),
+                                       (9, 11, 2, 2), (12, 12, 0, 0)):
+        calls.update(u=0, v=0)
+        assert [bits(j) for *_, j in exact_jets(patch, spec, start, stop)] \
+            == [bits(jet_floats(patch, spec.u_at(k // 5), spec.v_at(k % 5)))
+                for k in range(start, stop)]
+        assert calls == {"u": rows, "v": columns}
