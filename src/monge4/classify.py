@@ -350,38 +350,53 @@ def _part(patch: MongePatch, k: int, part, x: float):
     return None
 
 
-def exact_jets(patch: MongePatch, spec, start: int, stop: int):
-    """The exact node source: (u, v, jets) of nodes start to stop - 1 of
-    the GridSpec spec, the jets being jet_floats there or the DomainError
-    that it raised.  Only the coordinates of those nodes are made.
+# the most columns an exact node source keeps: as many as a range of 1024
+# nodes can meet, so a source over a grid of any width holds no more
+COLUMNS = 1024
 
-    The split kernel's u part runs once per row i of spec.spans and its
-    v part once per column j.  A node where a part is None, or its mixing
-    part raises, is run through jet_floats, whose DomainError names the
-    statement that fails first.
+
+def exact_jets(patch: MongePatch, spec):
+    """The exact node source of the GridSpec spec: source(start, stop)
+    yields (u, v, jets) of nodes start to stop - 1, the jets being
+    jet_floats there or the DomainError that it raised.  Only the
+    coordinates of those nodes are made.
+
+    The split kernel's u part runs once per row i of spec.spans in each
+    call, and its v part once per column j over all the calls of the
+    source in a process: the source keeps v and the v part of up to
+    COLUMNS columns, and forgets them all when it needs one more.  A node
+    where a part is None, or its mixing part raises, is run through
+    jet_floats, whose DomainError names the statement that fails first.
     """
     u_part, v_part, mixing = patch.kernel.split
     columns = {}  # j: (v, the v part at v)
-    for i, js in spec.spans(start, stop):
-        u = spec.u_at(i)
-        U = _part(patch, 0, u_part, u)
-        for j in js:
-            if j not in columns:
-                v = spec.v_at(j)
-                columns[j] = v, _part(patch, 2, v_part, v)
-            v, V = columns[j]
-            jets = None
-            if U is not None and V is not None:
-                try:
-                    jets = mixing(U, V)
-                except jet.DomainError:
-                    pass
-            if jets is None:
-                try:
-                    jets = jet_floats(patch, u, v)
-                except jet.DomainError as err:
-                    jets = err
-            yield u, v, jets
+
+    def source(start: int, stop: int):
+        for i, js in spec.spans(start, stop):
+            u = spec.u_at(i)
+            U = _part(patch, 0, u_part, u)
+            for j in js:
+                column = columns.get(j)
+                if column is None:
+                    if len(columns) == COLUMNS:
+                        columns.clear()
+                    v = spec.v_at(j)
+                    column = columns[j] = v, _part(patch, 2, v_part, v)
+                v, V = column
+                jets = None
+                if U is not None and V is not None:
+                    try:
+                        jets = mixing(U, V)
+                    except jet.DomainError:
+                        pass
+                if jets is None:
+                    try:
+                        jets = jet_floats(patch, u, v)
+                    except jet.DomainError as err:
+                        jets = err
+                yield u, v, jets
+
+    return source
 
 
 def node_rows(source):
@@ -427,14 +442,14 @@ class ClassifyFold:
     the first normal rank and, on an aminov patch, the largest profile
     residuals (-inf until one is evaluated, reported as None).
 
-    add() takes in a node source (exact_jets, grid.sampled_jets) through
-    node_rows, in as many calls as there are pieces of the grid; a node
-    fails where it is flagged or a residual is not finite.  report() is
-    that state as text, as with cli._Tally, and merge() takes in another
-    fold's report, perhaps made in another process.  Each merged value is
-    a largest value (of -inf or non-negative floats that are never -0.0,
-    or of ranks) or a count, so the merged state is the one a single fold
-    of every node would hold.
+    add() takes in the (u, v, jets) of a node source's range (of
+    exact_jets or grid.sampled_jets) through node_rows, in as many calls
+    as there are pieces of the grid; a node fails where it is flagged or
+    a residual is not finite.  report() is that state as text, as with
+    cli._Tally, and merge() takes in another fold's report, perhaps made
+    in another process.  Each merged value is a largest value (of -inf or
+    non-negative floats that are never -0.0, or of ranks) or a count, so
+    the merged state is the one a single fold of every node would hold.
     """
 
     def __init__(self, patch: MongePatch):
@@ -557,7 +572,7 @@ def classify_surface(patch: MongePatch, grid_spec, tol: float = DEFAULT_TOL) -> 
     """
     require_tol(tol)
     fold = ClassifyFold(patch)
-    fold.add(exact_jets(patch, grid_spec, 0, grid_spec.nu * grid_spec.nv))
+    fold.add(exact_jets(patch, grid_spec)(0, grid_spec.nu * grid_spec.nv))
     return fold.classification(grid_spec, tol)
 
 

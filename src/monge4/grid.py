@@ -1,15 +1,16 @@
 """Grid sampling, range-data ingestion, CSV import and table output.
 
 Every node goes through one body, classify.node_rows, fed by one of two
-node sources of nodes start to stop - 1 of a grid, which GridSpec.spans
-walks row by row: classify.exact_jets(patch, spec, start, stop), a
-patch's jets, or sampled_jets(dp, start, stop), the stencils of a
-DiscretePatch, which ingest_samples validates from a depth map of one or
-two height channels, held as one array('d') row per u coordinate and
-channel.  rows makes the table rows of any node source one at a time, so
-a stream never holds the whole grid: the body's Rows, where a node
-without values (the boundary ring, a corrupt stencil, a domain error) is
-flagged rather than dropped, one row per node at its own coordinates.
+node sources of a grid, each a function source(start, stop) of nodes
+start to stop - 1, which GridSpec.spans walks row by row:
+classify.exact_jets(patch, spec), a patch's jets, or sampled_jets(dp),
+the stencils of a DiscretePatch, which ingest_samples validates from a
+depth map of one or two height channels, held as one array('d') row per
+u coordinate and channel.  rows makes the table rows of any node source
+one at a time, so a stream never holds the whole grid: the body's Rows,
+where a node without values (the boundary ring, a corrupt stencil, a
+domain error) is flagged rather than dropped, one row per node at its own
+coordinates.
 sample_grid and evaluate_discrete cover every node; chunk_pieces cuts
 the nodes into chunks and shares them among forked processes.
 """
@@ -24,7 +25,7 @@ import stat
 from itertools import islice
 from operator import itemgetter
 
-from .classify import Row, exact_jets, node_rows
+from .classify import COLUMNS, Row, exact_jets, node_rows
 from .invariants import ConsistencyError
 from .jet import Jet2, _new
 from .patch import MongePatch, PatchJets
@@ -36,8 +37,11 @@ MODES = ("monge4", "monge3")
 
 FLAT_JET = (0.0,) * 6  # a missing g channel: _stencil of nine 0.0 samples
 
-# rows per write: export holds one chunk of text, never the whole table
-CHUNK_ROWS = 1024
+# rows per write: export holds one chunk of text, never the whole table.
+# A chunk of 256 rows is about 62 KB of CSV or 108 KB of JSON, held two
+# or three times at once (its lines, their text, its frame or bytes); at
+# 1024 rows the peak RSS of a 201 x 201 grid table was about 1 MB higher
+CHUNK_ROWS = 256
 
 # rows per encoder call in JSON output: enough to spread the encoder's
 # per-call set-up (one call per row made a 201x201 grid about 0.5 s
@@ -101,7 +105,7 @@ def rows(source):
 def sample_grid(patch: MongePatch, spec: GridSpec) -> GridResult:
     """Evaluate the full pipeline at every node; failures become flags."""
     nodes = spec.nu * spec.nv
-    return GridResult(spec, list(rows(exact_jets(patch, spec, 0, nodes))))
+    return GridResult(spec, list(rows(exact_jets(patch, spec)(0, nodes))))
 
 
 def _doubles(values=()):
@@ -138,7 +142,7 @@ def sample_values(patch: MongePatch, spec: GridSpec, mode: str = "monge4") -> Di
     f = [_doubles() for _ in range(spec.nu)]
     g = [_doubles() for _ in range(spec.nu)]
     nodes = spec.nu * spec.nv
-    for k, (_, _, jets) in enumerate(exact_jets(patch, spec, 0, nodes)):
+    for k, (_, _, jets) in enumerate(exact_jets(patch, spec)(0, nodes)):
         if jets.__class__ is not tuple:
             raise jets
         f[k // spec.nv].append(jets[0])
@@ -185,29 +189,34 @@ def fd_jets(dp: DiscretePatch, i: int, j: int) -> PatchJets:
     return PatchJets(_new(Jet2, floats[:6]), _new(Jet2, floats[6:]))
 
 
-def sampled_jets(dp: DiscretePatch, start: int, stop: int):
-    """The sampled node source: (u, v, jets) of nodes start to stop - 1 of
-    dp.spec(), in node order, the jets being the stencils' floats, or the
-    flag boundary or bad-sample.  u and v are dp's own coordinates."""
+def sampled_jets(dp: DiscretePatch):
+    """The sampled node source of dp.spec(): source(start, stop) yields
+    (u, v, jets) of nodes start to stop - 1, in node order, the jets being
+    the stencils' floats, or the flag boundary or bad-sample.  u and v are
+    dp's own coordinates."""
     spec = dp.spec()  # also checks the axes of a patch built by hand
     hu, hv, last_i, last_j = spec.hu, spec.hv, spec.nu - 1, spec.nv - 1
-    for i, js in spec.spans(start, stop):
-        u = dp.us[i]
-        for j in js:
-            if not (0 < i < last_i and 0 < j < last_j):
-                jets = "boundary"
-            else:
-                try:
-                    jets = _fd_floats(dp, i, j, hu, hv)
-                except ValueError as err:
-                    jets = f"bad-sample: {err}"
-            yield u, dp.vs[j], jets
+
+    def source(start: int, stop: int):
+        for i, js in spec.spans(start, stop):
+            u = dp.us[i]
+            for j in js:
+                if not (0 < i < last_i and 0 < j < last_j):
+                    jets = "boundary"
+                else:
+                    try:
+                        jets = _fd_floats(dp, i, j, hu, hv)
+                    except ValueError as err:
+                        jets = f"bad-sample: {err}"
+                yield u, dp.vs[j], jets
+
+    return source
 
 
 def evaluate_discrete(dp: DiscretePatch) -> GridResult:
     """Run the pipeline over interior nodes; boundary ring is flagged."""
     nodes = len(dp.us) * len(dp.vs)
-    return GridResult(dp.spec(), list(rows(sampled_jets(dp, 0, nodes))))
+    return GridResult(dp.spec(), list(rows(sampled_jets(dp)(0, nodes))))
 
 
 def _uniform_axis(values, name: str):
@@ -307,8 +316,10 @@ class SampleRecords:
 
 
 def read_samples_csv(path) -> SampleRecords:
-    """Parse an input CSV with header u,v,f[,g] into numeric records."""
-    with open(path, newline="") as fh:
+    """Parse an input CSV with header u,v,f[,g] into numeric records.  The
+    file is UTF-8, with or without the byte-order mark that spreadsheets
+    write."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -405,40 +416,47 @@ def _cell_lines(rows):
 _RESULT_LINE = "%s%s" + "%r," * 11 + "%s\n"
 
 
-def _result_lines(rows):
+def _result_lines(rows, v_texts):
     """The CSV lines of Rows (RESULT_HEADER: floats, then a str flag), as
     _cell_lines writes them, with one format per line.  The text of u is
-    made once per u object and of v once per v object, keyed by identity,
-    not by value: 0.0 == -0.0, but their text differs.  Each v is held
-    while its id is a key, so that no other object can take that id."""
+    made once per u object, and of v once per v object while v_texts
+    keeps it, which may be over many calls: id(v): (v, the text of v and
+    its comma).  Texts are keyed by identity, not by value: 0.0 == -0.0,
+    but their text differs; each v is held while its id is a key, so that
+    no other object can take that id.  v_texts keeps up to COLUMNS texts,
+    as the exact source keeps columns."""
     u_of = u_text = None
-    v_texts = {}  # id(v): the text of v and its comma
-    held = []  # the v objects whose ids key v_texts
     lines = []
     for u, v, E, F, G, W2, K, KN, H1, H2, Hnorm, chen, wintgen, flag in rows:
         if u is not u_of:
             u_of, u_text = u, repr(u) + ","
-        v_text = v_texts.get(id(v))
-        if v_text is None:
-            v_text = v_texts[id(v)] = repr(v) + ","
-            held.append(v)
-        lines.append(_RESULT_LINE % (u_text, v_text, E, F, G, W2, K, KN, H1,
+        kept = v_texts.get(id(v))
+        if kept is None:
+            if len(v_texts) == COLUMNS:
+                v_texts.clear()
+            kept = v_texts[id(v)] = v, repr(v) + ","
+        lines.append(_RESULT_LINE % (u_text, kept[1], E, F, G, W2, K, KN, H1,
                                      H2, Hnorm, chen, wintgen,
                                      _text_cell(flag) if flag else flag))
     return "".join(lines)
 
 
-def _row_pieces(fmt: str, header, rows):
+def _row_pieces(fmt: str, header, rows, v_texts=None):
     """The text of some rows of a table in fmt, in pieces.  "csv": lines
     of floats as shortest round-trip decimals and quoted text, CHUNK_ROWS
-    at a time.  "json": row objects of floats, strings and bools as in
-    json.dumps(table, indent=2), JSON_ROWS at a time; each batch is
-    encoded as a list, without its opening and closing lines, and comes
-    after ",\n"."""
+    at a time; Rows keep the text of each v in v_texts (a new dict if
+    None), as _result_lines does.  "json": row objects of floats, strings
+    and bools as in json.dumps(table, indent=2), JSON_ROWS at a time; each
+    batch is encoded as a list, without its opening and closing lines, and
+    comes after ",\n"."""
     rows = iter(rows)
     if fmt == "csv":
-        lines = _result_lines if header is RESULT_HEADER else _cell_lines
-        while chunk := lines(islice(rows, CHUNK_ROWS)):
+        if header is not RESULT_HEADER:
+            while chunk := _cell_lines(islice(rows, CHUNK_ROWS)):
+                yield chunk
+            return
+        v_texts = {} if v_texts is None else v_texts
+        while chunk := _result_lines(islice(rows, CHUNK_ROWS), v_texts):
             yield chunk
         return
     encode = json.JSONEncoder(indent=2).encode
@@ -518,28 +536,30 @@ def _receive(fd: int) -> str:
     return text
 
 
-def _serve(fd: int, chunks, render, report) -> None:
-    """A worker's run: each of its chunks (start, stop) as one text frame,
-    which a pipe of PIPE_BYTES takes without waiting for the parent to
-    read, then its report; an error is sent in place of its chunk."""
+def _serve(fd: int, ks, chunk, report) -> None:
+    """A worker's run: the text chunk(k) of each of its chunks k as one
+    text frame, which a pipe of PIPE_BYTES takes without waiting for the
+    parent to read, then its report; an error is sent in place of its
+    chunk."""
     try:
-        for start, stop in chunks:
-            _send(fd, _TEXT, render(start, stop))
+        for k in ks:
+            _send(fd, _TEXT, chunk(k))
         _send(fd, _TEXT, report())
     except Exception as err:  # sent to the parent, which raises it in order
         _send(fd, _ERROR, f"{type(err).__name__}\n{err}")
 
 
-# the size asked of a worker's pipe: a CSV chunk (about 250 KB) or a JSON
-# chunk (about 430 KB) fits whole, so a worker sends it in one write and
-# goes on to its next chunk while the parent makes its own.  1 MiB is
-# Linux's default limit for an unprivileged process (pipe-max-size).
+# the size asked of a worker's pipe: several CSV chunks (about 62 KB
+# each) or JSON chunks (about 108 KB) fit whole, so a worker sends each in
+# one write and goes on to its next chunks while the parent makes its
+# own.  1 MiB is Linux's default limit for an unprivileged process
+# (pipe-max-size).
 PIPE_BYTES = 1 << 20
 
 
-def _fork(chunks, render, report, children):
-    """A child that makes the chunks (start, stop) and sends them through
-    a new pipe: its pid and the pipe's read end."""
+def _fork(ks, chunk, report, children):
+    """A child that makes the chunks k of ks, chunk(k), and sends them
+    through a new pipe: its pid and the pipe's read end."""
     r, w = os.pipe()
     try:  # fcntl is loaded here, so a command that never forks skips it
         import fcntl
@@ -558,7 +578,7 @@ def _fork(chunks, render, report, children):
             os.close(r)
             for _, fd in children:
                 os.close(fd)
-            _serve(w, chunks, render, report)
+            _serve(w, ks, chunk, report)
             code = 0
         finally:
             os._exit(code)
@@ -585,29 +605,33 @@ def chunk_pieces(nodes: int, render, state):
     """Yield the text of nodes 0 to nodes - 1 in chunks of CHUNK_ROWS,
     each whole: render(start, stop), the text of nodes start to stop - 1.
 
-    Chunk k is made by process k % jobs of jobs = min(cores(), chunks): 0
-    is this one, and each other is a child forked here, which sends its
-    chunks through its own pipe, then state.report(), the text of what
-    render() kept in state; the parent passes it to state.merge().  An
-    error in a child is raised when its chunk's turn comes, so the text is
-    what one process yields.  Where no pipe or process can be made, this
-    process makes every chunk.  On every way out, the children are reaped
-    and every pipe is closed.
+    Chunk k is nodes k * CHUNK_ROWS up to the next chunk, its bounds made
+    from k when its turn comes.  It is made by process k % jobs of jobs =
+    min(cores(), chunks): 0 is this one, and each other is a child forked
+    here, given its k as a range, which sends its chunks through its own
+    pipe, then state.report(), the text of what render() kept in state;
+    the parent passes it to state.merge().  An error in a child is raised
+    when its chunk's turn comes, so the text is what one process yields.
+    Where no pipe or process can be made, this process makes every chunk.
+    On every way out, the children are reaped and every pipe is closed.
     """
-    chunks = [(start, min(start + CHUNK_ROWS, nodes))
-              for start in range(0, nodes, CHUNK_ROWS)]
-    jobs = min(cores(), len(chunks))
+    def chunk(k):  # the text of chunk k
+        start = k * CHUNK_ROWS
+        return render(start, min(start + CHUNK_ROWS, nodes))
+
+    chunks = -(-nodes // CHUNK_ROWS)
+    jobs = min(cores(), chunks)
     children = []  # (pid, read end of its pipe)
     try:
         try:
             for first in range(1, jobs):
-                children.append(_fork(chunks[first::jobs], render,
+                children.append(_fork(range(first, chunks, jobs), chunk,
                                       state.report, children))
         except OSError:
             _end(children)
             jobs = 1
-        for k, (start, stop) in enumerate(chunks):
-            yield (render(start, stop) if k % jobs == 0
+        for k in range(chunks):
+            yield (chunk(k) if k % jobs == 0
                    else _receive(children[k % jobs - 1][1]))
         for _, fd in children:
             state.merge(_receive(fd))

@@ -33,7 +33,7 @@ def second_at(p, u, v):
 
 def every_node(patch, spec):
     """The exact node source of every node of spec."""
-    return exact_jets(patch, spec, 0, spec.nu * spec.nv)
+    return exact_jets(patch, spec)(0, spec.nu * spec.nv)
 
 
 def max_h(patch, grid):
@@ -401,10 +401,10 @@ def test_fold_merged_from_pieces_is_the_whole_fold(patch, spec):
     whole.add(every_node(patch, spec))
     # this process folds nodes 0 to 19 and takes in the other pieces' reports
     merged = ClassifyFold(patch)
-    merged.add(exact_jets(patch, spec, 0, 20))
+    merged.add(exact_jets(patch, spec)(0, 20))
     for start, stop in ((20, 21), (21, 40), (40, spec.nu * spec.nv)):
         part = ClassifyFold(patch)
-        part.add(exact_jets(patch, spec, start, stop))
+        part.add(exact_jets(patch, spec)(start, stop))
         merged.merge(part.report())
     assert merged.report() == whole.report()
     assert (repr(merged.classification(spec, 1e-8))
@@ -428,7 +428,7 @@ def _fold_sources():
     dp = sample_values(explicit, GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 8))
     dp.f[4][3] = math.nan
     return {"planted": (aminov, planted),
-            "sampled": (explicit, list(sampled_jets(dp, 0, 9 * 8)))}
+            "sampled": (explicit, list(sampled_jets(dp)(0, 9 * 8)))}
 
 
 FOLD_SOURCES = _fold_sources()

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -468,6 +467,22 @@ def test_ingest_runs_fd_pipeline(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("mode", ["monge4", "monge3"])
+def test_ingest_reads_past_a_byte_order_mark(tmp_path, capsys, mode):
+    # a spreadsheet's "CSV UTF-8" starts the file with the UTF-8 mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    export_samples_csv(sample_values(make_explicit("u^3+v", "u*v"),
+                                     GridSpec(-1, 1, -1, 1, 5, 4), mode),
+                       str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    runs = []
+    for path in (plain, marked):
+        code, out, err = run(capsys, "ingest", str(path))
+        runs.append((code, out, err.replace(str(path), "FILE")))
+    assert runs[0][0] == 0 and runs[0][1].startswith("u,v,E,")
+    assert runs[1] == runs[0]
+
+
 def test_verify_all_checks_pass(capsys):
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
@@ -509,6 +524,36 @@ def test_help_lists_flags(capsys):
         assert code == 0
         assert "--family" not in out
         assert ("--tol" in out) == (sub == "classify"), sub
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "grid"], ["bogus"], ["gri"],
+    *([sub, "--help"] for sub in cli.SUBCOMMANDS),
+    ["eval"], ["eval", "--f", "u"], ["grid", "--nu", "x"], ["grid", "--bogus"],
+    ["classify", "--tol"], ["ingest"], ["ode", "--sigma", "3"],
+    ["verify", "--format", "xml"], ["ingest", "--mode", "monge5", "x.csv"],
+    ["eval", "--f", "grid", "-u", "x"], ["grid", "--f", "u", "eval"],
+    ["grid", "--f", "u", "--g", "v", "--nu", "3", "--format", "json"],
+], ids=" ".join)
+def test_parser_of_the_named_subcommand_reads_as_the_full_one(capsys, argv):
+    # build_parser(argv) adds only the arguments of the subcommands argv
+    # names, or all where it names none: its help, its usage errors and
+    # what it parses are those of the parser with every argument
+    def outcome(parser):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exit:
+            parsed = exit.code
+        return parsed, capsys.readouterr()
+
+    assert outcome(cli.build_parser(argv)) == outcome(cli.build_parser())
+
+
+def test_parser_leaves_out_the_arguments_of_other_subcommands(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser(["grid"]).parse_args(["eval", "--help"])
+    out = capsys.readouterr().out
+    assert out.startswith("usage: monge4 eval [-h]\n") and "-u" not in out
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -859,15 +904,15 @@ def test_failed_grid_exits_without_traceback(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-# 64 x 64 nodes in four chunks: the u = -1 column flagged as a domain
+# 64 x 64 nodes in 16 chunks: the u = -1 column flagged as a domain
 # error, and -0.0 in K and KN
 CHUNKED_GRID = ["grid", "--f", STREAM_SURFACE[0], "--g", STREAM_SURFACE[1],
                 "--nu", "64", "--nv", "64"]
 
 
 def _holed_samples_file(path, mode):
-    """50 x 50 samples in three chunks, with NaN holes in the first and
-    last chunk and one in the g channel."""
+    """50 x 50 samples in ten chunks, with NaN holes in the first, a
+    middle and the last but one chunk and one in the g channel."""
     dp = sample_values(make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"),
                        GridSpec(-1, 1, -1, 1, 50, 50), mode)
     for i, j in ((3, 7), (29, 30), (45, 2)):
@@ -944,7 +989,7 @@ def test_consistency_error_in_a_worker_is_raised_in_node_order(capsys,
                                                                monkeypatch,
                                                                fmt):
     # the check fires at (u, v) = (0, 0), node 25 * 51 + 25 = 1300 of
-    # 51 x 51: in chunk 1, which the forked worker makes when there are
+    # 51 x 51: in chunk 5, which the forked worker makes when there are
     # two processes
     argv = [*CONSISTENCY_FAILURE, "--format", fmt]
     forks = _forks(monkeypatch)
@@ -954,11 +999,12 @@ def test_consistency_error_in_a_worker_is_raised_in_node_order(capsys,
     assert code == 3
     assert err.startswith("error: chen residual paths disagree: ")
     assert err.count("\n") == 1
-    if fmt == "csv":  # the header and chunk 0, not a row of chunk 1
-        assert out.count("\n") == 1 + CHUNK_ROWS
-    if fmt == "json":  # chunk 0 whole and unclosed, not a row of chunk 1
+    whole = 1300 // CHUNK_ROWS * CHUNK_ROWS  # the nodes of chunks 0 to 4
+    if fmt == "csv":  # the header and chunks 0 to 4, not a row of chunk 5
+        assert out.count("\n") == 1 + whole
+    if fmt == "json":  # chunks 0 to 4 whole and unclosed, not one of 5
         assert out.startswith("[\n  {\n") and out.endswith("\n  }")
-        assert out.count("\n  {\n") == CHUNK_ROWS
+        assert out.count("\n  {\n") == whole
     _cores(monkeypatch, 2)
     assert main(argv) == 3
     assert (3, *capsys.readouterr()) == serial
@@ -970,7 +1016,7 @@ def test_grid_ingest_and_classify_share_one_body(tmp_path, capsys,
                                                   monkeypatch):
     # f = u and g = v, so the first and seventh jet floats of a node are
     # its (u, v), from the exact jets and the stencils alike.  The failure
-    # is planted at node 1500 of 41 x 41: in chunk 1, which the forked
+    # is planted at node 1500 of 41 x 41: in chunk 5, which the forked
     # worker makes when there are two processes
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
     node = spec.u_at(1500 // 41), spec.v_at(1500 % 41)
@@ -1017,7 +1063,7 @@ def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,
         patch = make_explicit(*STREAM_SURFACE)
         args = argparse.Namespace(format="csv", out="/dev/full")
         with pytest.raises(OSError) as caught:
-            _write_table(spec, partial(exact_jets, patch, spec), args)
+            _write_table(spec, exact_jets(patch, spec), args)
         _no_child_left()
         assert caught.value.errno == errno.ENOSPC
     assert len(forks) >= 2
@@ -1026,11 +1072,15 @@ def test_failed_or_cut_short_table_leaves_no_worker(tmp_path, capsys,
 def test_worker_that_dies_fails_the_table(tmp_path, capsys, monkeypatch):
     parent = os.getpid()
 
-    def dying(patch, spec, start, stop):
-        for k, node in enumerate(exact_jets(patch, spec, start, stop)):
-            if os.getpid() != parent and k == 100:
-                os._exit(0)
-            yield node
+    def dying(patch, spec):
+        source = exact_jets(patch, spec)
+
+        def dies(start, stop):
+            for k, node in enumerate(source(start, stop)):
+                if os.getpid() != parent and k == 100:
+                    os._exit(0)
+                yield node
+        return dies
 
     monkeypatch.setattr(cli, "exact_jets", dying)
     table = tmp_path / "table"
@@ -1078,7 +1128,7 @@ def test_table_is_made_in_one_process_where_no_other_can_be(
     _no_child_left()
 
 
-# 48 x 48 nodes in three chunks of classify
+# 48 x 48 nodes in nine chunks of classify
 CLASSIFY_SURFACES = {
     # the benchmark's kind of aminov profile: the profile channels are set
     "aminov": ["--r", "0.8*u^2+2", "--u0", "0.2", "--u1", "1.5",
@@ -1118,7 +1168,7 @@ def test_classify_bytes_do_not_depend_on_jobs(tmp_path, capsys, monkeypatch,
 
 def test_classify_reports_null_profile_channels_when_no_node_evaluates(
         capsys, monkeypatch):
-    # every node overflows: 41 x 41 nodes are two chunks, and neither
+    # every node overflows: 41 x 41 nodes are seven chunks, and none
     # evaluates a profile, so the channels are null at any job count
     argv = ["classify", "--r", "1e40*exp(u)", "--u0", "0.2", "--u1", "1.5",
             "--v0", "0", "--v1", "6.28", "--nu", "41", "--nv", "41",
@@ -1139,7 +1189,8 @@ def test_classify_reports_null_profile_channels_when_no_node_evaluates(
 
 def test_consistency_error_in_a_classify_worker_is_the_serial_error(
         capsys, monkeypatch):
-    # node 1300 of 51 x 51, where the check fires, is in chunk 1
+    # node 1300 of 51 x 51, where the check fires, is in chunk 5, which
+    # the forked worker makes
     argv = ["classify", *CONSISTENCY_FAILURE[1:]]
     forks = _forks(monkeypatch)
     _cores(monkeypatch, 1)
@@ -1157,10 +1208,11 @@ def test_consistency_error_in_a_classify_worker_is_the_serial_error(
 def test_single_chunk_classify_never_forks(capsys, monkeypatch):
     forks = _forks(monkeypatch)
     _cores(monkeypatch, 2)
-    argv = ["classify", "--f", "u^2", "--g", "u*v", "--nv", "32"]
-    code, _, _ = run(capsys, *argv, "--nu", "32")  # 1024 nodes
+    argv = ["classify", "--f", "u^2", "--g", "u*v", "--nu", "16"]
+    # CHUNK_ROWS nodes, then 16 more
+    code, _, _ = run(capsys, *argv, "--nv", str(CHUNK_ROWS // 16))
     assert code == 1 and not forks
-    code, _, _ = run(capsys, *argv, "--nu", "33")
+    code, _, _ = run(capsys, *argv, "--nv", str(CHUNK_ROWS // 16 + 1))
     assert code == 1 and len(forks) == 1
     _no_child_left()
 

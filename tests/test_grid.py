@@ -441,7 +441,7 @@ def _disagreeing_stream():
     # the dual-path check fires after about a thousand rows have streamed
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 51, 51)
     patch = make_explicit("10*u^2+7.868*v^2", "100*u^2+78.68*v^2")
-    return GridResult(spec, rows(exact_jets(patch, spec, 0, 51 * 51)))
+    return GridResult(spec, rows(exact_jets(patch, spec)(0, 51 * 51)))
 
 
 def _short_row_samples():
@@ -549,25 +549,26 @@ def test_nodes_make_only_the_coordinates_of_their_nodes(monkeypatch):
     # one chunk of a thin grid costs its own nodes, not a whole axis, for
     # both sources: this one crosses from row 0 into row 1
     thin = GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 10**6)
-    cut = range(10**6 - 512, 10**6 + 512)
+    cut = range(10**6 - CHUNK_ROWS // 2, 10**6 + CHUNK_ROWS // 2)
     nodes = [(u_at(thin, k // 10**6), v_at(thin, k % 10**6)) for k in cut]
-    exact = list(exact_jets(patch, thin, cut.start, cut.stop))
+    exact = list(exact_jets(patch, thin)(cut.start, cut.stop))
     assert [(u, v) for u, v, _ in exact] == nodes
-    assert calls == {u_at: 2, v_at: 1024}
+    assert calls == {u_at: 2, v_at: CHUNK_ROWS}
     assert [_outcome(jets) for *_, jets in exact] == [
         _jet_floats(patch, u, v) for u, v in nodes]
     us, vs = _Axis(u_at, thin, 2), _Axis(v_at, thin, 10**6)
-    sampled = list(sampled_jets(DiscretePatch(us, vs, None), cut.start,
-                                cut.stop))
+    sampled = list(sampled_jets(DiscretePatch(us, vs, None))(cut.start,
+                                                             cut.stop))
     assert sampled == [(u, v, "boundary") for u, v in nodes]
     assert us.reads + vs.reads < 2 * len(cut)
-    # the same nodes of both sources, each made once per range
+    # the same nodes of both sources, each made once per range of a new
+    # exact source
     for start, stop in RANGES:
         calls = {u_at: 0, v_at: 0}
         ks = range(start, stop)
         nodes = [(u_at(spec, k // 4), v_at(spec, k % 4)) for k in ks]
-        exact = list(exact_jets(patch, spec, start, stop))
-        sampled = list(sampled_jets(dp, start, stop))  # reads dp's own
+        exact = list(exact_jets(patch, spec)(start, stop))
+        sampled = list(sampled_jets(dp)(start, stop))  # reads dp's own
         assert calls == {u_at: len({k // 4 for k in ks}),
                          v_at: len({k % 4 for k in ks})}
         assert [(u, v) for u, v, _ in exact] == nodes
@@ -604,17 +605,16 @@ def test_rows_between_split_the_node_order():
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 4)
     dp = sample_values(make_explicit("u*v", "u-v"), spec)
     dp.f[2][1] = math.nan
-    for whole, between in (
-            (sample_grid(patch, spec).rows,
-             lambda a, b: rows(exact_jets(patch, spec, a, b))),
-            (evaluate_discrete(dp).rows,
-             lambda a, b: rows(sampled_jets(dp, a, b)))):
+    # the ranges of one source of each kind, which keeps what it made
+    for whole, source in ((sample_grid(patch, spec).rows,
+                           exact_jets(patch, spec)),
+                          (evaluate_discrete(dp).rows, sampled_jets(dp))):
         for cuts in ((0, 7, 20), (0, 4, 8, 20), (0, 3, 3, 5, 13, 19, 20),
                      tuple(range(21))):
             assert [repr(r) for a, b in zip(cuts, cuts[1:])
-                    for r in between(a, b)] == [repr(r) for r in whole]
+                    for r in rows(source(a, b))] == [repr(r) for r in whole]
         for start, stop in RANGES:
-            assert ([repr(r) for r in between(start, stop)]
+            assert ([repr(r) for r in rows(source(start, stop))]
                     == [repr(r) for r in whole[start:stop]])
 
 
@@ -658,7 +658,10 @@ def test_chunk_pieces_come_in_chunk_order(monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-@pytest.mark.parametrize("nodes", [1, 1023, 1024, 1025, 2 * 3000])
+@pytest.mark.parametrize("nodes", [1, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                   CHUNK_ROWS + 1, 4 * CHUNK_ROWS - 1,
+                                   4 * CHUNK_ROWS, 4 * CHUNK_ROWS + 1,
+                                   2 * 3000])
 def test_chunk_pieces_cut_the_nodes_into_whole_chunks(monkeypatch, jobs,
                                                       nodes):
     monkeypatch.setattr(grid, "cores", lambda: jobs)
@@ -691,6 +694,23 @@ def test_chunk_pieces_cut_the_nodes_into_whole_chunks(monkeypatch, jobs,
     _no_child_left()
 
 
+def test_chunk_pieces_hold_no_list_of_chunks(monkeypatch):
+    # chunk k's bounds are made from k: setting up 10**9 nodes and making
+    # the first chunk traces under 1 MB, where a list of every chunk's
+    # bounds would take about 190 MB
+    monkeypatch.setattr(grid, "cores", lambda: 1)
+    tracemalloc.start()
+    try:
+        pieces = chunk_pieces(10**9, lambda start, stop: f"{start}-{stop}",
+                              _Reports())
+        assert next(pieces) == f"0-{CHUNK_ROWS}"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pieces.close()
+    assert peak < 10**6
+
+
 def test_chunk_pieces_in_a_process_that_ignores_sigchld(monkeypatch):
     # the kernel reaps the children itself, so there is none to wait for
     monkeypatch.setattr(grid, "cores", lambda: 2)
@@ -705,7 +725,8 @@ def test_chunk_pieces_in_a_process_that_ignores_sigchld(monkeypatch):
     _no_child_left()
 
 
-# about the text of one CSV chunk of a 1024-node grid table
+# more text than a pipe of the default 64 KiB holds, as a JSON chunk of a
+# grid table (about 108 KB) is
 RUN_AHEAD_TEXT = 200_000
 
 

@@ -1,6 +1,7 @@
 """The split kernel (JetCode.split) against the fused one, and the grid's
-exact node source, which runs the split kernel's parts once per row and
-column, against jet_floats at every node."""
+exact node source, which runs the split kernel's u part once per row of
+a call and its v part once per column of a source, against jet_floats at
+every node."""
 
 import struct
 
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from monge4 import patch as patch_module
 from monge4 import selfcheck
-from monge4.classify import exact_jets, minimal_translation_family
+from monge4.classify import (COLUMNS, exact_jets,
+                             minimal_translation_family)
 from monge4.expr import pretty
-from monge4.grid import GridSpec
+from monge4.grid import CHUNK_ROWS, GridSpec
 from monge4.jet import DomainError
 from monge4.patch import (jet_floats, make_aminov, make_explicit,
                           make_gradient, make_patch, make_translation)
@@ -111,7 +113,7 @@ def test_split_parts_read_one_coordinate():
 
 def every_node(patch, spec):
     """The exact node source of every node of spec."""
-    return exact_jets(patch, spec, 0, spec.nu * spec.nv)
+    return exact_jets(patch, spec)(0, spec.nu * spec.nv)
 
 
 def _flags(patch, spec):
@@ -161,8 +163,8 @@ def test_grid_rows_and_columns_outside_the_domain(patch):
                if isinstance(x, str)) > 9
 
 
-def test_exact_jets_runs_each_part_once_per_row_and_column():
-    patch = make_explicit("exp(u)*v", "sin(v)+u")
+def _counted(patch):
+    """The patch with its split kernel's u and v parts counted in calls."""
     calls = {"u": 0, "v": 0}
     u_part, v_part, mixing = patch.kernel.split
 
@@ -172,15 +174,52 @@ def test_exact_jets_runs_each_part_once_per_row_and_column():
             return part(x)
         return run
 
-    patch = patch._replace(kernel=patch.kernel._replace(
-        split=(counted("u", u_part), counted("v", v_part), mixing)))
+    return patch._replace(kernel=patch.kernel._replace(
+        split=(counted("u", u_part), counted("v", v_part), mixing))), calls
+
+
+def test_exact_jets_runs_each_part_once_per_row_and_column():
+    patch, calls = _counted(make_explicit("exp(u)*v", "sin(v)+u"))
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 5)
-    # per call, once per row index and column index that the range meets
+    # per call of a new source, once per row index and column index that
+    # the range meets
     for start, stop, rows, columns in ((0, 35, 7, 5), (3, 4, 1, 1),
                                        (3, 12, 3, 5), (5, 10, 1, 5),
                                        (9, 11, 2, 2), (12, 12, 0, 0)):
         calls.update(u=0, v=0)
-        assert [bits(j) for *_, j in exact_jets(patch, spec, start, stop)] \
+        assert [bits(j) for *_, j in exact_jets(patch, spec)(start, stop)] \
             == [bits(jet_floats(patch, spec.u_at(k // 5), spec.v_at(k % 5)))
                 for k in range(start, stop)]
         assert calls == {"u": rows, "v": columns}
+
+
+def test_exact_source_keeps_the_v_part_of_each_column_across_calls():
+    patch, calls = _counted(make_explicit("exp(u)*v", "sin(v)+u"))
+    # the chunks one process makes of a grid, every other one: the u part
+    # runs once per row of each chunk, the v part once per column in all
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 13, 11)
+    source = exact_jets(patch, spec)
+    cuts = [(start, min(start + 4, 143)) for start in range(0, 143, 8)]
+    assert [bits(j) for start, stop in cuts for *_, j in source(start, stop)] \
+        == [bits(jet_floats(patch, spec.u_at(k // 11), spec.v_at(k % 11)))
+            for start, stop in cuts for k in range(start, stop)]
+    assert calls == {"u": sum(len(list(spec.spans(*cut))) for cut in cuts),
+                     "v": 11}
+    # a thin grid: the source keeps at most COLUMNS columns, so walking the
+    # first COLUMNS + CHUNK_ROWS columns again runs the v part at least
+    # CHUNK_ROWS times; the columns of the last chunk are still kept
+    thin = GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 10**6)
+    source = exact_jets(patch, thin)
+    walked = COLUMNS + CHUNK_ROWS
+    cuts = [(start, start + CHUNK_ROWS) for start in range(0, walked,
+                                                           CHUNK_ROWS)]
+    calls.update(v=0)
+    for start, stop in cuts:
+        assert len(list(source(start, stop))) == CHUNK_ROWS
+    assert calls["v"] == walked
+    calls.update(v=0)
+    list(source(*cuts[-1]))
+    assert calls["v"] == 0
+    for start, stop in cuts:
+        list(source(start, stop))
+    assert calls["v"] >= walked - COLUMNS

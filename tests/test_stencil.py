@@ -27,7 +27,7 @@ STEPS = st.one_of(st.sampled_from([1e-3, 0.1, 0.25, 1.0]),
 
 def discrete_rows(dp):
     """The result row of every node of dp: its sampled source through rows."""
-    return rows(sampled_jets(dp, 0, len(dp.us) * len(dp.vs)))
+    return rows(sampled_jets(dp)(0, len(dp.us) * len(dp.vs)))
 
 
 def outcome(fn, *args):
