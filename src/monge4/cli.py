@@ -123,104 +123,90 @@ class _Parser(argparse.ArgumentParser):
         return found
 
 
-SUBCOMMANDS = ("eval", "grid", "classify", "verify", "ode", "ingest")
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of the command line argv: every subcommand, with the
-    arguments of those that argv names, or of all of them if it names none
-    (or is None).  argparse runs the first subcommand argv names, so the
-    parser reads argv as the one with every argument would."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="monge4",
         description="Curvature invariants and classification predicates "
                     "for two-height-channel graph surfaces.")
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 metavar="SUBCOMMAND")
-    named = set(SUBCOMMANDS).intersection(argv or ()) or set(SUBCOMMANDS)
 
-    def command(name, text, description):
-        """The parser of a subcommand, if its arguments are to be added."""
-        p = sub.add_parser(name, help=text, description=description)
-        return p if name in named else None
+    p = sub.add_parser("eval", help="invariants at a single point",
+                       description="Evaluate K, K_N, H1, H2 and |H| at "
+                                   "one parameter point.")
+    _add_surface_flags(p)
+    _add_range_flags(p.add_argument_group("rotational family only"), "u",
+                     "end of the rotational profile's u-range")
+    p.add_argument("-u", "--u", type=float, required=True, dest="u",
+                   help="u coordinate of the point")
+    p.add_argument("-v", "--v", type=float, required=True, dest="v",
+                   help="v coordinate of the point")
+    _add_output_flags(p, "json")
+    p.set_defaults(handler=cmd_eval)
 
-    if p := command("eval", "invariants at a single point",
-                    "Evaluate K, K_N, H1, H2 and |H| at one parameter "
-                    "point."):
-        _add_surface_flags(p)
-        _add_range_flags(p.add_argument_group("rotational family only"),
-                         "u", "end of the rotational profile's u-range")
-        p.add_argument("-u", "--u", type=float, required=True, dest="u",
-                       help="u coordinate of the point")
-        p.add_argument("-v", "--v", type=float, required=True, dest="v",
-                       help="v coordinate of the point")
-        _add_output_flags(p, "json")
-        p.set_defaults(handler=cmd_eval)
+    p = sub.add_parser("grid", help="sample invariants over a grid",
+                       description="Evaluate the pipeline on a uniform "
+                                   "grid and write the result table.")
+    _add_surface_flags(p)
+    _add_grid_flags(p)
+    _add_output_flags(p, "csv")
+    p.set_defaults(handler=cmd_grid)
 
-    if p := command("grid", "sample invariants over a grid",
-                    "Evaluate the pipeline on a uniform grid and write the "
-                    "result table."):
-        _add_surface_flags(p)
-        _add_grid_flags(p)
-        _add_output_flags(p, "csv")
-        p.set_defaults(handler=cmd_grid)
+    p = sub.add_parser("classify", help="test predicates over a grid",
+                       description="Check classification predicates on a "
+                                   "grid and print the report.")
+    _add_surface_flags(p)
+    _add_grid_flags(p)
+    p.add_argument("--predicates", metavar="LIST",
+                   help="comma-separated predicates to require "
+                        "(default: all of %s)" % ",".join(PREDICATES))
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="verdict tolerance, finite and > 0 "
+                        "(default: %(default)s)")
+    _add_output_flags(p, "json")
+    p.set_defaults(handler=cmd_classify)
 
-    if p := command("classify", "test predicates over a grid",
-                    "Check classification predicates on a grid and print "
-                    "the report."):
-        _add_surface_flags(p)
-        _add_grid_flags(p)
-        p.add_argument("--predicates", metavar="LIST",
-                       help="comma-separated predicates to require "
-                            "(default: all of %s)" % ",".join(PREDICATES))
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="verdict tolerance, finite and > 0 "
-                            "(default: %(default)s)")
-        _add_output_flags(p, "json")
-        p.set_defaults(handler=cmd_classify)
+    p = sub.add_parser("verify", help="run the built-in identity suite",
+                       description="Run every built-in consistency check "
+                                   "and print one status line per check.")
+    _add_output_flags(p, "text")
+    p.set_defaults(handler=cmd_verify)
 
-    if p := command("verify", "run the built-in identity suite",
-                    "Run every built-in consistency check and print one "
-                    "status line per check."):
-        _add_output_flags(p, "text")
-        p.set_defaults(handler=cmd_verify)
+    p = sub.add_parser("ode", help="integrate or check a radius profile",
+                       description="With --a/--b/--sigma, tabulate the "
+                                   "closed-form minimal profile and its "
+                                   "equation residual; with --r0/--r0p, "
+                                   "integrate the profile equation "
+                                   "numerically (classic fourth-order "
+                                   "Runge-Kutta).")
+    p.add_argument("--a", type=float, help="closed-form scale parameter")
+    p.add_argument("--b", type=float, default=0.0,
+                   help="closed-form shift parameter (default: %(default)s)")
+    p.add_argument("--sigma", type=int, choices=(1, -1), default=1,
+                   help="closed-form sign parameter (default: %(default)s)")
+    p.add_argument("--r0", type=float, help="initial radius r(lo)")
+    p.add_argument("--r0p", type=float, help="initial slope r'(lo)")
+    p.add_argument("--range", nargs=2, type=float, default=[-1.0, 1.0],
+                   metavar=("LO", "HI"),
+                   help="integration range (default: %(default)s)")
+    p.add_argument("--steps", type=int, default=1000,
+                   help="number of steps (default: %(default)s)")
+    _add_output_flags(p, "csv")
+    p.set_defaults(handler=cmd_ode)
 
-    if p := command("ode", "integrate or check a radius profile",
-                    "With --a/--b/--sigma, tabulate the closed-form minimal "
-                    "profile and its equation residual; with --r0/--r0p, "
-                    "integrate the profile equation numerically (classic "
-                    "fourth-order Runge-Kutta)."):
-        p.add_argument("--a", type=float, help="closed-form scale parameter")
-        p.add_argument("--b", type=float, default=0.0,
-                       help="closed-form shift parameter "
-                            "(default: %(default)s)")
-        p.add_argument("--sigma", type=int, choices=(1, -1), default=1,
-                       help="closed-form sign parameter "
-                            "(default: %(default)s)")
-        p.add_argument("--r0", type=float, help="initial radius r(lo)")
-        p.add_argument("--r0p", type=float, help="initial slope r'(lo)")
-        p.add_argument("--range", nargs=2, type=float, default=[-1.0, 1.0],
-                       metavar=("LO", "HI"),
-                       help="integration range (default: %(default)s)")
-        p.add_argument("--steps", type=int, default=1000,
-                       help="number of steps (default: %(default)s)")
-        _add_output_flags(p, "csv")
-        p.set_defaults(handler=cmd_ode)
-
-    if p := command("ingest", "finite-difference pipeline on samples",
-                    "Read height samples from CSV (columns u,v,f,g or "
-                    "u,v,f), estimate jets by central differences and "
-                    "write the result table."):
-        p.add_argument("input", metavar="FILE", help="sample CSV file")
-        p.add_argument("--mode", choices=MODES,
-                       help="channel layout (inferred from the header "
-                            "when omitted)")
-        p.add_argument("--hu", type=float,
-                       help="expected u spacing (checked)")
-        p.add_argument("--hv", type=float,
-                       help="expected v spacing (checked)")
-        _add_output_flags(p, "csv")
-        p.set_defaults(handler=cmd_ingest)
+    p = sub.add_parser("ingest", help="finite-difference pipeline on samples",
+                       description="Read height samples from CSV (columns "
+                                   "u,v,f,g or u,v,f), estimate jets by "
+                                   "central differences and write the "
+                                   "result table.")
+    p.add_argument("input", metavar="FILE", help="sample CSV file")
+    p.add_argument("--mode", choices=MODES,
+                   help="channel layout (inferred from the header "
+                        "when omitted)")
+    p.add_argument("--hu", type=float, help="expected u spacing (checked)")
+    p.add_argument("--hv", type=float, help="expected v spacing (checked)")
+    _add_output_flags(p, "csv")
+    p.set_defaults(handler=cmd_ingest)
 
     return parser
 
@@ -349,15 +335,13 @@ def _write_table(spec, source, args) -> _Tally:
     start to stop - 1.  The nodes go in chunks to one process per core
     (chunk_pieces), and the text is the same for any number of them."""
     tally = _Tally()
-    v_texts = {}  # the text of each v, kept over the chunks of a process
 
     def render(start, stop):
         counted = tally.count(rows(source(start, stop)))
         if args.format == "text":
             tally.top(counted)
             return ""
-        return "".join(_row_pieces(args.format, RESULT_HEADER, counted,
-                                   v_texts))
+        return "".join(_row_pieces(args.format, RESULT_HEADER, counted))
 
     body = chunk_pieces(spec.nu * spec.nv, render, tally)
 
@@ -508,7 +492,7 @@ def cmd_ingest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

@@ -25,7 +25,7 @@ import stat
 from itertools import islice
 from operator import itemgetter
 
-from .classify import COLUMNS, Row, exact_jets, node_rows
+from .classify import Row, exact_jets, node_rows
 from .invariants import ConsistencyError
 from .jet import Jet2, _new
 from .patch import MongePatch, PatchJets
@@ -416,47 +416,40 @@ def _cell_lines(rows):
 _RESULT_LINE = "%s%s" + "%r," * 11 + "%s\n"
 
 
-def _result_lines(rows, v_texts):
+def _result_lines(rows):
     """The CSV lines of Rows (RESULT_HEADER: floats, then a str flag), as
     _cell_lines writes them, with one format per line.  The text of u is
-    made once per u object, and of v once per v object while v_texts
-    keeps it, which may be over many calls: id(v): (v, the text of v and
-    its comma).  Texts are keyed by identity, not by value: 0.0 == -0.0,
-    but their text differs; each v is held while its id is a key, so that
-    no other object can take that id.  v_texts keeps up to COLUMNS texts,
-    as the exact source keeps columns."""
+    made once per u object and of v once per v object, keyed by identity,
+    not by value: 0.0 == -0.0, but their text differs.  Each v is held
+    while its id is a key, so that no other object can take that id."""
     u_of = u_text = None
+    v_texts = {}  # id(v): the text of v and its comma
+    held = []  # the v objects whose ids key v_texts
     lines = []
     for u, v, E, F, G, W2, K, KN, H1, H2, Hnorm, chen, wintgen, flag in rows:
         if u is not u_of:
             u_of, u_text = u, repr(u) + ","
-        kept = v_texts.get(id(v))
-        if kept is None:
-            if len(v_texts) == COLUMNS:
-                v_texts.clear()
-            kept = v_texts[id(v)] = v, repr(v) + ","
-        lines.append(_RESULT_LINE % (u_text, kept[1], E, F, G, W2, K, KN, H1,
+        v_text = v_texts.get(id(v))
+        if v_text is None:
+            v_text = v_texts[id(v)] = repr(v) + ","
+            held.append(v)
+        lines.append(_RESULT_LINE % (u_text, v_text, E, F, G, W2, K, KN, H1,
                                      H2, Hnorm, chen, wintgen,
                                      _text_cell(flag) if flag else flag))
     return "".join(lines)
 
 
-def _row_pieces(fmt: str, header, rows, v_texts=None):
+def _row_pieces(fmt: str, header, rows):
     """The text of some rows of a table in fmt, in pieces.  "csv": lines
     of floats as shortest round-trip decimals and quoted text, CHUNK_ROWS
-    at a time; Rows keep the text of each v in v_texts (a new dict if
-    None), as _result_lines does.  "json": row objects of floats, strings
-    and bools as in json.dumps(table, indent=2), JSON_ROWS at a time; each
-    batch is encoded as a list, without its opening and closing lines, and
-    comes after ",\n"."""
+    at a time.  "json": row objects of floats, strings and bools as in
+    json.dumps(table, indent=2), JSON_ROWS at a time; each batch is
+    encoded as a list, without its opening and closing lines, and comes
+    after ",\n"."""
     rows = iter(rows)
     if fmt == "csv":
-        if header is not RESULT_HEADER:
-            while chunk := _cell_lines(islice(rows, CHUNK_ROWS)):
-                yield chunk
-            return
-        v_texts = {} if v_texts is None else v_texts
-        while chunk := _result_lines(islice(rows, CHUNK_ROWS), v_texts):
+        lines = _result_lines if header is RESULT_HEADER else _cell_lines
+        while chunk := lines(islice(rows, CHUNK_ROWS)):
             yield chunk
         return
     encode = json.JSONEncoder(indent=2).encode

@@ -526,36 +526,6 @@ def test_help_lists_flags(capsys):
         assert ("--tol" in out) == (sub == "classify"), sub
 
 
-@pytest.mark.parametrize("argv", [
-    [], ["--help"], ["-h", "grid"], ["bogus"], ["gri"],
-    *([sub, "--help"] for sub in cli.SUBCOMMANDS),
-    ["eval"], ["eval", "--f", "u"], ["grid", "--nu", "x"], ["grid", "--bogus"],
-    ["classify", "--tol"], ["ingest"], ["ode", "--sigma", "3"],
-    ["verify", "--format", "xml"], ["ingest", "--mode", "monge5", "x.csv"],
-    ["eval", "--f", "grid", "-u", "x"], ["grid", "--f", "u", "eval"],
-    ["grid", "--f", "u", "--g", "v", "--nu", "3", "--format", "json"],
-], ids=" ".join)
-def test_parser_of_the_named_subcommand_reads_as_the_full_one(capsys, argv):
-    # build_parser(argv) adds only the arguments of the subcommands argv
-    # names, or all where it names none: its help, its usage errors and
-    # what it parses are those of the parser with every argument
-    def outcome(parser):
-        try:
-            parsed = vars(parser.parse_args(argv))
-        except SystemExit as exit:
-            parsed = exit.code
-        return parsed, capsys.readouterr()
-
-    assert outcome(cli.build_parser(argv)) == outcome(cli.build_parser())
-
-
-def test_parser_leaves_out_the_arguments_of_other_subcommands(capsys):
-    with pytest.raises(SystemExit):
-        cli.build_parser(["grid"]).parse_args(["eval", "--help"])
-    out = capsys.readouterr().out
-    assert out.startswith("usage: monge4 eval [-h]\n") and "-u" not in out
-
-
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -911,11 +881,11 @@ CHUNKED_GRID = ["grid", "--f", STREAM_SURFACE[0], "--g", STREAM_SURFACE[1],
 
 
 def _holed_samples_file(path, mode):
-    """50 x 50 samples in ten chunks, with NaN holes in the first, a
-    middle and the last but one chunk and one in the g channel."""
+    """50 x 50 samples in ten chunks, with NaN holes in the first and
+    last chunk and one in the g channel."""
     dp = sample_values(make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"),
                        GridSpec(-1, 1, -1, 1, 50, 50), mode)
-    for i, j in ((3, 7), (29, 30), (45, 2)):
+    for i, j in ((3, 7), (29, 30), (45, 2), (47, 20)):
         dp.f[i][j] = math.nan
     if dp.g is not None:
         dp.g[20][20] = math.nan

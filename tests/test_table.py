@@ -14,7 +14,6 @@ import pytest
 
 import table_reference as ref
 from monge4 import grid
-from monge4.classify import COLUMNS
 from monge4.cli import main
 from monge4.grid import (CHUNK_ROWS, RESULT_HEADER, GridResult, GridSpec,
                          Row, _row_pieces, evaluate_discrete, export_csv,
@@ -104,23 +103,6 @@ def test_result_lines_of_coordinates_made_and_dropped_row_by_row():
                              ref.csv_lines(rows())) is None
 
 
-def test_result_lines_keep_the_text_of_v_over_calls():
-    # one v_texts over the chunks of a process, as _write_table keeps it:
-    # rows of new objects in each call, more v objects than it keeps
-    v_texts = {}
-
-    def rows(call):
-        for k in range(call * CHUNK_ROWS, (call + 1) * CHUNK_ROWS):
-            sign = "-" if k % 3 else ""
-            yield Row(0.5, float(f"{sign}{k % 1500}.0"), flag="")
-
-    for call in range(2 * COLUMNS // CHUNK_ROWS + 1):
-        assert _first_difference(
-            "".join(_row_pieces("csv", RESULT_HEADER, rows(call), v_texts)),
-            ref.csv_lines(rows(call))) is None
-        assert 0 < len(v_texts) <= COLUMNS
-
-
 def test_tables_of_other_shapes_keep_the_per_cell_loop():
     header = ("name", "x", "ok")
     rows = [("a,b", -0.0, True), ('q"', math.nan, False), ("", 1e16, 3)]
@@ -142,10 +124,10 @@ SURFACE = ("u^3", "0-v^3+0*log(u+1)")
 
 def _holed_samples(path):
     """40 x 40 samples with NaN holes: quoted bad-sample flags in the
-    first chunk of nodes and in one near the end."""
+    first and last chunk of nodes."""
     dp = sample_values(make_explicit("u^3+sin(v)+u*v", "exp(u)*v+v^2"),
                        GridSpec(-1, 1, -1, 1, 40, 40))
-    dp.f[3][7] = dp.f[36][30] = math.nan
+    dp.f[3][7] = dp.f[36][30] = dp.f[38][30] = math.nan
     export_samples_csv(dp, str(path))
 
 
@@ -159,7 +141,8 @@ def test_commands_write_the_reference_table(tmp_path, capsys, monkeypatch,
         _holed_samples(samples)
         argv = ["ingest", str(samples)]
         rows = evaluate_discrete(ingest_csv(samples)).rows
-        assert any("," in r.flag for r in rows)
+        assert any("," in r.flag for r in rows[:CHUNK_ROWS])
+        assert any("," in r.flag for r in rows[-(len(rows) % CHUNK_ROWS):])
     else:
         # 2 x 3000: 24 chunks, one of whose spans crosses a grid row
         nu, nv = (48, 48) if case == "grid" else (2, 3000)
